@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, VideoRecord
 from .evaluator import score_summary
 from .rng import SplitMix64, sample_indices
-from .rouge import rouge_su
+from .rouge import UnitTable, rouge_su, unit_table
 from .visual import pixel_summary_distance, subshot_min_distance
 
 TIE_TOLERANCE = 1e-9
@@ -111,12 +111,14 @@ def judge_summary_pair(
     features: SubshotFeatures | None = None,
     gt_subshots: SummarySelection | None = None,
     stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> PairJudgment:
     """Which of two equal-size summaries is closer to the ground truth.
 
-    Text metrics score via the evaluator; the "pixel" metric scores by
-    negated mean frame distance and needs features plus a ground-truth
-    subshot selection.
+    Text metrics score via the evaluator, both summaries through one unit
+    table (the caller's, to share it across judgments); the "pixel" metric
+    scores by negated mean frame distance and needs features plus a
+    ground-truth subshot selection.
     """
     if len(a) != len(b):
         raise ValueError(f"summaries must have equal size, got {len(a)} and {len(b)}")
@@ -126,8 +128,9 @@ def judge_summary_pair(
         sa = -pixel_summary_distance(a, gt_subshots, features)
         sb = -pixel_summary_distance(b, gt_subshots, features)
         return PairJudgment.from_scores(sa, sb, zero_threshold=PIXEL_ZERO)
-    sa = score_summary(a, video, gts, metric, stopwords).score
-    sb = score_summary(b, video, gts, metric, stopwords).score
+    table = unit_table(table, stopwords)
+    sa = score_summary(a, video, gts, metric, table=table).score
+    sb = score_summary(b, video, gts, metric, table=table).score
     return PairJudgment.from_scores(sa, sb, zero_threshold=TEXT_ZERO)
 
 
@@ -139,6 +142,7 @@ def judge_subshot_pair(
     metric: str = "rouge-su",
     features: SubshotFeatures | None = None,
     stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> PairJudgment:
     """Which of subshots x, y is closer to reference subshot ref."""
     if len({x, y, ref}) != 3:
@@ -155,9 +159,10 @@ def judge_subshot_pair(
     for idx in (x, y, ref):
         if idx < 0 or idx >= len(video):
             raise ValueError(f"subshot index {idx} out of range")
+    table = unit_table(table, stopwords)
     ref_text = [video.subshots[ref].annotation]
-    sx = rouge_su([video.subshots[x].annotation], ref_text, stopwords).f_measure
-    sy = rouge_su([video.subshots[y].annotation], ref_text, stopwords).f_measure
+    sx = rouge_su([video.subshots[x].annotation], ref_text, table=table).f_measure
+    sy = rouge_su([video.subshots[y].annotation], ref_text, table=table).f_measure
     return PairJudgment.from_scores(sx, sy, zero_threshold=TEXT_ZERO)
 
 

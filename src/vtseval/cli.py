@@ -3,12 +3,15 @@
 Every command validates its inputs before writing anything, writes output
 files canonically (temp file + rename), and is deterministic: the same
 command line over the same input files produces byte-identical output.
+``compare`` builds one ``rouge.UnitTable`` and passes it to every judgment
+it makes, so each sentence is compiled once per command.
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from . import __version__, analysis, corpus, evaluator, summarize, visual
 from .analysis import PairJudgment, Verdict
 from .corpus import CorpusError, SummarySelection
 from .rng import SplitMix64
+from .rouge import UnitTable
 from .textproc import load_stopwords
 
 
@@ -157,7 +161,10 @@ def _load_scores(path) -> dict[str, float]:
     for i, row in enumerate(rows):
         if not isinstance(row, dict) or "item_id" not in row or "score" not in row:
             raise corpus.CorpusParseError(f"{path}: scores[{i}] needs item_id and score")
-        out[str(row["item_id"])] = float(row["score"])
+        score = float(row["score"])
+        if not math.isfinite(score):
+            raise corpus.CorpusValidationError(f"{path}: scores[{i}].score: must be finite")
+        out[str(row["item_id"])] = score
     return out
 
 
@@ -199,18 +206,19 @@ def _judgment_dict(j: PairJudgment) -> dict:
 
 def _cmd_compare(args) -> int:
     video = corpus.load_annotations(args.annotations)
-    stopwords = _stopwords(args)
+    # one table for every judgment, so each sentence is compiled once
+    table = UnitTable(_stopwords(args))
     if args.mode == "pairs":
-        payload = _compare_pairs(args, video, stopwords)
+        payload = _compare_pairs(args, video, table)
     else:
-        payload = _compare_triples(args, video, stopwords)
+        payload = _compare_triples(args, video, table)
     payload["tool_version"] = __version__
     payload["config"] = _config_dict(args)
     corpus.write_canonical(args.output, payload)
     return 0
 
 
-def _compare_pairs(args, video, stopwords) -> dict:
+def _compare_pairs(args, video, table) -> dict:
     if not args.ground_truth:
         raise CorpusError("pairs mode requires --ground-truth")
     gts = corpus.load_ground_truths(args.ground_truth)
@@ -226,7 +234,7 @@ def _compare_pairs(args, video, stopwords) -> dict:
     counts: dict[str, int] = {}
     cases: dict[str, int] = {}
     for i, (a, b) in enumerate(pairs):
-        vset = analysis.judge_summary_pair(a, b, video, gts, args.metric, stopwords=stopwords)
+        vset = analysis.judge_summary_pair(a, b, video, gts, args.metric, table=table)
         record = {
             "pair": i,
             "a": list(a.indices),
@@ -277,7 +285,7 @@ def _pair_agreement(args, records) -> dict | None:
     return out or None
 
 
-def _compare_triples(args, video, stopwords) -> dict:
+def _compare_triples(args, video, table) -> dict:
     if not args.features:
         raise CorpusError("triples mode requires --features")
     features = corpus.load_features(args.features)
@@ -297,7 +305,7 @@ def _compare_triples(args, video, stopwords) -> dict:
             for y in range(x + 1, m):
                 if y == ref:
                     continue
-                vset = analysis.judge_subshot_pair(x, y, ref, video, "rouge-su", stopwords=stopwords)
+                vset = analysis.judge_subshot_pair(x, y, ref, video, "rouge-su", table=table)
                 pb = analysis.judge_subshot_pair(x, y, ref, video, "pixel", features=features)
                 case = analysis.classify_case(vset, pb)
                 cases[case.value] = cases.get(case.value, 0) + 1

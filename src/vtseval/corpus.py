@@ -3,8 +3,12 @@
 All interchange files are UTF-8 JSON with sorted keys, two-space indent
 and a trailing newline; saving a loaded record reproduces the original
 bytes. Loading validates every type invariant and raises an error that
-names the offending field and index. Writes go to a temporary file that
-is renamed into place, so a failed save never leaves a partial file.
+names the offending field and index. Non-finite numbers (NaN, Infinity,
+and literals such as 1e999 that overflow to infinity) are refused on read
+and on write. Writes go to a uniquely named temporary
+file in the target directory that is renamed into place, so a failed save
+never leaves a partial file and concurrent writers never clobber each
+other's temporary file.
 """
 from __future__ import annotations
 
@@ -167,18 +171,31 @@ def validate_features(features: SubshotFeatures) -> None:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_canonical(path: str | Path, obj) -> None:
-    """Serialize to canonical JSON; write via temp file + rename."""
+    """Serialize to canonical JSON; write via a unique temp file + rename."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(canonical_dumps(obj), encoding="utf-8", newline="\n")
+        text = canonical_dumps(obj)
+    except ValueError as exc:
+        raise CorpusValidationError(f"cannot write {path}: {exc}") from exc
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    created = False
+    try:
+        # mode 0o666 lets the kernel apply the umask, as a plain open() would
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
         os.replace(tmp, path)
+        created = False
     except OSError as exc:
         raise CorpusIOError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if created:
+            tmp.unlink(missing_ok=True)
 
 
 def read_json(path: str | Path) -> dict:
@@ -186,8 +203,18 @@ def read_json(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
+
+    def reject_non_finite(literal: str):
+        raise CorpusParseError(f"{path}: non-finite number {literal} is not allowed")
+
+    def finite_float(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            reject_non_finite(literal)
+        return value
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=finite_float, parse_constant=reject_non_finite)
     except ValueError as exc:
         raise CorpusParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

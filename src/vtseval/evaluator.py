@@ -4,7 +4,9 @@ A summary's text representation is the annotation of each selected
 subshot in temporal order. Before scoring, each human reference is
 length-adjusted to the summary's subshot count: its top-n ranked
 sentences, re-sorted temporally. The summary score is the maximum
-F-measure over the adjusted references.
+F-measure over the adjusted references. Scores come from a
+``rouge.UnitTable``: pass one table to many calls and each annotation and
+reference sentence is compiled once.
 """
 from __future__ import annotations
 
@@ -18,9 +20,10 @@ from .corpus import (
     read_json,
     write_canonical,
 )
-from .rouge import RougeScore, rouge_n, rouge_su
+from .rouge import SU, RougeScore, UnitTable, score_bags, unit_table
 
 METRICS = ("rouge-su", "rouge-1", "rouge-2")
+_UNIT_KINDS = {"rouge-su": SU, "rouge-1": 1, "rouge-2": 2}
 
 
 @dataclass(frozen=True)
@@ -65,16 +68,6 @@ def length_adjust(gt: GroundTruthSummary, n: int) -> list[str]:
     return [s.text for s in sorted(top, key=lambda s: s.temporal_pos)]
 
 
-def _score_pair(metric: str, candidate: list[str], reference: list[str], stopwords) -> RougeScore:
-    if metric == "rouge-su":
-        return rouge_su(candidate, reference, stopwords)
-    if metric == "rouge-1":
-        return rouge_n(candidate, reference, 1, stopwords)
-    if metric == "rouge-2":
-        return rouge_n(candidate, reference, 2, stopwords)
-    raise ValueError(f"unknown metric {metric!r}, expected one of {', '.join(METRICS)}")
-
-
 def score_summary(
     summary: SummarySelection,
     video: VideoRecord,
@@ -82,6 +75,7 @@ def score_summary(
     metric: str = "rouge-su",
     stopwords: frozenset[str] | None = None,
     summary_id: str | None = None,
+    table: UnitTable | None = None,
 ) -> EvaluationReport:
     """Score a summary against every ground truth; keep all pairwise scores.
 
@@ -93,11 +87,15 @@ def score_summary(
     if len(summary) == 0:
         raise ValueError("cannot score an empty summary")
     candidate = text_representation(summary, video)
+    if metric not in _UNIT_KINDS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {', '.join(METRICS)}")
+    kind = _UNIT_KINDS[metric]
+    table = unit_table(table, stopwords)
     n = len(summary)
-    pairwise = []
-    for gt in gts:
-        reference = length_adjust(gt, n)
-        pairwise.append((gt.author_id, _score_pair(metric, candidate, reference, stopwords)))
+    cand = table.bag(kind, candidate)
+    pairwise = [
+        (gt.author_id, score_bags(cand, table.bag(kind, length_adjust(gt, n)))) for gt in gts
+    ]
     best_author, best = max(pairwise, key=lambda item: item[1].f_measure)
     # max() keeps the first maximum, which is the tie-break we want
     return EvaluationReport(

@@ -4,14 +4,37 @@ Units are extracted per sentence (pairs never cross sentence boundaries),
 pooled over each text, and matched with per-unit clipping: each distinct
 unit contributes min(candidate count, reference count). For ROUGE-SU,
 unigrams and skip-bigrams share a single pool and count equally.
+
+Every score goes through a ``UnitTable``. The table compiles a sentence
+the first time it is scored under a unit kind: it preprocesses the
+sentence, interns each stem to a small int, and keeps the sentence's
+units of that kind as an int array, one entry per occurrence. A unigram's
+id is its stem id; an ordered pair (skip-bigram or contiguous bigram) of
+stem ids a, b has the id (a + 1) * 2**32 + b, which no stem id reaches and
+which fits the signed 64-bit rows while a table holds fewer than 2**31
+stems, so pair ids need no second intern dict. A score then pools the
+rows of each side into an int -> count bag, takes the per-unit minimum over the shared ids
+and hands the integer sums to ``RougeScore.from_counts``, so every float
+is the same as with string-keyed counting.
+
+A table belongs to one stopword set and lives as long as one command (or
+one library call, when the caller passes none). Compilation is lazy: only
+sentences that are actually scored are compiled. The table is never
+process-global, because the sentences a process scores are unbounded;
+the bounded word-level cache is ``textproc.stem``'s.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Sequence
 
-from .textproc import extract_units, preprocess
+from .textproc import DEFAULT_STOPWORDS, preprocess
+
+SU = "su"
+"""Unit kind of ROUGE-SU: unigrams plus skip-bigrams. Kinds 1 and 2 are contiguous n-grams."""
 
 
 @dataclass(frozen=True)
@@ -40,41 +63,77 @@ class RougeScore:
 
 def count_matches(candidate_units: Counter, reference_units: Counter) -> int:
     """Sum over distinct units of min(candidate count, reference count)."""
-    return sum((candidate_units & reference_units).values())
+    return sum(min(candidate_units[u], reference_units[u])
+               for u in candidate_units.keys() & reference_units.keys())
 
 
-def _su_units(sentences: Sequence[str], stopwords) -> Counter:
-    # Unigrams are wrapped as 1-tuples so they share a pool with 2-tuple
-    # skip-bigrams without colliding.
-    pool: Counter = Counter()
-    for sentence in sentences:
-        units = extract_units(sentence, stopwords)
-        for token, n in units.unigrams.items():
-            pool[(token,)] += n
-        pool.update(units.skip_bigrams)
-    return pool
+def score_bags(candidate: Counter, reference: Counter) -> RougeScore:
+    """Score two pooled unit bags (as returned by ``UnitTable.bag``)."""
+    return RougeScore.from_counts(
+        count_matches(candidate, reference), sum(candidate.values()), sum(reference.values())
+    )
 
 
-def _ngram_units(sentences: Sequence[str], n: int, stopwords) -> Counter:
-    pool: Counter = Counter()
-    for sentence in sentences:
-        stems = preprocess(sentence, stopwords)
-        pool.update(tuple(stems[i : i + n]) for i in range(len(stems) - n + 1))
-    return pool
+def _pair(a: int, b: int) -> int:
+    """Unit id of the ordered stem-id pair (a, b), disjoint from every stem id."""
+    return ((a + 1) << 32) | b
+
+
+class UnitTable:
+    """Interned counting units of the sentences one command scores."""
+
+    def __init__(self, stopwords: frozenset[str] | None = None):
+        self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        self._stem_ids: dict[str, int] = {}
+        self._rows: dict[tuple, array] = {}
+
+    def row(self, kind, sentence: str) -> array:
+        """Unit ids of one sentence, one entry per occurrence."""
+        key = (kind, sentence)
+        row = self._rows.get(key)
+        if row is None:
+            intern = self._stem_ids
+            stems = [intern.setdefault(s, len(intern)) for s in preprocess(sentence, self.stopwords)]
+            if kind == SU:
+                units = chain(stems, (_pair(a, b) for a, b in combinations(stems, 2)))
+            elif kind == 1:
+                units = stems
+            else:
+                units = map(_pair, stems, stems[1:])
+            row = array("q", units)
+            self._rows[key] = row
+        return row
+
+    def bag(self, kind, sentences: Sequence[str]) -> Counter:
+        """Pooled unit counts of a text: its sentences' rows summed."""
+        return Counter(chain.from_iterable(self.row(kind, s) for s in sentences))
+
+
+def unit_table(table: UnitTable | None, stopwords: frozenset[str] | None) -> UnitTable:
+    """The caller's table, or a fresh one for this call.
+
+    A table compiled under one stopword set never serves another: ids of
+    two tables are unrelated, so mixing them would match arbitrary units.
+    """
+    if table is None:
+        return UnitTable(stopwords)
+    if stopwords is not None and stopwords is not table.stopwords and stopwords != table.stopwords:
+        raise ValueError("unit table was built for a different stopword set")
+    return table
 
 
 def rouge_su(
     candidate: Sequence[str],
     reference: Sequence[str],
     stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> RougeScore:
     """Unigram + skip-bigram co-occurrence score between two texts.
 
     Either side may be empty; a side without units scores zero.
     """
-    cand = _su_units(candidate, stopwords)
-    ref = _su_units(reference, stopwords)
-    return RougeScore.from_counts(count_matches(cand, ref), sum(cand.values()), sum(ref.values()))
+    table = unit_table(table, stopwords)
+    return score_bags(table.bag(SU, candidate), table.bag(SU, reference))
 
 
 def rouge_n(
@@ -86,6 +145,5 @@ def rouge_n(
     """Contiguous n-gram co-occurrence score, n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    cand = _ngram_units(candidate, n, stopwords)
-    ref = _ngram_units(reference, n, stopwords)
-    return RougeScore.from_counts(count_matches(cand, ref), sum(cand.values()), sum(ref.values()))
+    table = UnitTable(stopwords)
+    return score_bags(table.bag(n, candidate), table.bag(n, reference))

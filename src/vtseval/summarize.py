@@ -5,11 +5,11 @@ pinned splitmix64 generator, so identical inputs and seed give identical
 summaries. Frame-based methods (clustering, marginal-relevance) operate
 on the flattened frame list of a feature table; text-based methods
 (greedy bag-of-words, ordered sentence assignment) consume a ranked
-ground truth that is length-adjusted to n before use.
+ground truth that is length-adjusted to n before use, and take their
+word bags and similarities from a ``rouge.UnitTable``.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +17,7 @@ import numpy as np
 from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, VideoRecord
 from .evaluator import length_adjust
 from .rng import SplitMix64
-from .rouge import rouge_su
-from .textproc import preprocess
-from .visual import chi_square
+from .rouge import SU, UnitTable, count_matches, score_bags
 
 
 @dataclass(frozen=True)
@@ -243,10 +241,9 @@ def greedy_bow(
     m = len(video)
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
-    bag: Counter = Counter()
-    for sentence in length_adjust(gt, n):
-        bag.update(preprocess(sentence, stopwords))
-    ann_units = [Counter(preprocess(s.annotation, stopwords)) for s in video.subshots]
+    table = UnitTable(stopwords)
+    bag = table.bag(1, length_adjust(gt, n))
+    ann_units = [table.bag(1, [s.annotation]) for s in video.subshots]
 
     chosen: set[int] = set()
     for _ in range(n):
@@ -255,7 +252,7 @@ def greedy_bow(
         for i in range(m):
             if i in chosen:
                 continue
-            gain = sum((ann_units[i] & bag).values())
+            gain = count_matches(ann_units[i], bag)
             if gain > best_gain:
                 best_gain = gain
                 best_idx = i
@@ -269,6 +266,15 @@ def greedy_bow(
 
 # ---------------------------------------------------------------------------
 # ordered sentence assignment
+
+
+def _similarity_matrix(sentences: list[str], video: VideoRecord, table: UnitTable) -> list[list[float]]:
+    """k x m matrix whose [j][i] cell is rouge_su([sentences[j]], [annotation i]).f_measure."""
+    ann_bags = [table.bag(SU, [s.annotation]) for s in video.subshots]
+    return [
+        [score_bags(sent_bag, ann_bag).f_measure for ann_bag in ann_bags]
+        for sent_bag in (table.bag(SU, [s]) for s in sentences)
+    ]
 
 
 def sentence_dp(
@@ -290,13 +296,7 @@ def sentence_dp(
         raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
     sentences = length_adjust(gt, n)
     k = len(sentences)
-    sim = [
-        [
-            rouge_su([sentences[j]], [video.subshots[i].annotation], stopwords).f_measure
-            for i in range(m)
-        ]
-        for j in range(k)
-    ]
+    sim = _similarity_matrix(sentences, video, UnitTable(stopwords))
 
     # best[j][i]: best right-folded total for sentences j.. using subshot
     # indices >= i

@@ -4,9 +4,18 @@ The pipeline is deliberately rigid so two runs (or two implementations)
 produce identical units: lowercase, split on anything outside [a-z0-9],
 drop stopwords, stem. A sentence is the unit of input; nothing here
 splits text into sentences.
+
+``stem`` is memoized: it is a pure token -> stem map, so its cache is
+shared by the whole process. The cache is bounded (``STEM_CACHE_SIZE``
+entries, least recently used evicted), so a long run over an open
+vocabulary cannot grow it without limit. Sentence-level work (stopword
+removal, units) is not cached here; ``rouge.UnitTable`` caches it per
+command, because sentences are far more numerous than words and a
+process-wide sentence cache would grow with every input ever scored.
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -18,6 +27,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _DIGIT_RE = re.compile(r"[0-9]")
 
 _DEFAULT_STOPWORDS_PATH = Path(__file__).parent / "data" / "stopwords.txt"
+
+STEM_CACHE_SIZE = 1 << 16
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -54,6 +65,7 @@ def remove_stopwords(tokens: list[str], stopwords: frozenset[str] | None = None)
     return [t for t in tokens if t not in stopwords]
 
 
+@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(token: str) -> str:
     """Porter-stem alphabetic tokens; digit-bearing tokens pass through."""
     if _DIGIT_RE.search(token):

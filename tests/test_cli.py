@@ -233,6 +233,20 @@ class TestCorrelate:
         self.write_scores(b, {"s1": 0.1, "s3": 0.5})
         assert main(["correlate", "--scores-a", str(a), "--scores-b", str(b)]) == 2
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e999", '"nan"'])
+    def test_non_finite_score_exits_2(self, tmp_path, capsys, bad):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.write_scores(a, {"s1": 0.1, "s2": 0.5, "s3": 0.9})
+        b.write_text(
+            '{"scores": [{"item_id": "s1", "score": %s}, {"item_id": "s2", "score": 0.5},'
+            ' {"item_id": "s3", "score": 0.9}]}' % bad
+        )
+        out = tmp_path / "rho.json"
+        args = ["correlate", "--scores-a", str(a), "--scores-b", str(b), "--output", str(out)]
+        assert main(args) == 2
+        assert str(b) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_pairs_mode(self, paths, tmp_path):

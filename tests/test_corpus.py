@@ -241,3 +241,84 @@ def test_write_is_atomic(tmp_path):
     corpus.write_canonical(target, {"a": 1})
     assert target.exists()
     assert not (tmp_path / "out.json.tmp").exists()
+
+
+def _stray_files(directory, keep):
+    return sorted(p.name for p in directory.iterdir() if p.name != keep)
+
+
+def test_write_keeps_umask_mode(tmp_path):
+    import os
+    import stat
+
+    umask = os.umask(0o027)
+    try:
+        target = tmp_path / "out.json"
+        corpus.write_canonical(target, {"a": 1})
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    finally:
+        os.umask(umask)
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    import os
+
+    target = tmp_path / "out.json"
+    corpus.write_canonical(target, {"a": 1})
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(CorpusIOError, match="disk full"):
+        corpus.write_canonical(target, {"a": 2})
+    assert json.loads(target.read_text()) == {"a": 1}
+    assert _stray_files(tmp_path, "out.json") == []
+
+
+def _write_repeatedly(target, payload, barrier, failures):
+    barrier.wait()
+    for _ in range(30):
+        try:
+            corpus.write_canonical(target, payload)
+        except Exception:  # counted and asserted by the parent
+            with failures.get_lock():
+                failures.value += 1
+
+
+def test_concurrent_writers_leave_one_valid_file(tmp_path):
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("spawn")
+    target = tmp_path / "out.json"
+    payloads = [{"writer": w, "rows": list(range(50000))} for w in range(3)]
+    barrier = ctx.Barrier(len(payloads))
+    failures = ctx.Value("i", 0)
+    procs = [
+        ctx.Process(target=_write_repeatedly, args=(target, p, barrier, failures))
+        for p in payloads
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(120)
+    assert [proc.exitcode for proc in procs] == [0, 0, 0]
+    assert failures.value == 0
+    assert corpus.read_json(target) in payloads
+    assert _stray_files(tmp_path, "out.json") == []
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_read_rejects_non_finite_literals(self, tmp_path, literal):
+        path = tmp_path / "s.json"
+        path.write_text('{"video_id": "v", "subshot_seconds": %s}' % literal)
+        with pytest.raises(CorpusParseError, match=f"{path}.*{literal}"):
+            corpus.read_json(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_write_refuses_non_finite(self, tmp_path, value):
+        target = tmp_path / "out.json"
+        with pytest.raises(CorpusValidationError, match="out.json"):
+            corpus.write_canonical(target, {"score": value})
+        assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,225 @@
+"""Differential tests: table-backed scoring against the naive oracles.
+
+Text comes from random vocabularies (plain words, stopwords, words with
+Porter suffixes, digit-bearing tokens) joined with random separators. The
+oracles count units with their own loops; their tokens come from
+``oracle_prep`` below, which calls the Porter stemmer directly, so neither
+the stem memo nor the unit table is on the oracle side.
+"""
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vtseval import porter
+from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelection
+from vtseval.evaluator import length_adjust, score_summary, text_representation
+from vtseval.rouge import SU, UnitTable, rouge_n, rouge_su, score_bags, unit_table
+from vtseval.summarize import _similarity_matrix, sentence_dp
+from vtseval.textproc import DEFAULT_STOPWORDS, STEM_CACHE_SIZE, stem
+
+from oracles import (
+    exhaustive_ordered_assignment,
+    naive_best_reference_score,
+    naive_rouge_n,
+    naive_rouge_su,
+)
+from test_summarize import make_video
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def oracle_prep(sentence):
+    tokens = re.findall(r"[a-z0-9]+", sentence.lower())
+    return [
+        t if re.search(r"[0-9]", t) else porter.stem(t)
+        for t in tokens
+        if t not in DEFAULT_STOPWORDS
+    ]
+
+
+words = st.one_of(
+    st.from_regex(r"[a-z]{1,7}", fullmatch=True),
+    st.builds(
+        lambda w, suffix: w + suffix,
+        st.from_regex(r"[a-z]{2,6}", fullmatch=True),
+        st.sampled_from(["ing", "ed", "ness", "ational", "s", "ly", "ful"]),
+    ),
+    st.sampled_from(["the", "a", "of", "went", "2pm", "route66", "Dog", "DOG"]),
+)
+vocabularies = st.lists(words, min_size=1, max_size=10, unique=True)
+
+
+@st.composite
+def texts(draw, vocab, max_sentences=5, min_sentences=0):
+    sentences = []
+    for _ in range(draw(st.integers(min_sentences, max_sentences))):
+        tokens = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=7))
+        seps = draw(st.lists(st.sampled_from([" ", ", ", "-", " . "]),
+                             min_size=len(tokens), max_size=len(tokens)))
+        sentences.append("".join(t + s for t, s in zip(tokens, seps)).strip())
+    return sentences
+
+
+@st.composite
+def text_pairs(draw):
+    vocab = draw(vocabularies)
+    return draw(texts(vocab)), draw(texts(vocab))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A video, ground truths over the same vocabulary and one selection."""
+    vocab = draw(vocabularies)
+    m = draw(st.integers(1, 8))
+    video = make_video(draw(texts(vocab, max_sentences=m, min_sentences=m)))
+    gts = []
+    for a in range(draw(st.integers(1, 3))):
+        rows = draw(texts(vocab, max_sentences=5, min_sentences=1))
+        ranks = draw(st.permutations(range(1, len(rows) + 1)))
+        gts.append(GroundTruthSummary(
+            author_id=f"a{a}",
+            sentences=tuple(GroundTruthSentence(temporal_pos=p, rank=r, text=t)
+                            for p, (r, t) in enumerate(zip(ranks, rows))),
+        ))
+    indices = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    return video, gts, SummarySelection(video_id="v", indices=tuple(sorted(indices)))
+
+
+def as_tuple(score):
+    return score.precision, score.recall, score.f_measure
+
+
+@SETTINGS
+@given(text_pairs())
+def test_rouge_su_matches_oracle(pair):
+    cand, ref = pair
+    assert as_tuple(rouge_su(cand, ref)) == naive_rouge_su(cand, ref, oracle_prep)
+
+
+@SETTINGS
+@given(text_pairs(), st.sampled_from([1, 2]))
+def test_rouge_n_matches_oracle(pair, n):
+    cand, ref = pair
+    assert as_tuple(rouge_n(cand, ref, n)) == naive_rouge_n(cand, ref, n, oracle_prep)
+
+
+@SETTINGS
+@given(scoring_cases(), st.sampled_from([None, UnitTable()]))
+def test_score_summary_matches_oracle(case, table):
+    video, gts, sel = case
+    report = score_summary(sel, video, gts, table=table)
+    want = naive_best_reference_score(
+        text_representation(sel, video), [length_adjust(gt, len(sel)) for gt in gts], oracle_prep
+    )
+    assert report.score == want
+
+
+@SETTINGS
+@given(scoring_cases())
+def test_sentence_dp_cells_match_fresh_scores(case):
+    video, gts, _ = case
+    gt = gts[0]
+    k = min(len(gt.sentences), len(video))
+    sentences = length_adjust(gt, k)
+    sim = _similarity_matrix(sentences, video, UnitTable())
+    for j, sentence in enumerate(sentences):
+        for i, shot in enumerate(video.subshots):
+            assert sim[j][i] == rouge_su([sentence], [shot.annotation]).f_measure
+            assert sim[j][i] == naive_rouge_su([sentence], [shot.annotation], oracle_prep)[2]
+    _, best = exhaustive_ordered_assignment(sim)
+    assert sentence_dp(video, gt, k).indices == best
+
+
+@SETTINGS
+@given(st.data())
+def test_reused_table_matches_fresh_tables(data):
+    """One table over many calls scores exactly as a fresh table per call."""
+    vocab = data.draw(vocabularies)
+    shared = UnitTable()
+    for _ in range(data.draw(st.integers(1, 8))):
+        cand, ref = data.draw(texts(vocab)), data.draw(texts(vocab))
+        kind = data.draw(st.sampled_from([SU, 1, 2]))
+        if kind == SU:
+            assert rouge_su(cand, ref, table=shared) == rouge_su(cand, ref, table=UnitTable())
+        else:
+            reused = score_bags(shared.bag(kind, cand), shared.bag(kind, ref))
+            assert reused == rouge_n(cand, ref, kind)
+
+
+@SETTINGS
+@given(st.lists(scoring_cases(), min_size=1, max_size=4),
+       st.sampled_from(["rouge-su", "rouge-1", "rouge-2"]))
+def test_reused_table_in_score_summary(cases, metric):
+    shared = UnitTable()
+    for video, gts, sel in cases:
+        for size in (len(sel), 1):
+            sub = SummarySelection(video_id="v", indices=sel.indices[:size])
+            # twice with the shared table: the second call hits every cache
+            for _ in range(2):
+                got = score_summary(sub, video, gts, metric, table=shared)
+                assert got == score_summary(sub, video, gts, metric)
+
+
+@SETTINGS
+@given(text_pairs(), st.sets(words, min_size=1, max_size=4))
+def test_stopword_sets_never_share_a_table(pair, extra):
+    cand, ref = pair
+    custom = frozenset(DEFAULT_STOPWORDS | {w.lower() for w in extra})
+    default_table, custom_table = UnitTable(), UnitTable(custom)
+    # interleave both tables over the same sentences
+    for _ in range(2):
+        assert rouge_su(cand, ref, table=default_table) == rouge_su(cand, ref)
+        assert rouge_su(cand, ref, custom, table=custom_table) == rouge_su(cand, ref, custom)
+    if custom != DEFAULT_STOPWORDS:
+        with pytest.raises(ValueError, match="stopword"):
+            rouge_su(cand, ref, custom, table=default_table)
+
+
+def test_unit_table_accepts_its_own_stopwords():
+    stops = frozenset({"dog"})
+    table = UnitTable(stops)
+    assert unit_table(table, None) is table
+    assert unit_table(table, frozenset({"dog"})) is table
+    assert unit_table(None, stops).stopwords is stops
+    with pytest.raises(ValueError):
+        unit_table(table, frozenset({"park"}))
+
+
+def test_rows_are_interned_ids():
+    table = UnitTable()
+    row = table.row(SU, "I walked my dog at the park.")
+    assert len(row) == 6  # 3 unigrams + 3 skip-bigrams
+    assert table.row(SU, "I walked my dog at the park.") is row
+    # a unigram is the same unit in every kind
+    assert set(table.row(1, "dog park")) <= set(table.row(SU, "park dog"))
+    assert table.row(2, "dog park") != table.row(2, "park dog")
+
+
+def test_sentences_compile_lazily_once_per_kind(monkeypatch):
+    import vtseval.rouge as rouge
+
+    calls = []
+    real = rouge.preprocess
+    monkeypatch.setattr(rouge, "preprocess", lambda s, stops: calls.append(s) or real(s, stops))
+    table = UnitTable()
+    assert not calls
+    for _ in range(3):
+        rouge_su(["dog park", "lake"], ["dog park"], table=table)
+    assert sorted(calls) == ["dog park", "lake"]
+    table.bag(2, ["dog park", "lake"])
+    assert sorted(calls) == ["dog park", "dog park", "lake", "lake"]
+
+
+@SETTINGS
+@given(words)
+def test_stem_memo_matches_porter(word):
+    token = word.lower()
+    want = token if re.search(r"[0-9]", token) else porter.stem(token)
+    assert stem(token) == want
+    assert stem(token) == want  # memo hit
+
+
+def test_stem_memo_is_bounded():
+    assert stem.cache_info().maxsize == STEM_CACHE_SIZE
