@@ -82,11 +82,7 @@ def _cmd_summarize(args) -> int:
         if not args.features:
             raise CorpusError(f"method {args.method} requires --features")
         features = corpus.load_features(args.features)
-        if features.video_id != video.video_id:
-            raise corpus.CorpusValidationError(
-                f"features video_id {features.video_id!r} does not match "
-                f"annotations video_id {video.video_id!r}"
-            )
+        corpus.validate_features_for_video(features, video)
         if args.method == "cluster":
             selection = summarize.histogram_cluster(features, args.n, args.seed)
         else:
@@ -223,6 +219,8 @@ def _compare_pairs(args, video, table) -> dict:
         raise CorpusError("pairs mode requires --ground-truth")
     gts = corpus.load_ground_truths(args.ground_truth)
     features = corpus.load_features(args.features) if args.features else None
+    if features is not None:
+        corpus.validate_features_for_video(features, video)
     gt_subshots = (
         corpus.load_summary(args.gt_subshots, video) if args.gt_subshots else None
     )
@@ -289,10 +287,7 @@ def _compare_triples(args, video, table) -> dict:
     if not args.features:
         raise CorpusError("triples mode requires --features")
     features = corpus.load_features(args.features)
-    if len(features) != len(video):
-        raise corpus.CorpusValidationError(
-            f"features cover {len(features)} subshots, video has {len(video)}"
-        )
+    corpus.validate_features_for_video(features, video)
     m = len(video)
     records = []
     cases: dict[str, int] = {}

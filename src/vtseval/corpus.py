@@ -166,6 +166,19 @@ def validate_features(features: SubshotFeatures) -> None:
                 )
 
 
+def validate_features_for_video(features: SubshotFeatures, video: VideoRecord) -> None:
+    """The features must name the video and hold one frame list per subshot."""
+    if features.video_id != video.video_id:
+        raise CorpusValidationError(
+            f"video_id: features video_id {features.video_id!r} does not match "
+            f"annotations video_id {video.video_id!r}"
+        )
+    if len(features) != len(video):
+        raise CorpusValidationError(
+            f"subshots: features cover {len(features)} subshots, video has {len(video)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON plumbing
 

@@ -18,6 +18,7 @@ from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, Video
 from .evaluator import length_adjust
 from .rng import SplitMix64
 from .rouge import SU, UnitTable, count_matches, score_bags
+from .visual import chi_square_matrix, pairwise_chi_square
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,13 @@ def _flatten_frames(features: SubshotFeatures) -> tuple[np.ndarray, list[int]]:
     return np.vstack(features.subshots), owners
 
 
-def _chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise chi-square distances, shape (len(a), len(b))."""
-    num = (a[:, None, :] - b[None, :, :]) ** 2
-    den = a[:, None, :] + b[None, :, :]
-    frac = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return 0.5 * frac.sum(axis=-1)
+def _left_sum(values) -> float:
+    """Sum in index order. From Python 3.12, sum() compensates float
+    rounding, so its bits would depend on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _fill_uniform(chosen: set[int], m: int, n: int) -> list[int]:
@@ -93,15 +95,24 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int, max_iter: int = 100) ->
     the squared chi-square distance to the nearest chosen center. A
     cluster that comes out of an assignment pass empty is reseeded to the
     frame currently farthest from its own centroid.
+
+    Mean centroids do not minimize chi-square, so an update can raise the
+    objective: on large inputs the recorded objectives are not always
+    non-increasing (one m=400 input went from 80.56273 to 80.56539).
     """
     f = frames.shape[0]
     if f < n:
         raise ValueError(f"cannot form {n} clusters from {f} frames")
     rng = SplitMix64(seed)
 
+    def column(i: int) -> np.ndarray:
+        return chi_square_matrix(frames, frames[i : i + 1])[:, 0]
+
     centers = [rng.next_below(f)]
+    # distance to the nearest chosen center, kept up to date per draw
+    nearest = column(centers[0])
     while len(centers) < n:
-        d2 = np.min(_chi_square_matrix(frames, frames[centers]), axis=1) ** 2
+        d2 = nearest**2
         total = float(d2.sum())
         if total > 0.0:
             r = rng.next_float() * total
@@ -109,10 +120,11 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int, max_iter: int = 100) ->
         else:
             idx = min(i for i in range(f) if i not in centers)
         centers.append(idx)
+        nearest = np.minimum(nearest, column(idx))
     centroids = frames[centers].copy()
 
     def assign(cents: np.ndarray) -> tuple[list[int], list[float]]:
-        dists = _chi_square_matrix(frames, cents)
+        dists = chi_square_matrix(frames, cents)
         labels = [int(i) for i in np.argmin(dists, axis=1)]
         per_frame = [float(dists[i, labels[i]]) for i in range(f)]
         for c in range(n):
@@ -124,14 +136,14 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int, max_iter: int = 100) ->
         return labels, per_frame
 
     assignments, per_frame = assign(centroids)
-    objectives = [sum(per_frame)]
+    objectives = [_left_sum(per_frame)]
     for _ in range(max_iter):
         for c in range(n):
             members = [i for i in range(f) if assignments[i] == c]
             if members:  # reseeding may have stolen a singleton's frame
                 centroids[c] = frames[members].mean(axis=0)
         new_assignments, per_frame = assign(centroids)
-        objectives.append(sum(per_frame))
+        objectives.append(_left_sum(per_frame))
         if new_assignments == assignments:
             break
         assignments = new_assignments
@@ -158,7 +170,7 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
         members = [i for i in range(len(owners)) if result.assignments[i] == c]
         if not members:
             continue
-        dists = _chi_square_matrix(hists[members], result.centroids[c : c + 1])[:, 0]
+        dists = chi_square_matrix(hists[members], result.centroids[c : c + 1])[:, 0]
         for pos in sorted(range(len(members)), key=lambda p: (dists[p], members[p])):
             subshot = owners[members[pos]]
             if subshot not in chosen:
@@ -187,29 +199,33 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
     m = len(features)
     if params.n > m:
         raise ValueError(f"cannot reach {params.n} distinct subshots from {m}")
-    # plain-float rows and left-fold sums so identical frames score
-    # identically and ties resolve by index, bit-for-bit
-    dist = _chi_square_matrix(hists, hists).tolist()
+    dist = pairwise_chi_square(hists)
 
     selected: list[int] = []
-    remaining = list(range(f))
+    remaining = np.arange(f)
+    # min distance from each frame to the selected frames
+    nearest = np.full(f, np.inf)
     covered: set[int] = set()
     while len(covered) < params.n:
-        if not remaining:
+        r = remaining.size
+        if r == 0:
             raise ValueError(f"ran out of frames before reaching {params.n} distinct subshots")
-        best_idx = None
-        best_score = None
-        for cand in remaining:
-            others = [o for o in remaining if o != cand]
-            mean_d = sum(dist[cand][o] for o in others) / len(others) if others else 0.0
-            score = params.lambda_ * mean_d
-            if selected:
-                score -= (1.0 - params.lambda_) * min(dist[cand][s] for s in selected)
-            if best_score is None or score < best_score:
-                best_score = score
-                best_idx = cand
+        if r > 1:
+            # cumsum is a strict left fold over the remaining frames in
+            # index order, and the zero diagonal cell adds nothing, so each
+            # mean has the bits of the plain left-fold sum over the others
+            mean_d = np.cumsum(dist[np.ix_(remaining, remaining)], axis=1)[:, -1] / (r - 1)
+        else:
+            mean_d = np.zeros(1)
+        score = params.lambda_ * mean_d
+        if selected:
+            score -= (1.0 - params.lambda_) * nearest[remaining]
+        # argmin takes the first minimum: ties go to the lowest frame index
+        pos = int(np.argmin(score))
+        best_idx = int(remaining[pos])
         selected.append(best_idx)
-        remaining.remove(best_idx)
+        remaining = np.delete(remaining, pos)
+        nearest = np.minimum(nearest, dist[best_idx])
         covered.add(owners[best_idx])
     return selected
 

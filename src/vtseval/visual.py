@@ -4,7 +4,9 @@ Frames come in as binary PPM (P6, maxval 255) so no image codec is
 needed; precomputed histogram files are the alternative ingestion path
 (see corpus.load_features). Histograms are per-channel with B bins each,
 concatenated R,G,B and jointly L1-normalized, so the chi-square distance
-between two of them lands in [0, 1].
+between two of them lands in [0, 1]. Frame-distance matrices come from
+one row-blocked kernel, chi_square_matrix, and its symmetric form
+pairwise_chi_square.
 """
 from __future__ import annotations
 
@@ -105,6 +107,56 @@ def chi_square(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
     mask = total > 0
     return 0.5 * float(np.sum(diff[mask] ** 2 / total[mask]))
+
+
+# Byte budget of one temporary in the chi-square matrix kernel. A block
+# takes as many rows of `a` as fit, at least one, so the temporaries stay a
+# few MB however many frames there are.
+_BLOCK_BYTES = 1 << 22
+
+
+def _block_rows(cols: int, width: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * max(1, cols * width)))
+
+
+def _chi_square_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    num = (a[:, None, :] - b[None, :, :]) ** 2
+    den = a[:, None, :] + b[None, :, :]
+    frac = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return 0.5 * frac.sum(axis=-1)
+
+
+def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chi-square distances of every row of a to every row of b, shape (len(a), len(b)).
+
+    Each cell is 0.5 * sum over the histogram axis of (x-y)^2 / (x+y),
+    with empty bins contributing 0. The result is computed in row blocks
+    of at most _BLOCK_BYTES per temporary, and every cell has the same
+    bits as the one-shot broadcast over all rows.
+    """
+    out = np.empty((a.shape[0], b.shape[0]))
+    step = _block_rows(b.shape[0], a.shape[1])
+    for start in range(0, a.shape[0], step):
+        out[start : start + step] = _chi_square_block(a[start : start + step], b)
+    return out
+
+
+def pairwise_chi_square(a: np.ndarray) -> np.ndarray:
+    """chi_square_matrix(a, a), computing only the upper-triangle blocks.
+
+    (x-y)^2 == (y-x)^2 and x+y == y+x hold exactly in floating point, so
+    each mirrored cell has the same bits as computing it directly, and the
+    diagonal is exactly 0.0.
+    """
+    f = a.shape[0]
+    out = np.empty((f, f))
+    step = _block_rows(f, a.shape[1])
+    for start in range(0, f, step):
+        stop = min(start + step, f)
+        block = _chi_square_block(a[start:stop], a[start:])
+        out[start:stop, start:] = block
+        out[stop:, start:stop] = block[:, stop - start :].T
+    return out
 
 
 def subshot_min_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:

@@ -318,6 +318,53 @@ class TestCompare:
         assert code == 2
 
 
+class TestFeaturesBelongToVideo:
+    """Every command that reads --features checks them against the annotations."""
+
+    COMMANDS = {
+        "summarize-cluster": ["summarize", "--method", "cluster", "--n", "4"],
+        "summarize-mmr": ["summarize", "--method", "mmr", "--n", "4"],
+        "compare-pairs": ["compare", "--mode", "pairs", "--count", "3", "--n", "4"],
+        "compare-triples": ["compare", "--mode", "triples"],
+    }
+
+    @staticmethod
+    def _bad_features(features12, tmp_path, kind):
+        if kind == "video_id":
+            bad = corpus.SubshotFeatures(
+                video_id="OTHER",
+                bins_per_channel=features12.bins_per_channel,
+                subshots=features12.subshots,
+            )
+        else:
+            bad = corpus.SubshotFeatures(
+                video_id=features12.video_id,
+                bins_per_channel=features12.bins_per_channel,
+                subshots=features12.subshots * 2,
+            )
+        path = tmp_path / f"bad_{kind}.features.json"
+        corpus.save_features(path, bad)
+        return path
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("kind", ["video_id", "subshots"])
+    def test_mismatch_exits_2_naming_the_field(
+        self, paths, features12, tmp_path, capsys, command, kind
+    ):
+        out = tmp_path / "out.json"
+        argv = self.COMMANDS[command] + [
+            "--annotations", paths["annotations"],
+            "--ground-truth", paths["ground_truth"],
+            "--features", str(self._bad_features(features12, tmp_path, kind)),
+            "--output", str(out),
+        ]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CorpusValidationError"
+        assert error["message"].startswith(f"{kind}: ")
+        assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
