@@ -6,20 +6,35 @@ the tie tolerance mean they are equally similar, and otherwise the larger
 similarity wins. Text scores are F-measures whose zero point is an exact
 integer match count of zero; pixel scores are negated chi-square
 distances whose zero point is the maximal distance of 1.
+
+compare_pairs and compare_triples run the whole comparison of one video:
+every judgment, the verdict and case counts, and the agreement rates with
+a file of human verdicts. Triples look their scores up in two m x m
+matrices built once, so each record has the bits judge_subshot_pair gives.
 """
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, VideoRecord
+from .corpus import (
+    CorpusParseError,
+    CorpusValidationError,
+    GroundTruthSummary,
+    SubshotFeatures,
+    SummarySelection,
+    VideoRecord,
+    read_json,
+)
 from .evaluator import score_summary
 from .rng import SplitMix64, sample_indices
-from .rouge import UnitTable, rouge_su, unit_table
-from .visual import pixel_summary_distance, subshot_min_distance
+from .rouge import SU, UnitTable, rouge_su, score_bags, unit_table
+from .visual import pixel_summary_distance, subshot_distance_matrix, subshot_min_distance
 
 TIE_TOLERANCE = 1e-9
 TEXT_ZERO = 0.0
@@ -31,6 +46,24 @@ class Verdict(enum.Enum):
     BOTH_EQUAL = "both_equal"
     FIRST_CLOSER = "first_closer"
     SECOND_CLOSER = "second_closer"
+
+
+def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, Verdict]:
+    """Human verdicts of a judgment file, keyed by the integer fields named in keys."""
+    rows = read_json(path).get("judgments")
+    if not isinstance(rows, list):
+        raise CorpusParseError(f"{path}: missing 'judgments' list")
+    out = {}
+    for i, row in enumerate(rows):
+        try:
+            key = tuple(int(row[k]) for k in keys)
+            verdict = Verdict(row["verdict"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusParseError(f"{path}: judgments[{i}]: {exc}") from exc
+        if key in out:
+            raise CorpusValidationError(f"{path}: judgments[{i}]: {key} is judged twice")
+        out[key] = verdict
+    return out
 
 
 class CaseLabel(enum.Enum):
@@ -63,6 +96,13 @@ class PairJudgment:
         else:
             verdict = Verdict.SECOND_CLOSER
         return cls(verdict=verdict, first_score=first, second_score=second)
+
+    def to_dict(self) -> dict:
+        return {
+            "verdict": self.verdict.value,
+            "first_score": self.first_score,
+            "second_score": self.second_score,
+        }
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -207,3 +247,99 @@ def agreement_rate(judgments: Sequence[tuple[PairJudgment, Verdict]]) -> float:
         raise ValueError("cannot compute agreement over an empty list")
     hits = sum(1 for automatic, human in judgments if automatic.verdict is human)
     return hits / len(judgments)
+
+
+def _agreement(human: str | Path, matched: list[tuple]) -> dict:
+    """Agreement of the (text, pixel or None, human) verdicts of the human-judged items."""
+    if not matched:
+        raise CorpusValidationError(f"{human}: no judgments match this video")
+    out = {"vset": agreement_rate([(v, verdict) for v, _, verdict in matched]), "n": len(matched)}
+    if matched[0][1] is not None:
+        out["pb"] = agreement_rate([(pb, verdict) for _, pb, verdict in matched])
+    return out
+
+
+def compare_pairs(
+    video: VideoRecord,
+    gts: list[GroundTruthSummary],
+    n: int,
+    count: int,
+    seed: int,
+    metric: str = "rouge-su",
+    features: SubshotFeatures | None = None,
+    gt_subshots: SummarySelection | None = None,
+    human: str | Path | None = None,
+    stopwords: frozenset[str] | None = None,
+) -> dict:
+    """Judge count sampled pairs of n-subshot summaries; the compare output of pairs mode.
+
+    Pixel judgments and case counts need both features and gt_subshots;
+    agreement rates need a human file judging pairs by their index.
+    """
+    verdicts = load_human_verdicts(human, ("pair",)) if human else {}
+    with_pixel = features is not None and gt_subshots is not None
+    table = UnitTable(stopwords)
+    records, counts, cases, matched = [], Counter(), Counter(), []
+    for i, (a, b) in enumerate(sample_summary_pairs(len(video), n, count, seed, video.video_id)):
+        vset = judge_summary_pair(a, b, video, gts, metric, table=table)
+        counts[vset.verdict.value] += 1
+        record = {"pair": i, "a": list(a.indices), "b": list(b.indices), "vset": vset.to_dict()}
+        pb = None
+        if with_pixel:
+            pb = judge_summary_pair(
+                a, b, video, gts, "pixel", features=features, gt_subshots=gt_subshots
+            )
+            case = classify_case(vset, pb).value
+            cases[case] += 1
+            record.update(pb=pb.to_dict(), case=case)
+        if (i,) in verdicts:
+            matched.append((vset, pb, verdicts[(i,)]))
+        records.append(record)
+    payload = {"mode": "pairs", "pairs": records, "verdict_counts": dict(counts)}
+    if with_pixel:
+        payload["case_counts"] = dict(cases)
+    if human:
+        payload["agreement"] = _agreement(human, matched)
+    return payload
+
+
+def compare_triples(
+    video: VideoRecord,
+    features: SubshotFeatures,
+    human: str | Path | None = None,
+    stopwords: frozenset[str] | None = None,
+) -> dict:
+    """Judge every triple (ref, x < y) of distinct subshots; the compare output of triples mode.
+
+    Text scores come from one m x m matrix of ROUGE-SU F with subshot x's
+    annotation as the candidate and ref's as the reference, pixel scores
+    from visual.subshot_distance_matrix.
+    """
+    m = len(video)
+    if len(features) != m:
+        raise ValueError(f"features cover {len(features)} subshots, the video has {m}")
+    verdicts = load_human_verdicts(human, ("ref", "x", "y")) if human else {}
+    table = UnitTable(stopwords)
+    bags = [table.bag(SU, [shot.annotation]) for shot in video.subshots]
+    text = [[score_bags(cand, ref).f_measure for ref in bags] for cand in bags]
+    pixel = (-subshot_distance_matrix(features)).tolist()
+    records, cases, matched = [], Counter(), []
+    for ref in range(m):
+        for x in range(m):
+            if x == ref:
+                continue
+            for y in range(x + 1, m):
+                if y == ref:
+                    continue
+                vset = PairJudgment.from_scores(text[x][ref], text[y][ref], TEXT_ZERO)
+                pb = PairJudgment.from_scores(pixel[x][ref], pixel[y][ref], PIXEL_ZERO)
+                case = classify_case(vset, pb).value
+                cases[case] += 1
+                records.append({"ref": ref, "x": x, "y": y, "vset": vset.to_dict(),
+                                "pb": pb.to_dict(), "case": case})
+                if (ref, x, y) in verdicts:
+                    matched.append((vset, pb, verdicts[(ref, x, y)]))
+    payload = {"mode": "triples", "triples": records, "case_counts": dict(cases)}
+    if human:
+        payload["agreement"] = _agreement(human, matched)
+    return payload

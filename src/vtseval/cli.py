@@ -1,10 +1,12 @@
 """Command-line interface: evaluate, summarize, features, correlate, compare.
 
-Every command validates its inputs before writing anything, writes output
-files canonically (temp file + rename), and is deterministic: the same
-command line over the same input files produces byte-identical output.
-``compare`` builds one ``rouge.UnitTable`` and passes it to every judgment
-it makes, so each sentence is compiled once per command.
+This module is an I/O shell: each command loads its input files (every
+file is checked against the annotated video), makes its library call and
+writes the result. Nothing is written before the inputs validate, output
+files are written canonically (temp file + rename), and the same command
+line over the same input files produces byte-identical output. ``compare``
+hands the whole comparison to ``analysis.compare_pairs`` or
+``analysis.compare_triples``.
 Exit codes: 0 success, 1 usage error, 2 data or validation error.
 """
 from __future__ import annotations
@@ -19,10 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, corpus, evaluator, summarize, visual
-from .analysis import PairJudgment, Verdict
-from .corpus import CorpusError, SummarySelection
-from .rng import SplitMix64
-from .rouge import UnitTable
+from .corpus import CorpusError
 from .textproc import load_stopwords
 
 
@@ -55,7 +54,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_evaluate(args) -> int:
     video = corpus.load_annotations(args.annotations)
-    gts = corpus.load_ground_truths(args.ground_truth)
+    gts = corpus.load_ground_truths(args.ground_truth, video)
     summary = corpus.load_summary(args.summary, video)
     report = evaluator.score_summary(
         summary,
@@ -81,8 +80,7 @@ def _cmd_summarize(args) -> int:
     elif args.method in ("cluster", "mmr"):
         if not args.features:
             raise CorpusError(f"method {args.method} requires --features")
-        features = corpus.load_features(args.features)
-        corpus.validate_features_for_video(features, video)
+        features = corpus.load_features(args.features, video)
         if args.method == "cluster":
             selection = summarize.histogram_cluster(features, args.n, args.seed)
         else:
@@ -92,7 +90,7 @@ def _cmd_summarize(args) -> int:
     else:  # bow | dp
         if not args.ground_truth:
             raise CorpusError(f"method {args.method} requires --ground-truth")
-        gts = corpus.load_ground_truths(args.ground_truth)
+        gts = corpus.load_ground_truths(args.ground_truth, video)
         gt = _pick_ground_truth(gts, args.author)
         stopwords = _stopwords(args)
         if args.method == "bow":
@@ -192,152 +190,34 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
-def _judgment_dict(j: PairJudgment) -> dict:
-    return {
-        "verdict": j.verdict.value,
-        "first_score": j.first_score,
-        "second_score": j.second_score,
-    }
-
-
 def _cmd_compare(args) -> int:
     video = corpus.load_annotations(args.annotations)
-    # one table for every judgment, so each sentence is compiled once
-    table = UnitTable(_stopwords(args))
+    features = corpus.load_features(args.features, video) if args.features else None
     if args.mode == "pairs":
-        payload = _compare_pairs(args, video, table)
+        if not args.ground_truth:
+            raise CorpusError("pairs mode requires --ground-truth")
+        payload = analysis.compare_pairs(
+            video,
+            corpus.load_ground_truths(args.ground_truth, video),
+            args.n,
+            args.count,
+            args.seed,
+            args.metric,
+            features=features,
+            gt_subshots=corpus.load_summary(args.gt_subshots, video) if args.gt_subshots else None,
+            human=args.human,
+            stopwords=_stopwords(args),
+        )
+    elif features is None:
+        raise CorpusError("triples mode requires --features")
     else:
-        payload = _compare_triples(args, video, table)
+        payload = analysis.compare_triples(
+            video, features, human=args.human, stopwords=_stopwords(args)
+        )
     payload["tool_version"] = __version__
     payload["config"] = _config_dict(args)
     corpus.write_canonical(args.output, payload)
     return 0
-
-
-def _compare_pairs(args, video, table) -> dict:
-    if not args.ground_truth:
-        raise CorpusError("pairs mode requires --ground-truth")
-    gts = corpus.load_ground_truths(args.ground_truth)
-    features = corpus.load_features(args.features) if args.features else None
-    if features is not None:
-        corpus.validate_features_for_video(features, video)
-    gt_subshots = (
-        corpus.load_summary(args.gt_subshots, video) if args.gt_subshots else None
-    )
-    with_pixel = features is not None and gt_subshots is not None
-    pairs = analysis.sample_summary_pairs(
-        len(video), args.n, args.count, args.seed, video_id=video.video_id
-    )
-    records = []
-    counts: dict[str, int] = {}
-    cases: dict[str, int] = {}
-    for i, (a, b) in enumerate(pairs):
-        vset = analysis.judge_summary_pair(a, b, video, gts, args.metric, table=table)
-        record = {
-            "pair": i,
-            "a": list(a.indices),
-            "b": list(b.indices),
-            "vset": _judgment_dict(vset),
-        }
-        counts[vset.verdict.value] = counts.get(vset.verdict.value, 0) + 1
-        if with_pixel:
-            pb = analysis.judge_summary_pair(
-                a, b, video, gts, "pixel", features=features, gt_subshots=gt_subshots
-            )
-            record["pb"] = _judgment_dict(pb)
-            case = analysis.classify_case(vset, pb)
-            record["case"] = case.value
-            cases[case.value] = cases.get(case.value, 0) + 1
-        records.append(record)
-    payload = {"mode": "pairs", "pairs": records, "verdict_counts": counts}
-    if with_pixel:
-        payload["case_counts"] = cases
-    agreement = _pair_agreement(args, records)
-    if agreement is not None:
-        payload["agreement"] = agreement
-    return payload
-
-
-def _pair_agreement(args, records) -> dict | None:
-    if not args.human:
-        return None
-    human = corpus.read_json(args.human)
-    rows = human.get("judgments")
-    if not isinstance(rows, list):
-        raise corpus.CorpusParseError(f"{args.human}: missing 'judgments' list")
-    verdict_by_pair = {}
-    for i, row in enumerate(rows):
-        try:
-            verdict_by_pair[int(row["pair"])] = Verdict(row["verdict"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise corpus.CorpusParseError(f"{args.human}: judgments[{i}]: {exc}") from exc
-    out = {}
-    for key in ("vset", "pb"):
-        matched = [
-            (r[key]["verdict"], verdict_by_pair[r["pair"]].value)
-            for r in records
-            if key in r and r["pair"] in verdict_by_pair
-        ]
-        if matched:
-            out[key] = sum(1 for auto, hum in matched if auto == hum) / len(matched)
-    return out or None
-
-
-def _compare_triples(args, video, table) -> dict:
-    if not args.features:
-        raise CorpusError("triples mode requires --features")
-    features = corpus.load_features(args.features)
-    corpus.validate_features_for_video(features, video)
-    m = len(video)
-    records = []
-    cases: dict[str, int] = {}
-    human = _load_triple_verdicts(args.human) if args.human else None
-    vset_hits = pb_hits = judged = 0
-    for ref in range(m):
-        for x in range(m):
-            if x == ref:
-                continue
-            for y in range(x + 1, m):
-                if y == ref:
-                    continue
-                vset = analysis.judge_subshot_pair(x, y, ref, video, "rouge-su", table=table)
-                pb = analysis.judge_subshot_pair(x, y, ref, video, "pixel", features=features)
-                case = analysis.classify_case(vset, pb)
-                cases[case.value] = cases.get(case.value, 0) + 1
-                record = {
-                    "ref": ref,
-                    "x": x,
-                    "y": y,
-                    "vset": _judgment_dict(vset),
-                    "pb": _judgment_dict(pb),
-                    "case": case.value,
-                }
-                if human is not None and (ref, x, y) in human:
-                    verdict = human[(ref, x, y)]
-                    judged += 1
-                    vset_hits += vset.verdict is verdict
-                    pb_hits += pb.verdict is verdict
-                records.append(record)
-    payload = {"mode": "triples", "triples": records, "case_counts": cases}
-    if human is not None:
-        if judged == 0:
-            raise corpus.CorpusValidationError(f"{args.human}: no judgments match this video")
-        payload["agreement"] = {"vset": vset_hits / judged, "pb": pb_hits / judged, "n": judged}
-    return payload
-
-
-def _load_triple_verdicts(path) -> dict[tuple[int, int, int], Verdict]:
-    data = corpus.read_json(path)
-    rows = data.get("judgments")
-    if not isinstance(rows, list):
-        raise corpus.CorpusParseError(f"{path}: missing 'judgments' list")
-    out = {}
-    for i, row in enumerate(rows):
-        try:
-            out[(int(row["ref"]), int(row["x"]), int(row["y"]))] = Verdict(row["verdict"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise corpus.CorpusParseError(f"{path}: judgments[{i}]: {exc}") from exc
-    return out
 
 
 # ---------------------------------------------------------------------------

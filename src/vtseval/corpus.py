@@ -3,9 +3,10 @@
 All interchange files are UTF-8 JSON with sorted keys, two-space indent
 and a trailing newline; saving a loaded record reproduces the original
 bytes. Loading validates every type invariant and raises an error that
-names the offending field and index. Non-finite numbers (NaN, Infinity,
-and literals such as 1e999 that overflow to infinity) are refused on read
-and on write. Writes go to a uniquely named temporary
+names the offending field and index; a loader given the annotated video
+also checks that the file is for that video. Non-finite numbers (NaN,
+Infinity, and literals such as 1e999 that overflow to infinity) are
+refused on read and on write. Writes go to a uniquely named temporary
 file in the target directory that is renamed into place, so a failed save
 never leaves a partial file and concurrent writers never clobber each
 other's temporary file.
@@ -166,16 +167,10 @@ def validate_features(features: SubshotFeatures) -> None:
                 )
 
 
-def validate_features_for_video(features: SubshotFeatures, video: VideoRecord) -> None:
-    """The features must name the video and hold one frame list per subshot."""
-    if features.video_id != video.video_id:
+def _check_video(ctx: str, video_id: str, video: VideoRecord | None) -> None:
+    if video is not None and video_id != video.video_id:
         raise CorpusValidationError(
-            f"video_id: features video_id {features.video_id!r} does not match "
-            f"annotations video_id {video.video_id!r}"
-        )
-    if len(features) != len(video):
-        raise CorpusValidationError(
-            f"subshots: features cover {len(features)} subshots, video has {len(video)}"
+            f"video_id: {ctx} is for video {video_id!r}, the annotations for {video.video_id!r}"
         )
 
 
@@ -293,10 +288,13 @@ def save_annotations(path: str | Path, video: VideoRecord) -> None:
 # ground truths
 
 
-def load_ground_truths(path: str | Path) -> list[GroundTruthSummary]:
+def load_ground_truths(
+    path: str | Path, video: VideoRecord | None = None
+) -> list[GroundTruthSummary]:
+    """Load every author's reference summary; given the video, check they are for it."""
     data = read_json(path)
     ctx = str(path)
-    _get(data, "video_id", str, ctx)
+    _check_video(ctx, _get(data, "video_id", str, ctx), video)
     result = []
     for i, raw in enumerate(_get(data, "summaries", list, ctx)):
         if not isinstance(raw, dict):
@@ -356,10 +354,12 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
 
     Keyframe and span files need the video record: keyframe times map to
     floor(time / subshot_seconds), spans map to every overlapped subshot.
+    Given the video, the summary must be for it.
     """
     data = read_json(path)
     ctx = str(path)
     video_id = _get(data, "video_id", str, ctx)
+    _check_video(ctx, video_id, video)
     present = [k for k in _SUMMARY_KEYS if k in data]
     if len(present) != 1:
         raise CorpusParseError(
@@ -414,9 +414,12 @@ def save_summary(path: str | Path, summary: SummarySelection) -> None:
 # features
 
 
-def load_features(path: str | Path) -> SubshotFeatures:
+def load_features(path: str | Path, video: VideoRecord | None = None) -> SubshotFeatures:
+    """Load histogram features; given the video, they must name it and cover each subshot."""
     data = read_json(path)
     ctx = str(path)
+    video_id = _get(data, "video_id", str, ctx)
+    _check_video(ctx, video_id, video)
     bins = _get(data, "bins_per_channel", int, ctx)
     subshots = []
     for i, raw in enumerate(_get(data, "subshots", list, ctx)):
@@ -432,11 +435,11 @@ def load_features(path: str | Path) -> SubshotFeatures:
         if arr.ndim != 2:
             raise CorpusParseError(f"{ctx}: subshots[{i}].frames: expected a list of histograms")
         subshots.append(arr)
-    features = SubshotFeatures(
-        video_id=_get(data, "video_id", str, ctx),
-        bins_per_channel=bins,
-        subshots=tuple(subshots),
-    )
+    if video is not None and len(subshots) != len(video):
+        raise CorpusValidationError(
+            f"subshots: {ctx} covers {len(subshots)} subshots, the video has {len(video)}"
+        )
+    features = SubshotFeatures(video_id=video_id, bins_per_channel=bins, subshots=tuple(subshots))
     validate_features(features)
     return features
 

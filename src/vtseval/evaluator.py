@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import (
-    CorpusParseError,
-    GroundTruthSummary,
-    SummarySelection,
-    VideoRecord,
-    read_json,
-    write_canonical,
-)
+from .corpus import GroundTruthSummary, SummarySelection, VideoRecord, write_canonical
 from .rouge import SU, RougeScore, UnitTable, score_bags, unit_table
 
 METRICS = ("rouge-su", "rouge-1", "rouge-2")
@@ -114,30 +107,3 @@ def save_report(path, report: EvaluationReport, extra: dict | None = None) -> No
         payload.update(extra)
     write_canonical(path, payload)
 
-
-def load_report(path) -> EvaluationReport:
-    data = read_json(path)
-    try:
-        per_gt = tuple(
-            (
-                row["author_id"],
-                RougeScore(
-                    precision=row["precision"],
-                    recall=row["recall"],
-                    f_measure=row["f"],
-                    match_count=0,
-                    candidate_units=0,
-                    reference_units=0,
-                ),
-            )
-            for row in data["per_ground_truth"]
-        )
-        return EvaluationReport(
-            summary_id=data["summary_id"],
-            length_used=data["length_used"],
-            per_ground_truth=per_gt,
-            best_author=data["best_author"],
-            score=data["score"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise CorpusParseError(f"{path}: malformed report: {exc}") from exc

@@ -4,9 +4,11 @@ Frames come in as binary PPM (P6, maxval 255) so no image codec is
 needed; precomputed histogram files are the alternative ingestion path
 (see corpus.load_features). Histograms are per-channel with B bins each,
 concatenated R,G,B and jointly L1-normalized, so the chi-square distance
-between two of them lands in [0, 1]. Frame-distance matrices come from
-one row-blocked kernel, chi_square_matrix, and its symmetric form
-pairwise_chi_square.
+between two of them lands in [0, 1]. Every distance comes from one
+row-blocked kernel, chi_square_matrix, and its symmetric form
+pairwise_chi_square: chi_square is one cell, subshot_min_distance the
+minimum of a block, subshot_distance_matrix every subshot pair's block
+minimum, and pixel_summary_distance a mean of block minima.
 """
 from __future__ import annotations
 
@@ -98,15 +100,12 @@ def compute_histogram(frame: Frame, bins_per_channel: int) -> np.ndarray:
 
 
 def chi_square(a: np.ndarray, b: np.ndarray) -> float:
-    """0.5 * sum (a-b)^2 / (a+b), empty bins contribute 0."""
+    """0.5 * sum (a-b)^2 / (a+b), empty bins contribute 0: one cell of chi_square_matrix."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"histogram length mismatch: {a.shape} vs {b.shape}")
-    total = a + b
-    diff = a - b
-    mask = total > 0
-    return 0.5 * float(np.sum(diff[mask] ** 2 / total[mask]))
+    return float(chi_square_matrix(a.reshape(1, -1), b.reshape(1, -1))[0, 0])
 
 
 # Byte budget of one temporary in the chi-square matrix kernel. A block
@@ -163,7 +162,14 @@ def subshot_min_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> fl
     """Minimum chi-square over all cross pairs of two frame lists."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("subshot frame lists must be non-empty")
-    return min(chi_square(x, y) for x in a for y in b)
+    return float(chi_square_matrix(np.asarray(a, np.float64), np.asarray(b, np.float64)).min())
+
+
+def subshot_distance_matrix(features: SubshotFeatures) -> np.ndarray:
+    """m x m matrix whose cell (i, j) is subshot_min_distance of subshots i and j."""
+    starts = np.cumsum([0] + [len(frames) for frames in features.subshots[:-1]])
+    frames = pairwise_chi_square(np.vstack(features.subshots))
+    return np.minimum.reduceat(np.minimum.reduceat(frames, starts, axis=1), starts, axis=0)
 
 
 def pixel_summary_distance(
@@ -174,7 +180,7 @@ def pixel_summary_distance(
     """Mean over summary subshots of the distance to the nearest ground-truth subshot.
 
     Lower means more visually similar; rankings built on this metric sort
-    ascending.
+    ascending. The mean is a left fold in summary order.
     """
     if len(summary) == 0:
         raise ValueError("summary selection is empty")
@@ -184,10 +190,8 @@ def pixel_summary_distance(
     for idx in (*summary.indices, *gt_subshots.indices):
         if idx >= m:
             raise ValueError(f"subshot index {idx} not covered by features ({m} subshots)")
+    gt = np.vstack([features.subshots[g] for g in gt_subshots.indices])
     total = 0.0
     for s in summary.indices:
-        total += min(
-            subshot_min_distance(features.subshots[s], features.subshots[g])
-            for g in gt_subshots.indices
-        )
+        total += float(chi_square_matrix(features.subshots[s], gt).min())
     return total / len(summary)

@@ -370,3 +370,96 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "vtseval" in capsys.readouterr().out
+
+
+INPUT_COMMANDS = {
+    "evaluate": ["evaluate", "--ground-truth", "--summary"],
+    "summarize-bow": ["summarize", "--method", "bow", "--n", "4", "--ground-truth"],
+    "summarize-dp": ["summarize", "--method", "dp", "--n", "4", "--ground-truth"],
+    "summarize-cluster": ["summarize", "--method", "cluster", "--n", "4", "--features"],
+    "summarize-mmr": ["summarize", "--method", "mmr", "--n", "4", "--features"],
+    "compare-pairs": ["compare", "--mode", "pairs", "--count", "3", "--n", "4",
+                      "--ground-truth", "--features", "--gt-subshots"],
+    "compare-triples": ["compare", "--mode", "triples", "--features"],
+}
+INPUT_FILES = {"--ground-truth": "ground_truth", "--summary": "summary",
+               "--gt-subshots": "summary", "--features": "features"}
+
+
+class TestInputsBelongToVideo:
+    """Every input file of every command must be for the annotated video."""
+
+    CASES = [(command, flag) for command, argv in sorted(INPUT_COMMANDS.items())
+             for flag in argv if flag in INPUT_FILES]
+
+    def argv(self, command, paths, relabelled):
+        out = []
+        for word in INPUT_COMMANDS[command]:
+            out.append(word)
+            if word in INPUT_FILES:
+                out.append(relabelled.get(word, paths[INPUT_FILES[word]]))
+        return out
+
+    @pytest.mark.parametrize("command,flag", CASES)
+    def test_other_video_exits_2_naming_video_id(self, paths, tmp_path, capsys, command, flag):
+        with open(paths[INPUT_FILES[flag]], encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["video_id"] = "OTHER"
+        relabelled = tmp_path / "other.json"
+        relabelled.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        argv = self.argv(command, paths, {flag: str(relabelled)})
+        assert main(argv + ["--annotations", paths["annotations"], "--output", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["message"].startswith("video_id: ")
+        assert str(relabelled) in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+    def test_matching_files_pass(self, paths, tmp_path, command):
+        out = tmp_path / "out.json"
+        argv = self.argv(command, paths, {})
+        assert main(argv + ["--annotations", paths["annotations"], "--output", str(out)]) == 0
+        assert out.exists()
+
+
+class TestCompareHumanVerdicts:
+    def run(self, paths, tmp_path, mode, rows):
+        human = tmp_path / "human.json"
+        human.write_text(json.dumps({"judgments": rows}))
+        out = tmp_path / "out.json"
+        argv = ["compare", "--mode", mode, "--annotations", paths["annotations"],
+                "--features", paths["features"], "--human", str(human), "--output", str(out)]
+        if mode == "pairs":
+            argv += ["--ground-truth", paths["ground_truth"], "--gt-subshots", paths["summary"],
+                     "--count", "5", "--n", "4", "--seed", "3"]
+        code = main(argv)
+        return code, json.loads(out.read_text()) if out.exists() else None
+
+    def test_pairs_agreement_counts_the_judged_pairs(self, paths, tmp_path):
+        code, data = self.run(paths, tmp_path, "pairs", [])
+        assert code == 2 and data is None
+        _, plain = self.run(paths, tmp_path, "pairs", [{"pair": 0, "verdict": "both_zero"}])
+        rows = [{"pair": r["pair"], "verdict": r["vset"]["verdict"]} for r in plain["pairs"][:3]]
+        code, data = self.run(paths, tmp_path, "pairs", rows)
+        assert code == 0
+        assert data["agreement"]["vset"] == 1.0
+        assert data["agreement"]["n"] == 3
+        pb_hits = sum(r["pb"]["verdict"] == r["vset"]["verdict"] for r in data["pairs"][:3])
+        assert data["agreement"]["pb"] == pb_hits / 3
+
+    def test_pairs_human_file_matching_no_pair_exits_2(self, paths, tmp_path, capsys):
+        code, data = self.run(paths, tmp_path, "pairs", [{"pair": 99, "verdict": "both_zero"}])
+        assert code == 2 and data is None
+        assert "no judgments match" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("mode,row", [
+        ("pairs", {"pair": 1, "verdict": "both_zero"}),
+        ("triples", {"ref": 0, "x": 1, "y": 2, "verdict": "both_zero"}),
+    ])
+    def test_item_judged_twice_exits_2(self, paths, tmp_path, capsys, mode, row):
+        code, data = self.run(paths, tmp_path, mode, [row, {**row, "verdict": "both_equal"}])
+        assert code == 2 and data is None
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CorpusValidationError"
+        assert "judgments[1]" in error["message"]

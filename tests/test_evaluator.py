@@ -11,7 +11,6 @@ from vtseval.corpus import (
 )
 from vtseval.evaluator import (
     length_adjust,
-    load_report,
     save_report,
     score_summary,
     text_representation,
@@ -187,16 +186,3 @@ class TestScoreSummary:
         with pytest.raises(ValueError, match="metric"):
             score_summary(sel, video, [gt], metric="rouge-l")
 
-
-class TestReportIO:
-    def test_round_trip(self, tmp_path, video12, gts12):
-        sel = SummarySelection(video_id="video12", indices=(2, 5, 7, 8))
-        report = score_summary(sel, video12, gts12, summary_id="fixture")
-        path = tmp_path / "report.json"
-        save_report(path, report)
-        loaded = load_report(path)
-        assert loaded.summary_id == "fixture"
-        assert loaded.score == report.score
-        assert loaded.best_author == report.best_author
-        save_report(tmp_path / "again.json", loaded)
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
