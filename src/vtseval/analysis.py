@@ -18,7 +18,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,6 +64,15 @@ def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, 
             raise CorpusValidationError(f"{path}: judgments[{i}]: {key} is judged twice")
         out[key] = verdict
     return out
+
+
+def _refuse_unjudged(path: str | Path, verdicts: dict[tuple, Verdict], keys: tuple[str, ...],
+                     judged: Callable[[tuple], bool]) -> None:
+    """Refuse a human verdict for an item the comparison does not judge (judged(key) false)."""
+    for i, key in enumerate(verdicts):  # in file order: a repeated key was refused on load
+        if not judged(key):
+            fields = ", ".join(f"{k}={v}" for k, v in zip(keys, key))
+            raise CorpusValidationError(f"{path}: judgments[{i}]: no judgments match {fields}")
 
 
 class CaseLabel(enum.Enum):
@@ -274,9 +283,11 @@ def compare_pairs(
     """Judge count sampled pairs of n-subshot summaries; the compare output of pairs mode.
 
     Pixel judgments and case counts need both features and gt_subshots;
-    agreement rates need a human file judging pairs by their index.
+    agreement rates need a human file judging pairs by their index, each
+    in 0..count-1 (CorpusValidationError otherwise).
     """
     verdicts = load_human_verdicts(human, ("pair",)) if human else {}
+    _refuse_unjudged(human, verdicts, ("pair",), lambda key: 0 <= key[0] < count)
     with_pixel = features is not None and gt_subshots is not None
     table = UnitTable(stopwords)
     records, counts, cases, matched = [], Counter(), Counter(), []
@@ -313,12 +324,16 @@ def compare_triples(
 
     Text scores come from one m x m matrix of ROUGE-SU F with subshot x's
     annotation as the candidate and ref's as the reference, pixel scores
-    from visual.subshot_distance_matrix.
+    from visual.subshot_distance_matrix. A human file must judge only such
+    triples (CorpusValidationError otherwise).
     """
     m = len(video)
     if len(features) != m:
         raise ValueError(f"features cover {len(features)} subshots, the video has {m}")
     verdicts = load_human_verdicts(human, ("ref", "x", "y")) if human else {}
+    _refuse_unjudged(human, verdicts, ("ref", "x", "y"),
+                     lambda key: 0 <= key[1] < key[2] < m and 0 <= key[0] < m
+                     and key[0] not in key[1:])
     table = UnitTable(stopwords)
     bags = [table.bag(SU, [shot.annotation]) for shot in video.subshots]
     text = [[score_bags(cand, ref).f_measure for ref in bags] for cand in bags]

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -33,8 +34,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return dict(sorted(vars(args).items()))
 
 
 def _stopwords(args) -> frozenset[str] | None:
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=list(evaluator.METRICS), default="rouge-su")
     p.add_argument("--output", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("summarize", help="produce a baseline summary")
     p.add_argument("--method", choices=["uniform", "cluster", "mmr", "bow", "dp"], required=True)
@@ -248,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_", type=float, default=0.5)
     p.add_argument("--output", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_summarize)
 
     p = sub.add_parser("features", help="build a histogram feature file from PPM frames")
     p.add_argument("--frames-dir", required=True)
@@ -256,14 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--video-id", required=True)
     p.add_argument("--output", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("correlate", help="rank correlation of two score files")
     p.add_argument("--scores-a", required=True)
     p.add_argument("--scores-b", required=True)
     p.add_argument("--output")
     _add_common(p)
-    p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("compare", help="pairwise judgments over sampled pairs or all triples")
     p.add_argument("--mode", choices=["pairs", "triples"], required=True)
@@ -277,16 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--human", help="human judgment file for agreement rates")
     p.add_argument("--output", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_compare)
 
     return parser
 
 
+# parsing leaves the parser unchanged, so one process builds it once for every main() call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on every call rather than bound into the cached parser, so a
+    # wrapper put on a _cmd_* function after the first call still runs
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (CorpusError, ValueError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"

@@ -241,6 +241,22 @@ def _get(data: dict, key: str, kind, context: str):
     return value
 
 
+_SUBSHOT_FIELDS = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
+_SENTENCE_FIELDS = (("temporal_pos", int), ("rank", int), ("text", str))
+
+
+def _checked_row(raw, fields, where: str) -> list:
+    """A row's fields, each through ``_get``: the path that words a row's error.
+
+    The loaders read a row whose values have exactly the field types
+    without it; every other row comes here, so an int literal in a float
+    field still loads as a float and every error names the row and field.
+    """
+    if not isinstance(raw, dict):
+        raise CorpusParseError(f"{where} must be an object")
+    return [_get(raw, key, kind, where) for key, kind in fields]
+
+
 # ---------------------------------------------------------------------------
 # annotations
 
@@ -250,16 +266,16 @@ def load_annotations(path: str | Path) -> VideoRecord:
     ctx = str(path)
     shots = []
     for i, raw in enumerate(_get(data, "subshots", list, ctx)):
-        if not isinstance(raw, dict):
-            raise CorpusParseError(f"{ctx}: subshots[{i}] must be an object")
-        shots.append(
-            Subshot(
-                index=_get(raw, "index", int, f"{ctx}: subshots[{i}]"),
-                start_s=_get(raw, "start_s", float, f"{ctx}: subshots[{i}]"),
-                end_s=_get(raw, "end_s", float, f"{ctx}: subshots[{i}]"),
-                annotation=_get(raw, "text", str, f"{ctx}: subshots[{i}]"),
+        try:
+            index, start_s, end_s, text = raw["index"], raw["start_s"], raw["end_s"], raw["text"]
+        except (KeyError, TypeError):
+            index = None
+        if not (type(index) is int and type(start_s) is float and type(end_s) is float
+                and type(text) is str):
+            index, start_s, end_s, text = _checked_row(
+                raw, _SUBSHOT_FIELDS, f"{ctx}: subshots[{i}]"
             )
-        )
+        shots.append(Subshot(index, start_s, end_s, text))
     video = VideoRecord(
         video_id=_get(data, "video_id", str, ctx),
         subshot_seconds=_get(data, "subshot_seconds", float, ctx),
@@ -301,16 +317,15 @@ def load_ground_truths(
             raise CorpusParseError(f"{ctx}: summaries[{i}] must be an object")
         sentences = []
         for j, s in enumerate(_get(raw, "sentences", list, f"{ctx}: summaries[{i}]")):
-            if not isinstance(s, dict):
-                raise CorpusParseError(f"{ctx}: summaries[{i}].sentences[{j}] must be an object")
-            where = f"{ctx}: summaries[{i}].sentences[{j}]"
-            sentences.append(
-                GroundTruthSentence(
-                    temporal_pos=_get(s, "temporal_pos", int, where),
-                    rank=_get(s, "rank", int, where),
-                    text=_get(s, "text", str, where),
+            try:
+                pos, rank, text = s["temporal_pos"], s["rank"], s["text"]
+            except (KeyError, TypeError):
+                pos = None
+            if not (type(pos) is int and type(rank) is int and type(text) is str):
+                pos, rank, text = _checked_row(
+                    s, _SENTENCE_FIELDS, f"{ctx}: summaries[{i}].sentences[{j}]"
                 )
-            )
+            sentences.append(GroundTruthSentence(pos, rank, text))
         gt = GroundTruthSummary(
             author_id=_get(raw, "author_id", str, f"{ctx}: summaries[{i}]"),
             sentences=tuple(sentences),

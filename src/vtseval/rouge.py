@@ -6,22 +6,27 @@ unit contributes min(candidate count, reference count). For ROUGE-SU,
 unigrams and skip-bigrams share a single pool and count equally.
 
 Every score goes through a ``UnitTable``. The table compiles a sentence
-the first time it is scored under a unit kind: it preprocesses the
-sentence, interns each stem to a small int, and keeps the sentence's
-units of that kind as an int array, one entry per occurrence. A unigram's
-id is its stem id; an ordered pair (skip-bigram or contiguous bigram) of
-stem ids a, b has the id (a + 1) * 2**32 + b, which no stem id reaches and
-which fits the signed 64-bit rows while a table holds fewer than 2**31
-stems, so pair ids need no second intern dict. A score then pools the
-rows of each side into an int -> count bag, takes the per-unit minimum over the shared ids
-and hands the integer sums to ``RougeScore.from_counts``, so every float
-is the same as with string-keyed counting.
+the first time it is scored under a unit kind: it tokenizes the sentence
+and maps each token to its stem id through one dict per table, from raw
+token to the small int its stem is interned to, or to -1 for a stopword.
+So stopword removal, stemming and interning are one lookup per token, and
+``textproc.stem`` runs only the first time the table meets a token; the
+ids are those of ``textproc.preprocess``'s stems. The table keeps the
+sentence's units of that kind as an int array, one entry per occurrence.
+A unigram's id is its stem id; an ordered pair (skip-bigram or contiguous
+bigram) of stem ids a, b has the id (a + 1) * 2**32 + b, which no stem id
+reaches and which fits the signed 64-bit rows while a table holds fewer
+than 2**31 stems, so pair ids need no second intern dict. A score then
+pools the rows of each side into an int -> count bag, takes the per-unit
+minimum over the shared ids and hands the integer sums to
+``RougeScore.from_counts``, so every float is the same as with
+string-keyed counting.
 
 A table belongs to one stopword set and lives as long as one command (or
 one library call, when the caller passes none). Compilation is lazy: only
 sentences that are actually scored are compiled. The table is never
 process-global, because the sentences a process scores are unbounded;
-the bounded word-level cache is ``textproc.stem``'s.
+the bounded process-wide word cache is ``textproc.stem``'s.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Sequence
 
-from .textproc import DEFAULT_STOPWORDS, preprocess
+from .textproc import DEFAULT_STOPWORDS, stem, tokenize
 
 SU = "su"
 """Unit kind of ROUGE-SU: unigrams plus skip-bigrams. Kinds 1 and 2 are contiguous n-grams."""
@@ -74,33 +79,43 @@ def score_bags(candidate: Counter, reference: Counter) -> RougeScore:
     )
 
 
-def _pair(a: int, b: int) -> int:
-    """Unit id of the ordered stem-id pair (a, b), disjoint from every stem id."""
-    return ((a + 1) << 32) | b
-
-
 class UnitTable:
     """Interned counting units of the sentences one command scores."""
 
     def __init__(self, stopwords: frozenset[str] | None = None):
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
         self._stem_ids: dict[str, int] = {}
+        self._word_ids: dict[str, int] = {}
         self._rows: dict[tuple, array] = {}
+
+    def stem_ids(self, sentence: str) -> list[int]:
+        """Stem ids of a sentence's non-stopword tokens, in sentence order."""
+        word_ids = self._word_ids
+        ids = []
+        for token in tokenize(sentence):
+            i = word_ids.get(token)
+            if i is None:
+                if token in self.stopwords:
+                    i = -1
+                else:
+                    intern = self._stem_ids
+                    i = intern.setdefault(stem(token), len(intern))
+                word_ids[token] = i
+            if i >= 0:
+                ids.append(i)
+        return ids
 
     def row(self, kind, sentence: str) -> array:
         """Unit ids of one sentence, one entry per occurrence."""
         key = (kind, sentence)
         row = self._rows.get(key)
         if row is None:
-            intern = self._stem_ids
-            stems = [intern.setdefault(s, len(intern)) for s in preprocess(sentence, self.stopwords)]
+            ids = self.stem_ids(sentence)
             if kind == SU:
-                units = chain(stems, (_pair(a, b) for a, b in combinations(stems, 2)))
-            elif kind == 1:
-                units = stems
-            else:
-                units = map(_pair, stems, stems[1:])
-            row = array("q", units)
+                ids += [((a + 1) << 32) | b for a, b in combinations(ids, 2)]
+            elif kind == 2:
+                ids = [((a + 1) << 32) | b for a, b in zip(ids, ids[1:])]
+            row = array("q", ids)
             self._rows[key] = row
         return row
 

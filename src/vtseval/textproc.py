@@ -11,7 +11,9 @@ entries, least recently used evicted), so a long run over an open
 vocabulary cannot grow it without limit. Sentence-level work (stopword
 removal, units) is not cached here; ``rouge.UnitTable`` caches it per
 command, because sentences are far more numerous than words and a
-process-wide sentence cache would grow with every input ever scored.
+process-wide sentence cache would grow with every input ever scored. The
+table does this pipeline's stopword test and ``stem`` call once per
+distinct token; ``preprocess`` states what it computes.
 """
 from __future__ import annotations
 

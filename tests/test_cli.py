@@ -372,6 +372,19 @@ def test_version_flag(capsys):
     assert "vtseval" in capsys.readouterr().out
 
 
+def test_one_parser_per_process_sees_replaced_commands(monkeypatch, capsys):
+    from vtseval import cli
+
+    argv = ["correlate", "--scores-a", "a.json", "--scores-b", "b.json"]
+    assert main(argv) == 2  # the files do not exist; this call builds the parser
+    parser = cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_correlate", lambda args: seen.append(args.scores_a) or 0)
+    assert main(argv) == 0
+    assert seen == ["a.json"]
+    assert cli._parser() is parser
+
+
 INPUT_COMMANDS = {
     "evaluate": ["evaluate", "--ground-truth", "--summary"],
     "summarize-bow": ["summarize", "--method", "bow", "--n", "4", "--ground-truth"],
@@ -463,3 +476,30 @@ class TestCompareHumanVerdicts:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "CorpusValidationError"
         assert "judgments[1]" in error["message"]
+
+    @pytest.mark.parametrize("mode,valid,row", [
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 0, "x": 4, "y": 3}),  # x > y
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 5, "x": 5, "y": 6}),  # ref == x
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 6, "x": 5, "y": 6}),  # ref == y
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 0, "x": 3, "y": 3}),  # x == y
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 0, "x": 1, "y": 12}),  # y out of range
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 12, "x": 1, "y": 2}),  # ref out of range
+        ("triples", {"ref": 0, "x": 1, "y": 2}, {"ref": 3, "x": -1, "y": 2}),  # negative
+        ("pairs", {"pair": 0}, {"pair": 5}),  # --count 5 judges pairs 0..4
+        ("pairs", {"pair": 0}, {"pair": -1}),
+    ])
+    def test_judgment_matching_nothing_exits_2(self, paths, tmp_path, capsys, mode, valid, row):
+        rows = [{**valid, "verdict": "both_zero"}, {**row, "verdict": "both_zero"}]
+        code, data = self.run(paths, tmp_path, mode, rows)
+        assert code == 2 and data is None
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CorpusValidationError"
+        assert "judgments[1]" in error["message"]
+
+    def test_triples_file_with_unjudged_rows_names_the_first(self, paths, tmp_path, capsys):
+        rows = [{"ref": r, "x": x, "y": y, "verdict": "both_zero"}
+                for r, x, y in [(0, 1, 2), (0, 4, 3), (5, 5, 6), (0, 1, 99)]]
+        code, data = self.run(paths, tmp_path, "triples", rows)
+        assert code == 2 and data is None
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.endswith("judgments[1]: no judgments match ref=0, x=4, y=3")

@@ -322,3 +322,109 @@ class TestNonFinite:
         with pytest.raises(CorpusValidationError, match="out.json"):
             corpus.write_canonical(target, {"score": value})
         assert list(tmp_path.iterdir()) == []
+
+
+_ROW = {"index": 1, "start_s": 5.0, "end_s": 10.0, "text": "a dog"}
+_SENTENCE = {"temporal_pos": 1, "rank": 2, "text": "a dog"}
+# (field, a wrong value, the type the loader expects): a string for a number,
+# true for an int and for a float, a list and a number for text
+_ROW_TYPES = [
+    ("index", "1", "int"), ("index", True, "int"), ("index", 1.0, "int"),
+    ("start_s", "5", "float"), ("start_s", True, "float"),
+    ("end_s", "10", "float"), ("end_s", False, "float"),
+    ("text", ["a dog"], "str"), ("text", 7, "str"),
+]
+_SENTENCE_TYPES = [
+    ("temporal_pos", "1", "int"), ("temporal_pos", True, "int"), ("temporal_pos", 1.0, "int"),
+    ("rank", "2", "int"), ("rank", False, "int"),
+    ("text", ["a dog"], "str"), ("text", None, "str"),
+]
+_NOT_OBJECTS = [["a dog"], "a dog", 3, None]
+
+
+def _annotations(tmp_path, row):
+    path = tmp_path / "a.json"
+    first = {"index": 0, "start_s": 0.0, "end_s": 5.0, "text": "a cat"}
+    path.write_text(json.dumps({"video_id": "v", "subshot_seconds": 5.0,
+                                "subshots": [first, row]}))
+    return path
+
+
+def _ground_truths(tmp_path, sentence):
+    path = tmp_path / "g.json"
+    first = {"temporal_pos": 0, "rank": 1, "text": "a cat"}
+    path.write_text(json.dumps({"video_id": "v", "summaries": [
+        {"author_id": "a", "sentences": [{"temporal_pos": 0, "rank": 1, "text": "x"}]},
+        {"author_id": "b", "sentences": [first, sentence]},
+    ]}))
+    return path
+
+
+def _parse_error(load, path) -> str:
+    with pytest.raises(CorpusParseError) as info:
+        load(path)
+    return str(info.value)
+
+
+class TestRowErrors:
+    """Each malformed row field is named exactly; rows whose values have other types fall
+    back to the field-by-field check, which words the error."""
+
+    @pytest.mark.parametrize("key", list(_ROW))
+    def test_annotation_missing_field(self, tmp_path, key):
+        row = {k: v for k, v in _ROW.items() if k != key}
+        path = _annotations(tmp_path, row)
+        assert _parse_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1]: missing field {key!r}"
+        )
+
+    @pytest.mark.parametrize("key,value,kind", _ROW_TYPES)
+    def test_annotation_wrong_type(self, tmp_path, key, value, kind):
+        path = _annotations(tmp_path, {**_ROW, key: value})
+        assert _parse_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1].{key}: expected {kind}"
+        )
+
+    @pytest.mark.parametrize("raw", _NOT_OBJECTS)
+    def test_annotation_row_not_an_object(self, tmp_path, raw):
+        path = _annotations(tmp_path, raw)
+        assert _parse_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1] must be an object"
+        )
+
+    def test_annotation_first_bad_field_is_named(self, tmp_path):
+        path = _annotations(tmp_path, {"start_s": "5", "end_s": 10.0, "text": ["a"]})
+        assert _parse_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1]: missing field 'index'"
+        )
+
+    @pytest.mark.parametrize("key", list(_SENTENCE))
+    def test_sentence_missing_field(self, tmp_path, key):
+        sentence = {k: v for k, v in _SENTENCE.items() if k != key}
+        path = _ground_truths(tmp_path, sentence)
+        assert _parse_error(corpus.load_ground_truths, path) == (
+            f"{path}: summaries[1].sentences[1]: missing field {key!r}"
+        )
+
+    @pytest.mark.parametrize("key,value,kind", _SENTENCE_TYPES)
+    def test_sentence_wrong_type(self, tmp_path, key, value, kind):
+        path = _ground_truths(tmp_path, {**_SENTENCE, key: value})
+        assert _parse_error(corpus.load_ground_truths, path) == (
+            f"{path}: summaries[1].sentences[1].{key}: expected {kind}"
+        )
+
+    @pytest.mark.parametrize("raw", _NOT_OBJECTS)
+    def test_sentence_not_an_object(self, tmp_path, raw):
+        path = _ground_truths(tmp_path, raw)
+        assert _parse_error(corpus.load_ground_truths, path) == (
+            f"{path}: summaries[1].sentences[1] must be an object"
+        )
+
+    def test_int_literal_in_float_field_loads_as_float(self, tmp_path):
+        path = _annotations(tmp_path, {**_ROW, "start_s": 5, "end_s": 10})
+        shot = corpus.load_annotations(path).subshots[1]
+        assert (shot.start_s, shot.end_s) == (5.0, 10.0)
+        assert type(shot.start_s) is float and type(shot.end_s) is float
+        assert corpus.load_annotations(path) == corpus.load_annotations(
+            _annotations(tmp_path, _ROW)
+        )

@@ -7,6 +7,8 @@ oracles count units with their own loops; their tokens come from
 the stem memo nor the unit table is on the oracle side.
 """
 import re
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelec
 from vtseval.evaluator import length_adjust, score_summary, text_representation
 from vtseval.rouge import SU, UnitTable, rouge_n, rouge_su, score_bags, unit_table
 from vtseval.summarize import _similarity_matrix, sentence_dp
-from vtseval.textproc import DEFAULT_STOPWORDS, STEM_CACHE_SIZE, stem
+from vtseval.textproc import DEFAULT_STOPWORDS, STEM_CACHE_SIZE, preprocess, stem
 
 from oracles import (
     exhaustive_ordered_assignment,
@@ -198,11 +200,9 @@ def test_rows_are_interned_ids():
 
 
 def test_sentences_compile_lazily_once_per_kind(monkeypatch):
-    import vtseval.rouge as rouge
-
     calls = []
-    real = rouge.preprocess
-    monkeypatch.setattr(rouge, "preprocess", lambda s, stops: calls.append(s) or real(s, stops))
+    real = UnitTable.stem_ids
+    monkeypatch.setattr(UnitTable, "stem_ids", lambda self, s: calls.append(s) or real(self, s))
     table = UnitTable()
     assert not calls
     for _ in range(3):
@@ -210,6 +210,70 @@ def test_sentences_compile_lazily_once_per_kind(monkeypatch):
     assert sorted(calls) == ["dog park", "lake"]
     table.bag(2, ["dog park", "lake"])
     assert sorted(calls) == ["dog park", "dog park", "lake", "lake"]
+
+
+def units_of(stems, kind):
+    """Units of one preprocessed sentence, as stems and stem pairs."""
+    if kind == 1:
+        return stems
+    if kind == 2:
+        return list(zip(stems, stems[1:]))
+    return stems + list(combinations(stems, 2))
+
+
+def decoded_row(table, kind, sentence):
+    """A compiled row mapped back through the table's stem ids to stems and stem pairs."""
+    row = table.row(kind, sentence)
+    stem_of = {i: s for s, i in table._stem_ids.items()}
+    return [stem_of[u] if u < 1 << 32 else (stem_of[(u >> 32) - 1], stem_of[u & 0xFFFFFFFF])
+            for u in row]
+
+
+@st.composite
+def stopword_cases(draw):
+    """Sentences and a stopword set in which a stopword may share its stem with kept words."""
+    base = draw(st.from_regex(r"[a-z]{3,6}", fullmatch=True))
+    family = [base + suffix for suffix in ("", "s", "ing", "ed")]
+    vocab = draw(vocabularies) + family + [w.upper() for w in family]
+    lowered = sorted({w.lower() for w in vocab})
+    stops = frozenset(draw(st.lists(st.sampled_from(lowered), max_size=4)))
+    stops |= draw(st.sampled_from([frozenset(), DEFAULT_STOPWORDS]))
+    return draw(texts(vocab, min_sentences=1, max_sentences=4)), stops
+
+
+@SETTINGS
+@given(st.lists(stopword_cases(), min_size=1, max_size=3), st.data())
+def test_rows_map_back_to_preprocessed_units(cases, data):
+    for sentences, stops in cases:
+        table = UnitTable(stops)
+        for _ in range(2):  # the second pass reads every token from the word table
+            for sentence in sentences:
+                kind = data.draw(st.sampled_from([SU, 1, 2]))
+                want = units_of(preprocess(sentence, stops), kind)
+                assert Counter(decoded_row(table, kind, sentence)) == Counter(want)
+
+
+def test_stopword_sharing_a_stem_with_kept_words():
+    table = UnitTable(frozenset({"walking"}))
+    sentence = "Walking walks WALKED walking walk 2pm 2PM"
+    assert preprocess(sentence, table.stopwords) == ["walk", "walk", "walk", "2pm", "2pm"]
+    for kind in (SU, 1, 2):
+        want = units_of(["walk", "walk", "walk", "2pm", "2pm"], kind)
+        assert Counter(decoded_row(table, kind, sentence)) == Counter(want)
+    assert sorted(table._stem_ids) == ["2pm", "walk"]
+
+
+def test_each_token_is_stemmed_once_per_table(monkeypatch):
+    import vtseval.rouge as rouge
+
+    calls = []
+    monkeypatch.setattr(rouge, "stem", lambda token: calls.append(token) or stem(token))
+    table = UnitTable()
+    table.bag(SU, ["Dogs walked the dogs", "dogs DOGS walked"])
+    table.bag(2, ["dogs walked", "the dogs"])
+    assert sorted(calls) == ["dogs", "walked"]
+    UnitTable().bag(1, ["dogs"])
+    assert sorted(calls) == ["dogs", "dogs", "walked"]
 
 
 @SETTINGS
