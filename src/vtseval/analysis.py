@@ -49,14 +49,22 @@ class Verdict(enum.Enum):
 
 
 def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, Verdict]:
-    """Human verdicts of a judgment file, keyed by the integer fields named in keys."""
+    """Human verdicts of a judgment file, keyed by the integer fields named in keys.
+
+    A key field must be an integer literal: 1.7, "3" and true are refused.
+    """
     rows = read_json(path).get("judgments")
     if not isinstance(rows, list):
         raise CorpusParseError(f"{path}: missing 'judgments' list")
     out = {}
     for i, row in enumerate(rows):
         try:
-            key = tuple(int(row[k]) for k in keys)
+            key = tuple(row[k] for k in keys)
+            for k, value in zip(keys, key):
+                if type(value) is not int:
+                    raise CorpusParseError(
+                        f"{path}: judgments[{i}].{k}: expected an integer, got {value!r}"
+                    )
             verdict = Verdict(row["verdict"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusParseError(f"{path}: judgments[{i}]: {exc}") from exc

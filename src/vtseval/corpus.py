@@ -6,7 +6,10 @@ bytes. Loading validates every type invariant and raises an error that
 names the offending field and index; a loader given the annotated video
 also checks that the file is for that video. Non-finite numbers (NaN,
 Infinity, and literals such as 1e999 that overflow to infinity) are
-refused on read and on write. Writes go to a uniquely named temporary
+refused on read and on write. The annotation, ground-truth and feature
+loaders parse without read_json's per-float hook and check the numbers
+they keep; a file they refuse goes through read_json, so the error still
+names a non-finite literal. Writes go to a uniquely named temporary
 file in the target directory that is renamed into place, so a failed save
 never leaves a partial file and concurrent writers never clobber each
 other's temporary file.
@@ -82,15 +85,51 @@ class GroundTruthSummary:
     sentences: tuple[GroundTruthSentence, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubshotFeatures:
+    """A video's frame histograms as one matrix.
+
+    ``frames`` holds every frame's 3*bins_per_channel-bin histogram, in
+    subshot order, as one C-contiguous float64 array; subshot i owns rows
+    ``offsets[i]:offsets[i + 1]``, and ``subshots[i]`` is a view of them.
+    The constructor copies one 2-D array per subshot, all of one width,
+    into the matrix; ``from_frames`` takes a matrix that is already stacked.
+    """
+
     video_id: str
     bins_per_channel: int
     subshots: tuple[np.ndarray, ...] = field(repr=False)
-    """One (n_frames, 3*bins_per_channel) float array per subshot."""
+    frames: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+
+    def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
+        arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
+        frames = np.concatenate(arrays) if arrays else np.empty((0, 3 * bins_per_channel))
+        self._adopt(video_id, bins_per_channel, frames, np.cumsum([0] + [len(a) for a in arrays]))
+
+    @classmethod
+    def from_frames(
+        cls, video_id: str, bins_per_channel: int, frames: np.ndarray, offsets
+    ) -> "SubshotFeatures":
+        self = object.__new__(cls)
+        self._adopt(video_id, bins_per_channel, frames, offsets)
+        return self
+
+    def _adopt(self, video_id, bins_per_channel, frames, offsets) -> None:
+        frames = np.ascontiguousarray(frames, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.intp)
+        bounds = offsets.tolist()
+        views = tuple(frames[start:stop] for start, stop in zip(bounds, bounds[1:]))
+        for name, value in (("video_id", video_id), ("bins_per_channel", bins_per_channel),
+                            ("subshots", views), ("frames", frames), ("offsets", offsets)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.subshots)
+
+    def owners(self) -> list[int]:
+        """Each frame's subshot index, in frame order."""
+        return np.repeat(np.arange(len(self.subshots)), np.diff(self.offsets)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +183,33 @@ def validate_ground_truth(gt: GroundTruthSummary) -> None:
             raise CorpusValidationError(f"{where}.text: must be non-empty")
 
 
-def validate_features(features: SubshotFeatures) -> None:
-    dim = 3 * features.bins_per_channel
-    if features.bins_per_channel < 1:
+def _frames_valid(bins_per_channel: int, frames: np.ndarray, offsets: np.ndarray) -> bool:
+    """True only if _validate_subshots would pass every frame; checked in numpy.
+
+    A row's numpy sum along the matrix has the bits of the sum of that row
+    alone. A row sum within math.isclose's relative tolerance of 1 but not
+    within 1e-9 reads False here and passes there. NaN and infinite entries
+    make their row sum fail.
+    """
+    return (
+        bins_per_channel >= 1
+        and len(offsets) > 1
+        and bool(np.all(np.diff(offsets) > 0))
+        and frames.ndim == 2
+        and frames.shape[1] == 3 * bins_per_channel
+        and not np.any(frames < 0)
+        and bool(np.all(np.abs(frames.sum(axis=1) - 1.0) <= 1e-9))
+    )
+
+
+def _validate_subshots(bins_per_channel: int, subshots) -> None:
+    """Check each subshot's frames in order; the error names the first bad subshot and frame."""
+    dim = 3 * bins_per_channel
+    if bins_per_channel < 1:
         raise CorpusValidationError("bins_per_channel: must be positive")
-    if len(features.subshots) < 1:
+    if len(subshots) < 1:
         raise CorpusValidationError("subshots: at least one subshot required")
-    for i, frames in enumerate(features.subshots):
+    for i, frames in enumerate(subshots):
         where = f"subshots[{i}].frames"
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise CorpusValidationError(f"{where}: at least one frame required")
@@ -165,6 +224,11 @@ def validate_features(features: SubshotFeatures) -> None:
                 raise CorpusValidationError(
                     f"{where}[{j}]: histogram sums to {float(hist.sum())!r}, expected 1"
                 )
+
+
+def validate_features(features: SubshotFeatures) -> None:
+    if not _frames_valid(features.bins_per_channel, features.frames, features.offsets):
+        _validate_subshots(features.bins_per_channel, features.subshots)
 
 
 def _check_video(ctx: str, video_id: str, video: VideoRecord | None) -> None:
@@ -206,11 +270,15 @@ def write_canonical(path: str | Path, obj) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def read_json(path: str | Path) -> dict:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str | Path) -> dict:
+    text = _read_text(path)
 
     def reject_non_finite(literal: str):
         raise CorpusParseError(f"{path}: non-finite number {literal} is not allowed")
@@ -230,6 +298,32 @@ def read_json(path: str | Path) -> dict:
     return data
 
 
+def _no_constant(literal: str):
+    raise ValueError(literal)
+
+
+def _load_unhooked(path: str | Path, load):
+    """load(data) on a parse of path without read_json's per-float hook.
+
+    That parse reads an overflowing literal such as 1e999 as an infinite
+    float, and load refuses one in any float it keeps (``_get`` does for
+    float fields). When load refuses the data, or that parse fails, load
+    runs again on read_json, which refuses non-finite literals by name; so
+    every error is the one read_json would lead to. Non-finite literals in
+    fields that load ignores are not refused.
+    """
+    try:
+        data = json.loads(_read_text(path), parse_constant=_no_constant)
+    except ValueError:
+        data = None
+    if isinstance(data, dict):
+        try:
+            return load(data)
+        except CorpusError:
+            pass
+    return load(read_json(path))
+
+
 def _get(data: dict, key: str, kind, context: str):
     if key not in data:
         raise CorpusParseError(f"{context}: missing field {key!r}")
@@ -238,6 +332,8 @@ def _get(data: dict, key: str, kind, context: str):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise CorpusParseError(f"{context}.{key}: expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise CorpusParseError(f"{context}.{key}: must be finite")
     return value
 
 
@@ -262,8 +358,10 @@ def _checked_row(raw, fields, where: str) -> list:
 
 
 def load_annotations(path: str | Path) -> VideoRecord:
-    data = read_json(path)
-    ctx = str(path)
+    return _load_unhooked(path, lambda data: _annotations_of(data, str(path)))
+
+
+def _annotations_of(data: dict, ctx: str) -> VideoRecord:
     shots = []
     for i, raw in enumerate(_get(data, "subshots", list, ctx)):
         try:
@@ -271,7 +369,7 @@ def load_annotations(path: str | Path) -> VideoRecord:
         except (KeyError, TypeError):
             index = None
         if not (type(index) is int and type(start_s) is float and type(end_s) is float
-                and type(text) is str):
+                and type(text) is str and math.isfinite(start_s) and math.isfinite(end_s)):
             index, start_s, end_s, text = _checked_row(
                 raw, _SUBSHOT_FIELDS, f"{ctx}: subshots[{i}]"
             )
@@ -308,8 +406,10 @@ def load_ground_truths(
     path: str | Path, video: VideoRecord | None = None
 ) -> list[GroundTruthSummary]:
     """Load every author's reference summary; given the video, check they are for it."""
-    data = read_json(path)
-    ctx = str(path)
+    return _load_unhooked(path, lambda data: _ground_truths_of(data, str(path), video))
+
+
+def _ground_truths_of(data: dict, ctx: str, video: VideoRecord | None) -> list[GroundTruthSummary]:
     _check_video(ctx, _get(data, "video_id", str, ctx), video)
     result = []
     for i, raw in enumerate(_get(data, "summaries", list, ctx)):
@@ -431,13 +531,21 @@ def save_summary(path: str | Path, summary: SummarySelection) -> None:
 
 def load_features(path: str | Path, video: VideoRecord | None = None) -> SubshotFeatures:
     """Load histogram features; given the video, they must name it and cover each subshot."""
-    data = read_json(path)
-    ctx = str(path)
+    return _load_unhooked(path, lambda data: _features_of(data, str(path), video))
+
+
+def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeatures:
     video_id = _get(data, "video_id", str, ctx)
     _check_video(ctx, video_id, video)
     bins = _get(data, "bins_per_channel", int, ctx)
+    rows = _get(data, "subshots", list, ctx)
+    features = _stacked_features(video_id, bins, rows)
+    if features is not None:
+        _check_coverage(ctx, len(features), video)
+        return features
+    # something is wrong: read the file subshot by subshot, which words the error
     subshots = []
-    for i, raw in enumerate(_get(data, "subshots", list, ctx)):
+    for i, raw in enumerate(rows):
         if not isinstance(raw, dict):
             raise CorpusParseError(f"{ctx}: subshots[{i}] must be an object")
         if _get(raw, "index", int, f"{ctx}: subshots[{i}]") != i:
@@ -450,13 +558,41 @@ def load_features(path: str | Path, video: VideoRecord | None = None) -> Subshot
         if arr.ndim != 2:
             raise CorpusParseError(f"{ctx}: subshots[{i}].frames: expected a list of histograms")
         subshots.append(arr)
-    if video is not None and len(subshots) != len(video):
+    _check_coverage(ctx, len(subshots), video)
+    _validate_subshots(bins, subshots)
+    return SubshotFeatures(video_id, bins, subshots)
+
+
+def _stacked_features(video_id: str, bins: int, rows: list) -> SubshotFeatures | None:
+    """All frames of well-formed subshot rows stacked at once and checked in numpy.
+
+    None when any row or frame is off: ragged frames, a bad index, a
+    negative or non-finite entry, a wrong width or a row sum that is not 1.
+    """
+    hists, counts = [], []
+    for i, raw in enumerate(rows):
+        if not isinstance(raw, dict):
+            return None
+        index, frames = raw.get("index"), raw.get("frames")
+        if type(index) is not int or index != i or type(frames) is not list:
+            return None
+        hists.extend(frames)
+        counts.append(len(frames))
+    try:
+        matrix = np.array(hists, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    offsets = np.cumsum([0] + counts)
+    if not _frames_valid(bins, matrix, offsets):
+        return None
+    return SubshotFeatures.from_frames(video_id, bins, matrix, offsets)
+
+
+def _check_coverage(ctx: str, m: int, video: VideoRecord | None) -> None:
+    if video is not None and m != len(video):
         raise CorpusValidationError(
-            f"subshots: {ctx} covers {len(subshots)} subshots, the video has {len(video)}"
+            f"subshots: {ctx} covers {m} subshots, the video has {len(video)}"
         )
-    features = SubshotFeatures(video_id=video_id, bins_per_channel=bins, subshots=tuple(subshots))
-    validate_features(features)
-    return features
 
 
 def save_features(path: str | Path, features: SubshotFeatures) -> None:
@@ -467,7 +603,7 @@ def save_features(path: str | Path, features: SubshotFeatures) -> None:
             "video_id": features.video_id,
             "bins_per_channel": features.bins_per_channel,
             "subshots": [
-                {"index": i, "frames": [[float(x) for x in hist] for hist in frames]}
+                {"index": i, "frames": frames.tolist()}
                 for i, frames in enumerate(features.subshots)
             ],
         },

@@ -3,7 +3,7 @@
 All tie-breaks are lowest-index and all randomness flows through the
 pinned splitmix64 generator, so identical inputs and seed give identical
 summaries. Frame-based methods (clustering, marginal-relevance) operate
-on the flattened frame list of a feature table; text-based methods
+on the frame matrix of a feature table; text-based methods
 (greedy bag-of-words, ordered sentence assignment) consume a ranked
 ground truth that is length-adjusted to n before use, and take their
 word bags and similarities from a ``rouge.UnitTable``.
@@ -47,14 +47,6 @@ def uniform_sample(video: VideoRecord, n: int) -> SummarySelection:
 
 # ---------------------------------------------------------------------------
 # frame helpers
-
-
-def _flatten_frames(features: SubshotFeatures) -> tuple[np.ndarray, list[int]]:
-    """All frames stacked, plus each frame's owning subshot index."""
-    owners = []
-    for subshot, frames in enumerate(features.subshots):
-        owners.extend([subshot] * frames.shape[0])
-    return np.vstack(features.subshots), owners
 
 
 def _left_sum(values) -> float:
@@ -157,7 +149,7 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
     not-yet-chosen subshot is used; clusters that cannot contribute are
     made up for with uniformly spaced unchosen subshots.
     """
-    hists, owners = _flatten_frames(features)
+    hists, owners = features.frames, features.owners()
     m = len(features)
     if n > m:
         raise ValueError(f"cannot select {n} distinct subshots from {m}")
@@ -194,27 +186,33 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
     lowest frame index. Selection continues until the picked keyframes
     cover params.n distinct subshots.
     """
-    hists, owners = _flatten_frames(features)
-    f = hists.shape[0]
+    owners = features.owners()
+    f = len(owners)
     m = len(features)
     if params.n > m:
         raise ValueError(f"cannot reach {params.n} distinct subshots from {m}")
-    dist = pairwise_chi_square(hists)
+    dist = pairwise_chi_square(features.frames)
 
     selected: list[int] = []
     remaining = np.arange(f)
     # min distance from each frame to the selected frames
     nearest = np.full(f, np.inf)
     covered: set[int] = set()
+    sums = np.empty(f)
     while len(covered) < params.n:
         r = remaining.size
         if r == 0:
             raise ValueError(f"ran out of frames before reaching {params.n} distinct subshots")
         if r > 1:
-            # cumsum is a strict left fold over the remaining frames in
-            # index order, and the zero diagonal cell adds nothing, so each
-            # mean has the bits of the plain left-fold sum over the others
-            mean_d = np.cumsum(dist[np.ix_(remaining, remaining)], axis=1)[:, -1] / (r - 1)
+            # Adding the remaining rows in index order makes sums[i] a
+            # strict left fold down column i. dist is exactly symmetric, so
+            # that is the left fold along row i over the remaining frames,
+            # and the zero diagonal cell adds nothing: each mean has the bits
+            # of the plain left-fold sum over the others.
+            sums[:] = 0.0
+            for j in remaining.tolist():
+                sums += dist[j]
+            mean_d = sums[remaining] / (r - 1)
         else:
             mean_d = np.zeros(1)
         score = params.lambda_ * mean_d
@@ -232,7 +230,7 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
 
 def video_mmr(features: SubshotFeatures, params: MmrParams) -> SummarySelection:
     """Subshots containing the marginal-relevance keyframes."""
-    _, owners = _flatten_frames(features)
+    owners = features.owners()
     keyframes = mmr_keyframes(features, params)
     indices = tuple(sorted({owners[k] for k in keyframes}))
     return SummarySelection(video_id=features.video_id, indices=indices)

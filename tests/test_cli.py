@@ -496,6 +496,16 @@ class TestCompareHumanVerdicts:
         assert error["error"] == "CorpusValidationError"
         assert "judgments[1]" in error["message"]
 
+    @pytest.mark.parametrize("bad", [1.7, "3", True])
+    def test_key_that_is_not_an_exact_int_exits_2(self, paths, tmp_path, capsys, bad):
+        # int() would read these as pairs 1, 3 and 1, which the run judges
+        rows = [{"pair": 0, "verdict": "both_zero"}, {"pair": bad, "verdict": "both_zero"}]
+        code, data = self.run(paths, tmp_path, "pairs", rows)
+        assert code == 2 and data is None
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CorpusParseError"
+        assert f"judgments[1].pair: expected an integer, got {bad!r}" in error["message"]
+
     def test_triples_file_with_unjudged_rows_names_the_first(self, paths, tmp_path, capsys):
         rows = [{"ref": r, "x": x, "y": y, "verdict": "both_zero"}
                 for r, x, y in [(0, 1, 2), (0, 4, 3), (5, 5, 6), (0, 1, 99)]]

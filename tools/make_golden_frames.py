@@ -60,7 +60,7 @@ def build_features(seed: int) -> corpus.SubshotFeatures:
 
 def record(seed: int) -> dict:
     features = build_features(seed)
-    hists = np.vstack(features.subshots)
+    hists = features.frames
     cluster = []
     for n in CLUSTER_NS:
         for cseed in CLUSTER_SEEDS:
