@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .evaluator import score_summary
 from .rng import SplitMix64, sample_indices
-from .rouge import SU, UnitTable, rouge_su, score_bags, unit_table
+from .rouge import UnitTable, rouge_su, su_f_matrix
 from .visual import pixel_summary_distance, subshot_distance_matrix, subshot_min_distance
 
 TIE_TOLERANCE = 1e-9
@@ -167,7 +167,6 @@ def judge_summary_pair(
     metric: str = "rouge-su",
     features: SubshotFeatures | None = None,
     gt_subshots: SummarySelection | None = None,
-    stopwords: frozenset[str] | None = None,
     table: UnitTable | None = None,
 ) -> PairJudgment:
     """Which of two equal-size summaries is closer to the ground truth.
@@ -185,7 +184,7 @@ def judge_summary_pair(
         sa = -pixel_summary_distance(a, gt_subshots, features)
         sb = -pixel_summary_distance(b, gt_subshots, features)
         return PairJudgment.from_scores(sa, sb, zero_threshold=PIXEL_ZERO)
-    table = unit_table(table, stopwords)
+    table = table or UnitTable()
     sa = score_summary(a, video, gts, metric, table=table).score
     sb = score_summary(b, video, gts, metric, table=table).score
     return PairJudgment.from_scores(sa, sb, zero_threshold=TEXT_ZERO)
@@ -198,7 +197,6 @@ def judge_subshot_pair(
     video: VideoRecord,
     metric: str = "rouge-su",
     features: SubshotFeatures | None = None,
-    stopwords: frozenset[str] | None = None,
     table: UnitTable | None = None,
 ) -> PairJudgment:
     """Which of subshots x, y is closer to reference subshot ref."""
@@ -216,7 +214,7 @@ def judge_subshot_pair(
     for idx in (x, y, ref):
         if idx < 0 or idx >= len(video):
             raise ValueError(f"subshot index {idx} out of range")
-    table = unit_table(table, stopwords)
+    table = table or UnitTable()
     ref_text = [video.subshots[ref].annotation]
     sx = rouge_su([video.subshots[x].annotation], ref_text, table=table).f_measure
     sy = rouge_su([video.subshots[y].annotation], ref_text, table=table).f_measure
@@ -286,7 +284,7 @@ def compare_pairs(
     features: SubshotFeatures | None = None,
     gt_subshots: SummarySelection | None = None,
     human: str | Path | None = None,
-    stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> dict:
     """Judge count sampled pairs of n-subshot summaries; the compare output of pairs mode.
 
@@ -297,7 +295,7 @@ def compare_pairs(
     verdicts = load_human_verdicts(human, ("pair",)) if human else {}
     _refuse_unjudged(human, verdicts, ("pair",), lambda key: 0 <= key[0] < count)
     with_pixel = features is not None and gt_subshots is not None
-    table = UnitTable(stopwords)
+    table = table or UnitTable()
     records, counts, cases, matched = [], Counter(), Counter(), []
     for i, (a, b) in enumerate(sample_summary_pairs(len(video), n, count, seed, video.video_id)):
         vset = judge_summary_pair(a, b, video, gts, metric, table=table)
@@ -326,12 +324,12 @@ def compare_triples(
     video: VideoRecord,
     features: SubshotFeatures,
     human: str | Path | None = None,
-    stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> dict:
     """Judge every triple (ref, x < y) of distinct subshots; the compare output of triples mode.
 
-    Text scores come from one m x m matrix of ROUGE-SU F with subshot x's
-    annotation as the candidate and ref's as the reference, pixel scores
+    Text scores come from rouge.su_f_matrix, with subshot x's annotation
+    as the candidate and ref's as the reference, pixel scores
     from visual.subshot_distance_matrix. A human file must judge only such
     triples (CorpusValidationError otherwise).
     """
@@ -342,9 +340,8 @@ def compare_triples(
     _refuse_unjudged(human, verdicts, ("ref", "x", "y"),
                      lambda key: 0 <= key[1] < key[2] < m and 0 <= key[0] < m
                      and key[0] not in key[1:])
-    table = UnitTable(stopwords)
-    bags = [table.bag(SU, [shot.annotation]) for shot in video.subshots]
-    text = [[score_bags(cand, ref).f_measure for ref in bags] for cand in bags]
+    annotations = [shot.annotation for shot in video.subshots]
+    text = su_f_matrix(table or UnitTable(), annotations, annotations)
     pixel = (-subshot_distance_matrix(features)).tolist()
     records, cases, matched = [], Counter(), []
     for ref in range(m):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, corpus, evaluator, summarize, visual
 from .corpus import CorpusError
+from .rouge import UnitTable
 from .textproc import load_stopwords
 
 
@@ -37,10 +37,9 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return dict(sorted(vars(args).items()))
 
 
-def _stopwords(args) -> frozenset[str] | None:
-    if getattr(args, "stopwords", None):
-        return load_stopwords(args.stopwords)
-    return None
+def _table(args) -> UnitTable:
+    """The command's one unit table, under --stopwords or the bundled list."""
+    return UnitTable(load_stopwords(args.stopwords) if args.stopwords else None)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -61,8 +60,8 @@ def _cmd_evaluate(args) -> int:
         video,
         gts,
         metric=args.metric,
-        stopwords=_stopwords(args),
         summary_id=Path(args.summary).stem,
+        table=_table(args),
     )
     evaluator.save_report(
         args.output,
@@ -92,11 +91,8 @@ def _cmd_summarize(args) -> int:
             raise CorpusError(f"method {args.method} requires --ground-truth")
         gts = corpus.load_ground_truths(args.ground_truth, video)
         gt = _pick_ground_truth(gts, args.author)
-        stopwords = _stopwords(args)
-        if args.method == "bow":
-            selection = summarize.greedy_bow(video, gt, args.n, stopwords)
-        else:
-            selection = summarize.sentence_dp(video, gt, args.n, stopwords)
+        method = summarize.greedy_bow if args.method == "bow" else summarize.sentence_dp
+        selection = method(video, gt, args.n, _table(args))
     corpus.save_summary(args.output, selection)
     print(f"{selection.video_id}: {list(selection.indices)}")
     return 0
@@ -146,25 +142,9 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _load_scores(path) -> dict[str, float]:
-    data = corpus.read_json(path)
-    rows = data.get("scores")
-    if not isinstance(rows, list):
-        raise corpus.CorpusParseError(f"{path}: missing 'scores' list")
-    out = {}
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "item_id" not in row or "score" not in row:
-            raise corpus.CorpusParseError(f"{path}: scores[{i}] needs item_id and score")
-        score = float(row["score"])
-        if not math.isfinite(score):
-            raise corpus.CorpusValidationError(f"{path}: scores[{i}].score: must be finite")
-        out[str(row["item_id"])] = score
-    return out
-
-
 def _cmd_correlate(args) -> int:
-    a = _load_scores(args.scores_a)
-    b = _load_scores(args.scores_b)
+    a = corpus.load_scores(args.scores_a)
+    b = corpus.load_scores(args.scores_b)
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))
         only_b = sorted(set(b) - set(a))
@@ -206,13 +186,13 @@ def _cmd_compare(args) -> int:
             features=features,
             gt_subshots=corpus.load_summary(args.gt_subshots, video) if args.gt_subshots else None,
             human=args.human,
-            stopwords=_stopwords(args),
+            table=_table(args),
         )
     elif features is None:
         raise CorpusError("triples mode requires --features")
     else:
         payload = analysis.compare_triples(
-            video, features, human=args.human, stopwords=_stopwords(args)
+            video, features, human=args.human, table=_table(args)
         )
     payload["tool_version"] = __version__
     payload["config"] = _config_dict(args)

@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +330,10 @@ def _get(data: dict, key: str, kind, context: str):
         raise CorpusParseError(f"{context}: missing field {key!r}")
     value = data[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise CorpusParseError(f"{context}.{key}: number out of float range") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise CorpusParseError(f"{context}.{key}: expected {kind.__name__}")
     if kind is float and not math.isfinite(value):
@@ -526,6 +530,29 @@ def save_summary(path: str | Path, summary: SummarySelection) -> None:
 
 
 # ---------------------------------------------------------------------------
+# score files
+
+_SCORE_FIELDS = (("item_id", str), ("score", float))
+
+
+def load_scores(path: str | Path) -> dict[str, float]:
+    """Scores of a correlate input, ``{"scores": [{"item_id": ..., "score": ...}]}``, by item.
+
+    Each row goes through the field rules of the other files, and each
+    item_id is scored once.
+    """
+    ctx = str(path)
+    out = {}
+    for i, row in enumerate(_get(read_json(path), "scores", list, ctx)):
+        where = f"{ctx}: scores[{i}]"
+        item_id, score = _checked_row(row, _SCORE_FIELDS, where)
+        if item_id in out:
+            raise CorpusValidationError(f"{where}.item_id: {item_id!r} is scored twice")
+        out[item_id] = score
+    return out
+
+
+# ---------------------------------------------------------------------------
 # features
 
 
@@ -551,10 +578,13 @@ def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeat
         if _get(raw, "index", int, f"{ctx}: subshots[{i}]") != i:
             raise CorpusValidationError(f"{ctx}: subshots[{i}].index: expected {i}")
         frames = _get(raw, "frames", list, f"{ctx}: subshots[{i}]")
+        numeric = _numbers_only(f for f in frames if isinstance(f, list))
         try:
             arr = np.asarray(frames, dtype=np.float64)
-        except ValueError as exc:
-            raise CorpusParseError(f"{ctx}: subshots[{i}].frames: ragged or non-numeric") from exc
+        except (TypeError, ValueError, OverflowError):
+            numeric = False
+        if not numeric:
+            raise CorpusParseError(f"{ctx}: subshots[{i}].frames: ragged or non-numeric")
         if arr.ndim != 2:
             raise CorpusParseError(f"{ctx}: subshots[{i}].frames: expected a list of histograms")
         subshots.append(arr)
@@ -563,11 +593,21 @@ def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeat
     return SubshotFeatures(video_id, bins, subshots)
 
 
+def _numbers_only(frames) -> bool:
+    """True when every entry of every frame is a JSON number: an int or a float, not a bool.
+
+    numpy would read the string "0.5" as 0.5. A frame that is not iterable
+    raises TypeError.
+    """
+    return set(map(type, chain.from_iterable(frames))) <= {int, float}
+
+
 def _stacked_features(video_id: str, bins: int, rows: list) -> SubshotFeatures | None:
     """All frames of well-formed subshot rows stacked at once and checked in numpy.
 
-    None when any row or frame is off: ragged frames, a bad index, a
-    negative or non-finite entry, a wrong width or a row sum that is not 1.
+    None when any row or frame is off: ragged frames, a bad index, an
+    entry that is not a number, a negative or non-finite entry, a wrong
+    width or a row sum that is not 1.
     """
     hists, counts = [], []
     for i, raw in enumerate(rows):
@@ -579,6 +619,8 @@ def _stacked_features(video_id: str, bins: int, rows: list) -> SubshotFeatures |
         hists.extend(frames)
         counts.append(len(frames))
     try:
+        if not _numbers_only(hists):
+            return None
         matrix = np.array(hists, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         return None

@@ -5,15 +5,15 @@ subshot in temporal order. Before scoring, each human reference is
 length-adjusted to the summary's subshot count: its top-n ranked
 sentences, re-sorted temporally. The summary score is the maximum
 F-measure over the adjusted references. Scores come from a
-``rouge.UnitTable``: pass one table to many calls and each annotation and
-reference sentence is compiled once.
+``rouge.UnitTable``, which also carries the stopword set: pass one table
+to many calls and each annotation and reference sentence is compiled once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .corpus import GroundTruthSummary, SummarySelection, VideoRecord, write_canonical
-from .rouge import SU, RougeScore, UnitTable, score_bags, unit_table
+from .rouge import SU, RougeScore, UnitTable, score_bags
 
 METRICS = ("rouge-su", "rouge-1", "rouge-2")
 _UNIT_KINDS = {"rouge-su": SU, "rouge-1": 1, "rouge-2": 2}
@@ -66,7 +66,6 @@ def score_summary(
     video: VideoRecord,
     gts: list[GroundTruthSummary],
     metric: str = "rouge-su",
-    stopwords: frozenset[str] | None = None,
     summary_id: str | None = None,
     table: UnitTable | None = None,
 ) -> EvaluationReport:
@@ -83,7 +82,7 @@ def score_summary(
     if metric not in _UNIT_KINDS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {', '.join(METRICS)}")
     kind = _UNIT_KINDS[metric]
-    table = unit_table(table, stopwords)
+    table = table or UnitTable()
     n = len(summary)
     cand = table.bag(kind, candidate)
     pairwise = [

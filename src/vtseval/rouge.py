@@ -22,11 +22,16 @@ minimum over the shared ids and hands the integer sums to
 ``RougeScore.from_counts``, so every float is the same as with
 string-keyed counting.
 
-A table belongs to one stopword set and lives as long as one command (or
-one library call, when the caller passes none). Compilation is lazy: only
-sentences that are actually scored are compiled. The table is never
-process-global, because the sentences a process scores are unbounded;
-the bounded process-wide word cache is ``textproc.stem``'s.
+The table is the only place where text turns into units and the only
+way to choose stopwords: every text entry point (here, in ``evaluator``,
+``summarize`` and ``analysis``) takes ``table=`` and no stopword set, so
+two stopword sets can never meet in one score. A table lives as long as
+one command (or one library call, when the caller passes none).
+Compilation is lazy: only sentences that are actually scored are
+compiled. The table is never process-global, because the sentences a
+process scores are unbounded; the bounded process-wide word cache is
+``textproc.stem``'s. ``su_f_matrix`` is the one matrix of one-sentence
+ROUGE-SU scores, for the ordered-assignment summarizer and for triples.
 """
 from __future__ import annotations
 
@@ -80,7 +85,11 @@ def score_bags(candidate: Counter, reference: Counter) -> RougeScore:
 
 
 class UnitTable:
-    """Interned counting units of the sentences one command scores."""
+    """Interned counting units of the sentences one command scores, under one stopword set.
+
+    A table is always true (it has no ``__len__``), so ``table or
+    UnitTable()`` is the caller's table or a fresh default one.
+    """
 
     def __init__(self, stopwords: frozenset[str] | None = None):
         self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
@@ -124,41 +133,36 @@ class UnitTable:
         return Counter(chain.from_iterable(self.row(kind, s) for s in sentences))
 
 
-def unit_table(table: UnitTable | None, stopwords: frozenset[str] | None) -> UnitTable:
-    """The caller's table, or a fresh one for this call.
+def su_f_matrix(
+    table: UnitTable, candidates: Sequence[str], references: Sequence[str]
+) -> list[list[float]]:
+    """ROUGE-SU F of one-sentence candidates (rows) against one-sentence references (columns).
 
-    A table compiled under one stopword set never serves another: ids of
-    two tables are unrelated, so mixing them would match arbitrary units.
+    Cell [j][i] is ``rouge_su([candidates[j]], [references[i]], table).f_measure``.
     """
-    if table is None:
-        return UnitTable(stopwords)
-    if stopwords is not None and stopwords is not table.stopwords and stopwords != table.stopwords:
-        raise ValueError("unit table was built for a different stopword set")
-    return table
+    ref_bags = [table.bag(SU, [s]) for s in references]
+    return [
+        [score_bags(cand, ref).f_measure for ref in ref_bags]
+        for cand in (table.bag(SU, [s]) for s in candidates)
+    ]
 
 
 def rouge_su(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    stopwords: frozenset[str] | None = None,
-    table: UnitTable | None = None,
+    candidate: Sequence[str], reference: Sequence[str], table: UnitTable | None = None
 ) -> RougeScore:
     """Unigram + skip-bigram co-occurrence score between two texts.
 
     Either side may be empty; a side without units scores zero.
     """
-    table = unit_table(table, stopwords)
+    table = table or UnitTable()
     return score_bags(table.bag(SU, candidate), table.bag(SU, reference))
 
 
 def rouge_n(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    n: int,
-    stopwords: frozenset[str] | None = None,
+    candidate: Sequence[str], reference: Sequence[str], n: int, table: UnitTable | None = None
 ) -> RougeScore:
     """Contiguous n-gram co-occurrence score, n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    table = UnitTable(stopwords)
+    table = table or UnitTable()
     return score_bags(table.bag(n, candidate), table.bag(n, reference))

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, VideoRecord
 from .evaluator import length_adjust
 from .rng import SplitMix64
-from .rouge import SU, UnitTable, count_matches, score_bags
+from .rouge import UnitTable, count_matches, su_f_matrix
 from .visual import chi_square_matrix, pairwise_chi_square
 
 
@@ -244,7 +244,7 @@ def greedy_bow(
     video: VideoRecord,
     gt: GroundTruthSummary,
     n: int,
-    stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> SummarySelection:
     """Greedy covering of the length-adjusted ground-truth word bag.
 
@@ -255,7 +255,7 @@ def greedy_bow(
     m = len(video)
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
-    table = UnitTable(stopwords)
+    table = table or UnitTable()
     bag = table.bag(1, length_adjust(gt, n))
     ann_units = [table.bag(1, [s.annotation]) for s in video.subshots]
 
@@ -282,20 +282,11 @@ def greedy_bow(
 # ordered sentence assignment
 
 
-def _similarity_matrix(sentences: list[str], video: VideoRecord, table: UnitTable) -> list[list[float]]:
-    """k x m matrix whose [j][i] cell is rouge_su([sentences[j]], [annotation i]).f_measure."""
-    ann_bags = [table.bag(SU, [s.annotation]) for s in video.subshots]
-    return [
-        [score_bags(sent_bag, ann_bag).f_measure for ann_bag in ann_bags]
-        for sent_bag in (table.bag(SU, [s]) for s in sentences)
-    ]
-
-
 def sentence_dp(
     video: VideoRecord,
     gt: GroundTruthSummary,
     n: int,
-    stopwords: frozenset[str] | None = None,
+    table: UnitTable | None = None,
 ) -> SummarySelection:
     """One subshot per ground-truth sentence, kept in sentence order.
 
@@ -310,7 +301,8 @@ def sentence_dp(
         raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
     sentences = length_adjust(gt, n)
     k = len(sentences)
-    sim = _similarity_matrix(sentences, video, UnitTable(stopwords))
+    # sim[j][i]: ROUGE-SU F of sentence j (candidate) against annotation i
+    sim = su_f_matrix(table or UnitTable(), sentences, [s.annotation for s in video.subshots])
 
     # best[j][i]: best right-folded total for sentences j.. using subshot
     # indices >= i

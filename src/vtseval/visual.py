@@ -194,7 +194,9 @@ def pixel_summary_distance(
     """Mean over summary subshots of the distance to the nearest ground-truth subshot.
 
     Lower means more visually similar; rankings built on this metric sort
-    ascending. The mean is a left fold in summary order.
+    ascending. One kernel call covers every summary frame; each subshot's
+    distance is the minimum over its rows, and the mean is a left fold in
+    summary order.
     """
     if len(summary) == 0:
         raise ValueError("summary selection is empty")
@@ -205,7 +207,10 @@ def pixel_summary_distance(
         if idx >= m:
             raise ValueError(f"subshot index {idx} not covered by features ({m} subshots)")
     gt = np.vstack([features.subshots[g] for g in gt_subshots.indices])
+    chosen = [features.subshots[s] for s in summary.indices]
+    starts = np.cumsum([0] + [len(frames) for frames in chosen[:-1]])
+    nearest = chi_square_matrix(np.vstack(chosen), gt).min(axis=1)
     total = 0.0
-    for s in summary.indices:
-        total += float(chi_square_matrix(features.subshots[s], gt).min())
+    for d in np.minimum.reduceat(nearest, starts).tolist():
+        total += d
     return total / len(summary)

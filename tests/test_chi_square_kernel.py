@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtseval import visual
-from vtseval.corpus import SubshotFeatures
+from vtseval.corpus import SubshotFeatures, SummarySelection
 from vtseval.summarize import MmrParams, mmr_keyframes
 
 import oracles
@@ -239,3 +239,34 @@ def test_mmr_means_are_left_folds():
     )
     assert mmr_keyframes(features, MmrParams(lambda_=0.5, n=4)) == [5, 9, 10, 4]
     _replay_against_oracle(features, 0.5, 4, one_shot(flat, flat).tolist())
+
+
+@st.composite
+def pixel_summary_cases(draw):
+    """Features of 1-6 subshots of 1-3 frames, a summary, a ground truth and a block size."""
+    width = draw(st.sampled_from([3, 12]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    frames = draw(histograms(sum(sizes), width))
+    features = SubshotFeatures.from_frames("v", width // 3, frames, np.cumsum([0] + sizes))
+    subsets = st.lists(st.integers(0, len(sizes) - 1), min_size=1, unique=True)
+    summary, gt = (SummarySelection("v", tuple(sorted(draw(subsets)))) for _ in range(2))
+    return features, summary, gt, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pixel_summary_cases())
+def test_pixel_summary_distance_is_one_kernel_call_with_the_loop_bits(case):
+    features, summary, gt_sel, rows = case
+    gt = np.vstack([features.subshots[g] for g in gt_sel.indices])
+    total = 0.0
+    for s in summary.indices:
+        total += float(visual.chi_square_matrix(features.subshots[s], gt).min())
+    want = total / len(summary)
+    kernel = visual.chi_square_matrix
+    calls = []
+    with blocks_of(rows, gt.shape[0], gt.shape[1]), mock.patch.object(
+        visual, "chi_square_matrix", lambda a, b: calls.append(a.shape) or kernel(a, b)
+    ):
+        got = visual.pixel_summary_distance(summary, gt_sel, features)
+    assert got == want
+    assert len(calls) == 1

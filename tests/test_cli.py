@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from vtseval import corpus
 from vtseval.cli import main
 from vtseval.corpus import Subshot, VideoRecord
+from vtseval.textproc import tokenize
 
 from test_visual import write_ppm
 
@@ -246,6 +248,103 @@ class TestCorrelate:
         assert main(args) == 2
         assert str(b) in capsys.readouterr().err
         assert not out.exists()
+
+    def run_on_rows(self, tmp_path, capsys, rows):
+        """Correlate a good file with one holding the given rows: (exit code, error message)."""
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.write_scores(a, {"x": 0.1, "y": 0.5, "z": 0.9})
+        b.write_text(json.dumps({"scores": rows}))
+        out = tmp_path / "rho.json"
+        code = main(["correlate", "--scores-a", str(a), "--scores-b", str(b),
+                     "--output", str(out)])
+        assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        return code, json.loads(err)["message"] if err else None
+
+    def test_repeated_item_exits_2_naming_the_row(self, tmp_path, capsys):
+        rows = [{"item_id": "x", "score": 0.2}, {"item_id": "y", "score": 0.4},
+                {"item_id": "x", "score": 0.9}, {"item_id": "z", "score": 0.6}]
+        code, message = self.run_on_rows(tmp_path, capsys, rows)
+        assert code == 2
+        assert message == f"{tmp_path / 'b.json'}: scores[2].item_id: 'x' is scored twice"
+
+    @pytest.mark.parametrize("bad", [True, "0.1", {}, None, [0.5]])
+    def test_score_that_is_not_a_number_exits_2(self, tmp_path, capsys, bad):
+        rows = [{"item_id": "x", "score": 0.2}, {"item_id": "y", "score": bad},
+                {"item_id": "z", "score": 0.6}]
+        code, message = self.run_on_rows(tmp_path, capsys, rows)
+        assert code == 2
+        assert message == f"{tmp_path / 'b.json'}: scores[1].score: expected float"
+
+    @pytest.mark.parametrize("row,tail", [
+        ({"item_id": 7, "score": 0.5}, "scores[0].item_id: expected str"),
+        ({"item_id": "x"}, "scores[0]: missing field 'score'"),
+        ("x", "scores[0] must be an object"),
+    ])
+    def test_malformed_row_exits_2_naming_it(self, tmp_path, capsys, row, tail):
+        code, message = self.run_on_rows(tmp_path, capsys, [row])
+        assert code == 2
+        assert message == f"{tmp_path / 'b.json'}: {tail}"
+
+    def test_int_score_reads_as_float(self, tmp_path, capsys):
+        rows = [{"item_id": "x", "score": 0}, {"item_id": "y", "score": 1},
+                {"item_id": "z", "score": 2}]
+        assert self.run_on_rows(tmp_path, capsys, rows)[0] == 0
+
+
+class TestBadNumbers:
+    def test_non_numeric_frame_entry_exits_2(self, paths, tmp_path, capsys):
+        for bad in ({"a": 1}, "0.5"):
+            doc = json.loads(Path(paths["features"]).read_text())
+            doc["subshots"][3]["frames"][1][0] = bad
+            features = tmp_path / "f.json"
+            features.write_text(json.dumps(doc))
+            code = main(["summarize", "--method", "mmr", "--annotations", paths["annotations"],
+                         "--features", str(features), "--n", "4",
+                         "--output", str(tmp_path / "s.json")])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err)["message"] == (
+                f"{features}: subshots[3].frames: ragged or non-numeric"
+            )
+            assert not (tmp_path / "s.json").exists()
+
+    def test_int_beyond_float_range_exits_2_naming_the_field(self, paths, tmp_path, capsys):
+        text = Path(paths["annotations"]).read_text()
+        annotations = tmp_path / "a.json"
+        annotations.write_text(text.replace('"end_s": 5.0', '"end_s": 1' + "0" * 400, 1))
+        code = main(["evaluate", "--annotations", str(annotations),
+                     "--ground-truth", paths["ground_truth"], "--summary", paths["summary"],
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"{annotations}: subshots[0].end_s: number out of float range"
+        )
+
+
+def test_stopwords_flag_reaches_every_text_command(paths, tmp_path):
+    """With every word of the fixture a stopword, no text has a unit: all text scores are 0."""
+    texts = [shot.annotation for shot in corpus.load_annotations(paths["annotations"]).subshots]
+    texts += [s.text for gt in corpus.load_ground_truths(paths["ground_truth"])
+              for s in gt.sentences]
+    stops = tmp_path / "stop.txt"
+    stops.write_text("\n".join(sorted(set(tokenize(" ".join(texts))))) + "\n")
+    common = ["--annotations", paths["annotations"], "--ground-truth", paths["ground_truth"],
+              "--stopwords", str(stops)]
+    out = tmp_path / "out.json"
+
+    assert main(["evaluate", *common, "--summary", paths["summary"], "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["score"] == 0.0
+    for method in ("bow", "dp"):  # nothing to cover or match: uniform, or the first n
+        assert main(["summarize", "--method", method, *common, "--n", "4",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["indices"] == ([0, 3, 6, 9] if method == "bow"
+                                                          else [0, 1, 2, 3])
+    assert main(["compare", "--mode", "pairs", *common, "--count", "5", "--n", "4",
+                 "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict_counts"] == {"both_zero": 5}
+    assert main(["compare", "--mode", "triples", *common, "--features", paths["features"],
+                 "--output", str(out)]) == 0
+    assert {r["vset"]["verdict"] for r in json.loads(out.read_text())["triples"]} == {"both_zero"}
 
 
 class TestCompare:

@@ -428,3 +428,20 @@ class TestRowErrors:
         assert corpus.load_annotations(path) == corpus.load_annotations(
             _annotations(tmp_path, _ROW)
         )
+
+    @pytest.mark.parametrize("key", ["start_s", "end_s"])
+    def test_int_literal_beyond_float_range_is_named(self, tmp_path, key):
+        path = _annotations(tmp_path, _ROW)
+        path.write_text(path.read_text().replace(
+            f'"{key}": {_ROW[key]}', f'"{key}": 1' + "0" * 400))
+        assert _parse_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1].{key}: number out of float range"
+        )
+
+    def test_span_beyond_float_range_is_named(self, tmp_path, video12):
+        path = tmp_path / "s.json"
+        path.write_text('{"video_id": "video12", "spans": [{"start_s": 0.0, "end_s": 1%s}]}'
+                        % ("0" * 400))
+        assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
+            f"{path}: spans[0].end_s: number out of float range"
+        )

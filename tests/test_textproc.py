@@ -1,18 +1,25 @@
 import random
+from collections import Counter
 
-import pytest
-
+from vtseval.rouge import SU, UnitTable
 from vtseval.textproc import (
     DEFAULT_STOPWORDS,
-    extract_units,
     load_stopwords,
     preprocess,
-    remove_stopwords,
     stem,
     tokenize,
 )
 
 from oracles import SAFE_VOCAB
+from test_unit_table import decoded_row
+
+
+def table_units(sentence, table=None):
+    """(unigrams, skip-bigrams) of one sentence as the unit table compiles it, decoded to stems."""
+    units = Counter(decoded_row(table or UnitTable(), SU, sentence))
+    unigrams = Counter({u: c for u, c in units.items() if isinstance(u, str)})
+    pairs = Counter({u: c for u, c in units.items() if isinstance(u, tuple)})
+    return unigrams, pairs
 
 
 class TestTokenize:
@@ -33,21 +40,25 @@ class TestTokenize:
 
 class TestStopwords:
     def test_walk_sentence_stopwords(self):
-        tokens = ["i", "walked", "my", "dog", "at", "the", "park"]
-        assert remove_stopwords(tokens) == ["walked", "dog", "park"]
+        sentence = "I walked my dog at the park"
+        assert preprocess(sentence) == ["walk", "dog", "park"]
+        assert decoded_row(UnitTable(), 1, sentence) == ["walk", "dog", "park"]
 
     def test_all_stopwords(self):
-        assert remove_stopwords(["the", "a", "of"]) == []
+        assert preprocess("the a of") == []
+        assert len(UnitTable().row(1, "the a of")) == 0
 
     def test_no_stopwords(self):
-        assert remove_stopwords(["dog"]) == ["dog"]
+        assert preprocess("dog") == ["dog"]
+        assert decoded_row(UnitTable(), 1, "dog") == ["dog"]
 
     def test_custom_list(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment\ndog\n\npark\n")
         stops = load_stopwords(path)
         assert stops == frozenset({"dog", "park"})
-        assert remove_stopwords(["dog", "walked", "park"], stops) == ["walked"]
+        assert preprocess("dog walked park", stops) == ["walk"]
+        assert decoded_row(UnitTable(stops), 1, "dog walked park") == ["walk"]
 
     def test_bundled_list_loaded(self):
         assert "the" in DEFAULT_STOPWORDS
@@ -66,53 +77,58 @@ class TestStem:
 
 
 class TestExtractUnits:
+    """Units of one sentence as UnitTable.row compiles them, decoded back to stems."""
+
     def test_dog_walk_sentence(self):
-        units = extract_units("I walked my dog at the park.")
-        assert dict(units.unigrams) == {"walk": 1, "dog": 1, "park": 1}
-        assert dict(units.skip_bigrams) == {
+        unigrams, pairs = table_units("I walked my dog at the park.")
+        assert dict(unigrams) == {"walk": 1, "dog": 1, "park": 1}
+        assert dict(pairs) == {
             ("walk", "dog"): 1,
             ("walk", "park"): 1,
             ("dog", "park"): 1,
         }
 
     def test_all_stopwords(self):
-        units = extract_units("The the the.")
-        assert not units.unigrams
-        assert not units.skip_bigrams
+        unigrams, pairs = table_units("The the the.")
+        assert not unigrams
+        assert not pairs
 
     def test_repeated_token(self):
-        units = extract_units("dog dog")
-        assert dict(units.unigrams) == {"dog": 2}
-        assert dict(units.skip_bigrams) == {("dog", "dog"): 1}
+        unigrams, pairs = table_units("dog dog")
+        assert dict(unigrams) == {"dog": 2}
+        assert dict(pairs) == {("dog", "dog"): 1}
 
     def test_pair_count_formula(self):
         rng = random.Random(7)
+        table = UnitTable()
         for _ in range(50):
             sentence = " ".join(rng.choices(SAFE_VOCAB, k=rng.randint(0, 10)))
-            units = extract_units(sentence)
-            k = sum(units.unigrams.values())
-            assert sum(units.skip_bigrams.values()) == k * (k - 1) // 2
+            unigrams, pairs = table_units(sentence, table)
+            k = sum(unigrams.values())
+            assert sum(pairs.values()) == k * (k - 1) // 2
 
     def test_bigram_elements_in_unigrams(self):
-        units = extract_units("I walked my dog at the park near the lake.")
-        for a, b in units.skip_bigrams:
-            assert a in units.unigrams and b in units.unigrams
+        unigrams, pairs = table_units("I walked my dog at the park near the lake.")
+        for a, b in pairs:
+            assert a in unigrams and b in unigrams
 
     def test_deterministic(self):
         s = "I bought apples at the market."
-        assert extract_units(s) == extract_units(s)
+        table = UnitTable()
+        assert table_units(s, table) == table_units(s, table) == table_units(s)
 
     def test_removing_word_never_increases_counts(self):
         rng = random.Random(13)
+        table = UnitTable()
         for _ in range(30):
             words = rng.choices(SAFE_VOCAB, k=rng.randint(1, 8))
-            full = extract_units(" ".join(words))
+            full_uni, full_pairs = table_units(" ".join(words), table)
             drop = rng.randrange(len(words))
-            reduced = extract_units(" ".join(words[:drop] + words[drop + 1 :]))
-            for unit, count in reduced.unigrams.items():
-                assert count <= full.unigrams[unit]
-            for unit, count in reduced.skip_bigrams.items():
-                assert count <= full.skip_bigrams[unit]
+            reduced = table_units(" ".join(words[:drop] + words[drop + 1 :]), table)
+            for unit, count in reduced[0].items():
+                assert count <= full_uni[unit]
+            for unit, count in reduced[1].items():
+                assert count <= full_pairs[unit]
 
 
 def test_preprocess_order_preserved():

@@ -131,6 +131,19 @@ def test_features_non_finite_literal_is_named(tmp_path, literal):
         corpus.load_features(path)
 
 
+@pytest.mark.parametrize("entry", ['"0.5"', '{"a": 1}', "true", "null", "[0.5]", "1" + "0" * 400],
+                         ids=["string", "object", "bool", "null", "nested", "int_beyond_float"])
+def test_features_entry_that_is_not_a_number_is_refused_on_both_paths(tmp_path, entry):
+    path = tmp_path / "f.json"
+    path.write_text('{"video_id": "v", "bins_per_channel": 1, "subshots": ['
+                    '{"index": 0, "frames": [[0.5, 0.5, 0.0]]}, '
+                    '{"index": 1, "frames": [[1.0, 0.0, 0.0], [0.5, %s, 0.5]]}]}' % entry)
+    for load in (corpus.load_features, checked_features):
+        with pytest.raises(corpus.CorpusParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: subshots[1].frames: ragged or non-numeric"
+
+
 def test_features_mismatch_with_video_is_refused_on_the_fast_path(tmp_path, video12, features12):
     path = tmp_path / "f.json"
     corpus.save_features(path, corpus.SubshotFeatures("other", 16, features12.subshots))

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtseval import porter
+from vtseval import analysis, porter, summarize
 from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelection
 from vtseval.evaluator import length_adjust, score_summary, text_representation
-from vtseval.rouge import SU, UnitTable, rouge_n, rouge_su, score_bags, unit_table
-from vtseval.summarize import _similarity_matrix, sentence_dp
+from vtseval.rouge import SU, UnitTable, rouge_n, rouge_su, score_bags, su_f_matrix
+from vtseval.summarize import sentence_dp
 from vtseval.textproc import DEFAULT_STOPWORDS, STEM_CACHE_SIZE, preprocess, stem
 
 from oracles import (
@@ -125,7 +125,7 @@ def test_sentence_dp_cells_match_fresh_scores(case):
     gt = gts[0]
     k = min(len(gt.sentences), len(video))
     sentences = length_adjust(gt, k)
-    sim = _similarity_matrix(sentences, video, UnitTable())
+    sim = su_f_matrix(UnitTable(), sentences, [shot.annotation for shot in video.subshots])
     for j, sentence in enumerate(sentences):
         for i, shot in enumerate(video.subshots):
             assert sim[j][i] == rouge_su([sentence], [shot.annotation]).f_measure
@@ -173,20 +173,17 @@ def test_stopword_sets_never_share_a_table(pair, extra):
     # interleave both tables over the same sentences
     for _ in range(2):
         assert rouge_su(cand, ref, table=default_table) == rouge_su(cand, ref)
-        assert rouge_su(cand, ref, custom, table=custom_table) == rouge_su(cand, ref, custom)
-    if custom != DEFAULT_STOPWORDS:
-        with pytest.raises(ValueError, match="stopword"):
-            rouge_su(cand, ref, custom, table=default_table)
+        assert rouge_su(cand, ref, table=custom_table) == rouge_su(cand, ref, UnitTable(custom))
 
 
 def test_unit_table_accepts_its_own_stopwords():
     stops = frozenset({"dog"})
     table = UnitTable(stops)
-    assert unit_table(table, None) is table
-    assert unit_table(table, frozenset({"dog"})) is table
-    assert unit_table(None, stops).stopwords is stops
-    with pytest.raises(ValueError):
-        unit_table(table, frozenset({"park"}))
+    assert table.stopwords is stops
+    assert UnitTable().stopwords is DEFAULT_STOPWORDS
+    # a score goes through the caller's table, so the table's stopwords hold
+    assert rouge_su(["dog park"], ["dog park"], table).match_count == 1
+    assert rouge_su(["dog park"], ["dog park"]).match_count == 3
 
 
 def test_rows_are_interned_ids():
@@ -287,3 +284,28 @@ def test_stem_memo_matches_porter(word):
 
 def test_stem_memo_is_bounded():
     assert stem.cache_info().maxsize == STEM_CACHE_SIZE
+
+
+ENTRY_POINTS = {
+    "rouge_su": lambda v, g, f, **kw: rouge_su([v.subshots[0].annotation], ["dog park"], **kw),
+    "rouge_n": lambda v, g, f, **kw: rouge_n([v.subshots[0].annotation], ["dog park"], 2, **kw),
+    "score_summary": lambda v, g, f, **kw: score_summary(
+        SummarySelection("video12", (0, 3, 5)), v, g, **kw),
+    "judge_summary_pair": lambda v, g, f, **kw: analysis.judge_summary_pair(
+        SummarySelection("video12", (0, 3)), SummarySelection("video12", (1, 7)), v, g, **kw),
+    "judge_subshot_pair": lambda v, g, f, **kw: analysis.judge_subshot_pair(0, 4, 2, v, **kw),
+    "greedy_bow": lambda v, g, f, **kw: summarize.greedy_bow(v, g[1], 4, **kw),
+    "sentence_dp": lambda v, g, f, **kw: summarize.sentence_dp(v, g[1], 4, **kw),
+    "compare_pairs": lambda v, g, f, **kw: analysis.compare_pairs(v, g, 4, 3, 1, **kw),
+    "compare_triples": lambda v, g, f, **kw: analysis.compare_triples(v, f, **kw),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_every_text_entry_point_scores_through_the_callers_table(
+    name, video12, gts12, features12
+):
+    call = ENTRY_POINTS[name]
+    table = UnitTable()
+    assert call(video12, gts12, features12, table=table) == call(video12, gts12, features12)
+    assert table._rows, f"{name} did not compile its text in the caller's table"
