@@ -98,15 +98,11 @@ class PairJudgment:
 
     @classmethod
     def from_scores(
-        cls,
-        first: float,
-        second: float,
-        zero_threshold: float = TEXT_ZERO,
-        tie_tolerance: float = TIE_TOLERANCE,
+        cls, first: float, second: float, zero_threshold: float = TEXT_ZERO
     ) -> "PairJudgment":
         if first <= zero_threshold and second <= zero_threshold:
             verdict = Verdict.BOTH_ZERO
-        elif abs(first - second) <= tie_tolerance:
+        elif abs(first - second) <= TIE_TOLERANCE:
             verdict = Verdict.BOTH_EQUAL
         elif first > second:
             verdict = Verdict.FIRST_CLOSER

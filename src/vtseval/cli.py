@@ -39,7 +39,12 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 def _table(args) -> UnitTable:
     """The command's one unit table, under --stopwords or the bundled list."""
-    return UnitTable(load_stopwords(args.stopwords) if args.stopwords else None)
+    if not args.stopwords:
+        return UnitTable()
+    try:
+        return UnitTable(load_stopwords(args.stopwords))
+    except OSError as exc:
+        raise corpus.CorpusIOError(f"cannot read {args.stopwords}: {exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -63,10 +68,9 @@ def _cmd_evaluate(args) -> int:
         summary_id=Path(args.summary).stem,
         table=_table(args),
     )
-    evaluator.save_report(
+    corpus.write_canonical(
         args.output,
-        report,
-        extra={"tool_version": __version__, "config": _config_dict(args)},
+        {**report.to_dict(), "tool_version": __version__, "config": _config_dict(args)},
     )
     print(f"{report.summary_id}: score {report.score:.6f} (best author {report.best_author})")
     return 0

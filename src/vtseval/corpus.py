@@ -9,10 +9,13 @@ Infinity, and literals such as 1e999 that overflow to infinity) are
 refused on read and on write. The annotation, ground-truth and feature
 loaders parse without read_json's per-float hook and check the numbers
 they keep; a file they refuse goes through read_json, so the error still
-names a non-finite literal. Writes go to a uniquely named temporary
-file in the target directory that is renamed into place, so a failed save
-never leaves a partial file and concurrent writers never clobber each
-other's temporary file.
+names a non-finite literal. A feature file is read once, subshot by
+subshot, into one SubshotFeatures; ``validate_features``, the one check
+of frame values on load and on save, checks every frame in numpy and
+names the first bad subshot and frame. Writes go to a uniquely named
+temporary file in the target directory that is renamed into place, so a
+failed save never leaves a partial file and concurrent writers never
+clobber each other's temporary file.
 """
 from __future__ import annotations
 
@@ -93,8 +96,8 @@ class SubshotFeatures:
     ``frames`` holds every frame's 3*bins_per_channel-bin histogram, in
     subshot order, as one C-contiguous float64 array; subshot i owns rows
     ``offsets[i]:offsets[i + 1]``, and ``subshots[i]`` is a view of them.
-    The constructor copies one 2-D array per subshot, all of one width,
-    into the matrix; ``from_frames`` takes a matrix that is already stacked.
+    The one constructor copies one 2-D array per subshot, all of one width,
+    into the matrix; ``validate_features`` checks the result.
     """
 
     video_id: str
@@ -106,19 +109,7 @@ class SubshotFeatures:
     def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
         frames = np.concatenate(arrays) if arrays else np.empty((0, 3 * bins_per_channel))
-        self._adopt(video_id, bins_per_channel, frames, np.cumsum([0] + [len(a) for a in arrays]))
-
-    @classmethod
-    def from_frames(
-        cls, video_id: str, bins_per_channel: int, frames: np.ndarray, offsets
-    ) -> "SubshotFeatures":
-        self = object.__new__(cls)
-        self._adopt(video_id, bins_per_channel, frames, offsets)
-        return self
-
-    def _adopt(self, video_id, bins_per_channel, frames, offsets) -> None:
-        frames = np.ascontiguousarray(frames, dtype=np.float64)
-        offsets = np.asarray(offsets, dtype=np.intp)
+        offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.intp)
         bounds = offsets.tolist()
         views = tuple(frames[start:stop] for start, stop in zip(bounds, bounds[1:]))
         for name, value in (("video_id", video_id), ("bins_per_channel", bins_per_channel),
@@ -184,52 +175,48 @@ def validate_ground_truth(gt: GroundTruthSummary) -> None:
             raise CorpusValidationError(f"{where}.text: must be non-empty")
 
 
-def _frames_valid(bins_per_channel: int, frames: np.ndarray, offsets: np.ndarray) -> bool:
-    """True only if _validate_subshots would pass every frame; checked in numpy.
-
-    A row's numpy sum along the matrix has the bits of the sum of that row
-    alone. A row sum within math.isclose's relative tolerance of 1 but not
-    within 1e-9 reads False here and passes there. NaN and infinite entries
-    make their row sum fail.
-    """
-    return (
-        bins_per_channel >= 1
-        and len(offsets) > 1
-        and bool(np.all(np.diff(offsets) > 0))
-        and frames.ndim == 2
-        and frames.shape[1] == 3 * bins_per_channel
-        and not np.any(frames < 0)
-        and bool(np.all(np.abs(frames.sum(axis=1) - 1.0) <= 1e-9))
-    )
-
-
-def _validate_subshots(bins_per_channel: int, subshots) -> None:
-    """Check each subshot's frames in order; the error names the first bad subshot and frame."""
-    dim = 3 * bins_per_channel
-    if bins_per_channel < 1:
-        raise CorpusValidationError("bins_per_channel: must be positive")
-    if len(subshots) < 1:
-        raise CorpusValidationError("subshots: at least one subshot required")
-    for i, frames in enumerate(subshots):
-        where = f"subshots[{i}].frames"
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise CorpusValidationError(f"{where}: at least one frame required")
-        if frames.shape[1] != dim:
-            raise CorpusValidationError(
-                f"{where}: histograms must have {dim} bins, got {frames.shape[1]}"
-            )
-        for j, hist in enumerate(frames):
-            if np.any(hist < 0):
-                raise CorpusValidationError(f"{where}[{j}]: negative histogram entry")
-            if not math.isclose(float(hist.sum()), 1.0, abs_tol=1e-9):
-                raise CorpusValidationError(
-                    f"{where}[{j}]: histogram sums to {float(hist.sum())!r}, expected 1"
-                )
+def _check_shape(i: int, frames: np.ndarray, dim: int) -> None:
+    where = f"subshots[{i}].frames"
+    if frames.ndim != 2 or frames.shape[0] < 1:
+        raise CorpusValidationError(f"{where}: at least one frame required")
+    if frames.shape[1] != dim:
+        raise CorpusValidationError(
+            f"{where}: histograms must have {dim} bins, got {frames.shape[1]}"
+        )
 
 
 def validate_features(features: SubshotFeatures) -> None:
-    if not _frames_valid(features.bins_per_channel, features.frames, features.offsets):
-        _validate_subshots(features.bins_per_channel, features.subshots)
+    """Check every frame in numpy; the error names the first bad subshot and frame.
+
+    A frame must have no negative entry, and its sum s must pass
+    ``math.isclose(s, 1.0, abs_tol=1e-9)``, which refuses NaN and infinity.
+    Every row is tested at once with isclose's IEEE comparisons applied
+    elementwise; a row's sum along the matrix has the bits of the sum of
+    that row alone. Faults are named in subshot order, a subshot's shape
+    before its frames.
+    """
+    bins, frames, offsets = features.bins_per_channel, features.frames, features.offsets
+    if bins < 1:
+        raise CorpusValidationError("bins_per_channel: must be positive")
+    if len(features) < 1:
+        raise CorpusValidationError("subshots: at least one subshot required")
+    if frames.ndim != 2 or frames.shape[1] != 3 * bins:  # subshots[0] has that shape
+        _check_shape(0, features.subshots[0], 3 * bins)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf and -inf is NaN
+        sums = frames.sum(axis=1)
+    gap = np.abs(1.0 - sums)
+    close = (sums == 1.0) | np.isfinite(sums) & ((gap <= 1e-9) | (gap <= np.abs(1e-9 * sums)))
+    bad = np.flatnonzero(np.any(frames < 0, axis=1) | ~close)
+    empty = np.flatnonzero(np.diff(offsets) == 0)
+    # the first bad frame's subshot; a subshot without frames before it comes first
+    i = int(np.searchsorted(offsets, bad[0], side="right")) - 1 if len(bad) else len(features)
+    if len(empty) and empty[0] < i:
+        _check_shape(int(empty[0]), features.subshots[empty[0]], 3 * bins)
+    if len(bad):
+        where = f"subshots[{i}].frames[{bad[0] - offsets[i]}]"
+        if np.any(frames[bad[0]] < 0):
+            raise CorpusValidationError(f"{where}: negative histogram entry")
+        raise CorpusValidationError(f"{where}: histogram sums to {float(sums[bad[0]])!r}, expected 1")
 
 
 def _check_video(ctx: str, video_id: str, video: VideoRecord | None) -> None:
@@ -501,7 +488,11 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
                 raise CorpusParseError(f"{ctx}: keyframe_times_s[{i}] must be a number")
             if t < 0:
                 raise CorpusValidationError(f"{ctx}: keyframe_times_s[{i}]: negative time {t}")
-            seen.add(int(t // video.subshot_seconds))
+            try:
+                seen.add(int(float(t) // video.subshot_seconds))
+            except OverflowError:
+                where = f"{ctx}: keyframe_times_s[{i}]"
+                raise CorpusParseError(f"{where}: number out of float range") from None
         indices = tuple(sorted(seen))
     else:
         if video is None:
@@ -565,69 +556,36 @@ def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeat
     video_id = _get(data, "video_id", str, ctx)
     _check_video(ctx, video_id, video)
     bins = _get(data, "bins_per_channel", int, ctx)
-    rows = _get(data, "subshots", list, ctx)
-    features = _stacked_features(video_id, bins, rows)
-    if features is not None:
-        _check_coverage(ctx, len(features), video)
-        return features
-    # something is wrong: read the file subshot by subshot, which words the error
     subshots = []
-    for i, raw in enumerate(rows):
+    for i, raw in enumerate(_get(data, "subshots", list, ctx)):
+        where = f"{ctx}: subshots[{i}]"
         if not isinstance(raw, dict):
-            raise CorpusParseError(f"{ctx}: subshots[{i}] must be an object")
-        if _get(raw, "index", int, f"{ctx}: subshots[{i}]") != i:
-            raise CorpusValidationError(f"{ctx}: subshots[{i}].index: expected {i}")
-        frames = _get(raw, "frames", list, f"{ctx}: subshots[{i}]")
-        numeric = _numbers_only(f for f in frames if isinstance(f, list))
+            raise CorpusParseError(f"{where} must be an object")
+        if _get(raw, "index", int, where) != i:
+            raise CorpusValidationError(f"{where}.index: expected {i}")
+        frames = _get(raw, "frames", list, where)
+        # every entry a JSON number, not a bool: numpy would read "0.5" as 0.5
+        entries = chain.from_iterable(f for f in frames if isinstance(f, list))
+        numeric = set(map(type, entries)) <= {int, float}
         try:
             arr = np.asarray(frames, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             numeric = False
         if not numeric:
-            raise CorpusParseError(f"{ctx}: subshots[{i}].frames: ragged or non-numeric")
+            raise CorpusParseError(f"{where}.frames: ragged or non-numeric")
         if arr.ndim != 2:
-            raise CorpusParseError(f"{ctx}: subshots[{i}].frames: expected a list of histograms")
+            raise CorpusParseError(f"{where}.frames: expected a list of histograms")
         subshots.append(arr)
     _check_coverage(ctx, len(subshots), video)
-    _validate_subshots(bins, subshots)
-    return SubshotFeatures(video_id, bins, subshots)
-
-
-def _numbers_only(frames) -> bool:
-    """True when every entry of every frame is a JSON number: an int or a float, not a bool.
-
-    numpy would read the string "0.5" as 0.5. A frame that is not iterable
-    raises TypeError.
-    """
-    return set(map(type, chain.from_iterable(frames))) <= {int, float}
-
-
-def _stacked_features(video_id: str, bins: int, rows: list) -> SubshotFeatures | None:
-    """All frames of well-formed subshot rows stacked at once and checked in numpy.
-
-    None when any row or frame is off: ragged frames, a bad index, an
-    entry that is not a number, a negative or non-finite entry, a wrong
-    width or a row sum that is not 1.
-    """
-    hists, counts = [], []
-    for i, raw in enumerate(rows):
-        if not isinstance(raw, dict):
-            return None
-        index, frames = raw.get("index"), raw.get("frames")
-        if type(index) is not int or index != i or type(frames) is not list:
-            return None
-        hists.extend(frames)
-        counts.append(len(frames))
-    try:
-        if not _numbers_only(hists):
-            return None
-        matrix = np.array(hists, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    offsets = np.cumsum([0] + counts)
-    if not _frames_valid(bins, matrix, offsets):
-        return None
-    return SubshotFeatures.from_frames(video_id, bins, matrix, offsets)
+    # only frames of one width stack: validate the subshots before the first
+    # other width (subshots[0] alone if it is that one), then name that width
+    dim = 3 * bins
+    wide = next((i for i, a in enumerate(subshots) if a.shape[1] != dim), len(subshots))
+    features = SubshotFeatures(video_id, bins, subshots[:wide] or subshots[:1])
+    validate_features(features)
+    if wide < len(subshots):
+        _check_shape(wide, subshots[wide], dim)
+    return features
 
 
 def _check_coverage(ctx: str, m: int, video: VideoRecord | None) -> None:

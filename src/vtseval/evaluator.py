@@ -7,12 +7,14 @@ sentences, re-sorted temporally. The summary score is the maximum
 F-measure over the adjusted references. Scores come from a
 ``rouge.UnitTable``, which also carries the stopword set: pass one table
 to many calls and each annotation and reference sentence is compiled once.
+Nothing here reads or writes files: the CLI writes a report's ``to_dict()``
+with ``corpus.write_canonical``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import GroundTruthSummary, SummarySelection, VideoRecord, write_canonical
+from .corpus import GroundTruthSummary, SummarySelection, VideoRecord
 from .rouge import SU, RougeScore, UnitTable, score_bags
 
 METRICS = ("rouge-su", "rouge-1", "rouge-2")
@@ -97,12 +99,3 @@ def score_summary(
         best_author=best_author,
         score=best.f_measure,
     )
-
-
-def save_report(path, report: EvaluationReport, extra: dict | None = None) -> None:
-    """Write a report in canonical form, optionally with provenance fields."""
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    write_canonical(path, payload)
-

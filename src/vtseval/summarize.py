@@ -79,14 +79,15 @@ class ClusterResult:
     """Total assigned chi-square distance after each assignment pass."""
 
 
-def lloyd_cluster(frames: np.ndarray, n: int, seed: int, max_iter: int = 100) -> ClusterResult:
+def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
     """Lloyd clustering with chi-square assignment and mean centroids.
 
     Initialization is k-means++ style: the first center is a uniformly
     drawn frame, later centers are drawn with probability proportional to
     the squared chi-square distance to the nearest chosen center. A
     cluster that comes out of an assignment pass empty is reseeded to the
-    frame currently farthest from its own centroid.
+    frame currently farthest from its own centroid. Update passes stop
+    when an assignment pass changes nothing, or after 100 passes.
 
     Mean centroids do not minimize chi-square, so an update can raise the
     objective: on large inputs the recorded objectives are not always
@@ -129,7 +130,7 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int, max_iter: int = 100) ->
 
     assignments, per_frame = assign(centroids)
     objectives = [_left_sum(per_frame)]
-    for _ in range(max_iter):
+    for _ in range(100):
         for c in range(n):
             members = [i for i in range(f) if assignments[i] == c]
             if members:  # reseeding may have stolen a singleton's frame

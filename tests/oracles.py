@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 
 def split_tokens(sentence: str) -> list[str]:
@@ -105,6 +106,35 @@ def naive_pixel_distance(summary_indices, gt_indices, subshot_frames) -> float:
                 best = d
         total += best
     return total / len(summary_indices)
+
+
+def frame_fault(bins_per_channel, subshots):
+    """The first fault of per-subshot frame arrays as an error message, or None.
+
+    The check loops subshot by subshot and frame by frame: a subshot's
+    shape before its frames, a negative entry before the sum, and each sum
+    (the array's own ``sum()``) through ``math.isclose``.
+    """
+    dim = 3 * bins_per_channel
+    if bins_per_channel < 1:
+        return "bins_per_channel: must be positive"
+    if len(subshots) < 1:
+        return "subshots: at least one subshot required"
+    for i, frames in enumerate(subshots):
+        where = f"subshots[{i}].frames"
+        if frames.ndim != 2 or frames.shape[0] < 1:
+            return f"{where}: at least one frame required"
+        if frames.shape[1] != dim:
+            return f"{where}: histograms must have {dim} bins, got {frames.shape[1]}"
+        for j, hist in enumerate(frames):
+            if any(x < 0 for x in hist.tolist()):
+                return f"{where}[{j}]: negative histogram entry"
+            with warnings.catch_warnings():  # a sum of inf and -inf is NaN
+                warnings.simplefilter("ignore", RuntimeWarning)
+                total = float(hist.sum())
+            if not math.isclose(total, 1.0, abs_tol=1e-9):
+                return f"{where}[{j}]: histogram sums to {total!r}, expected 1"
+    return None
 
 
 def fold_right_sum(values) -> float:

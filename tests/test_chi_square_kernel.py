@@ -247,7 +247,7 @@ def pixel_summary_cases(draw):
     width = draw(st.sampled_from([3, 12]))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
     frames = draw(histograms(sum(sizes), width))
-    features = SubshotFeatures.from_frames("v", width // 3, frames, np.cumsum([0] + sizes))
+    features = SubshotFeatures("v", width // 3, np.split(frames, np.cumsum(sizes)[:-1]))
     subsets = st.lists(st.integers(0, len(sizes) - 1), min_size=1, unique=True)
     summary, gt = (SummarySelection("v", tuple(sorted(draw(subsets)))) for _ in range(2))
     return features, summary, gt, draw(st.integers(1, 4))

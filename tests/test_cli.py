@@ -320,6 +320,32 @@ class TestBadNumbers:
             f"{annotations}: subshots[0].end_s: number out of float range"
         )
 
+    def test_keyframe_time_beyond_float_range_exits_2_naming_it(self, paths, tmp_path, capsys):
+        summary = tmp_path / "k.json"
+        summary.write_text('{"video_id": "video12", "keyframe_times_s": [12.5, 1%s]}'
+                           % ("0" * 400))
+        code = main(["evaluate", "--annotations", paths["annotations"],
+                     "--ground-truth", paths["ground_truth"], "--summary", str(summary),
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CorpusParseError",
+            "message": f"{summary}: keyframe_times_s[1]: number out of float range",
+        }
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_unreadable_stopwords_file_exits_2_naming_it(paths, tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    code = main(["evaluate", "--annotations", paths["annotations"],
+                 "--ground-truth", paths["ground_truth"], "--summary", paths["summary"],
+                 "--stopwords", str(missing), "--output", str(tmp_path / "r.json")])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "CorpusIOError"
+    assert error["message"].startswith(f"cannot read {missing}: ")
+    assert not (tmp_path / "r.json").exists()
+
 
 def test_stopwords_flag_reaches_every_text_command(paths, tmp_path):
     """With every word of the fixture a stopword, no text has a unit: all text scores are 0."""

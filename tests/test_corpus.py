@@ -438,6 +438,13 @@ class TestRowErrors:
             f"{path}: subshots[1].{key}: number out of float range"
         )
 
+    def test_keyframe_time_beyond_float_range_is_named(self, tmp_path, video12):
+        path = tmp_path / "s.json"
+        path.write_text('{"video_id": "video12", "keyframe_times_s": [0, 1%s]}' % ("0" * 400))
+        assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
+            f"{path}: keyframe_times_s[1]: number out of float range"
+        )
+
     def test_span_beyond_float_range_is_named(self, tmp_path, video12):
         path = tmp_path / "s.json"
         path.write_text('{"video_id": "video12", "spans": [{"start_s": 0.0, "end_s": 1%s}]}'

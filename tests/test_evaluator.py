@@ -11,7 +11,6 @@ from vtseval.corpus import (
 )
 from vtseval.evaluator import (
     length_adjust,
-    save_report,
     score_summary,
     text_representation,
 )

@@ -1,11 +1,14 @@
-"""The hook-free loaders against the checked path they fall back to.
+"""The feature path and the hook-free loaders against their references.
 
 load_features, load_annotations and load_ground_truths parse without
 read_json's per-float finiteness hook and check the values they keep in
 bulk. On every file, good or perturbed, they must give what the checked
 path gives: read_json's parse followed by the field-by-field loop, with
-the features' frame checks done one subshot and one frame at a time. That
-is the same arrays and records, or the same exception class and message.
+the features' frame checks done one subshot and one frame at a time by
+``oracles.frame_fault``. That is the same arrays and records, or the same
+exception class and message. ``validate_features`` is pinned to the same
+per-frame loop on features built directly, which the loader cannot
+produce (subshots without frames, a width that differs from the bins).
 """
 import json
 from unittest import mock
@@ -17,15 +20,42 @@ from hypothesis import strategies as st
 
 from vtseval import corpus
 
+from oracles import frame_fault
+
 # a finite value the tests write into a file and then turn into a literal
 # that json.dumps cannot write, such as 1e999
 MARK = 12345.5
 
 
 def checked_features(path, video=None):
-    """The loader as it reads a file frame by frame, after read_json's parse."""
-    with mock.patch.object(corpus, "_stacked_features", lambda *args: None):
-        return corpus._features_of(corpus.read_json(path), str(path), video)
+    """The features loader as a reference: read_json's parse, then row by row and frame by frame."""
+    data, ctx = corpus.read_json(path), str(path)
+    video_id = corpus._get(data, "video_id", str, ctx)
+    corpus._check_video(ctx, video_id, video)
+    bins = corpus._get(data, "bins_per_channel", int, ctx)
+    subshots = []
+    for i, raw in enumerate(corpus._get(data, "subshots", list, ctx)):
+        where = f"{ctx}: subshots[{i}]"
+        if not isinstance(raw, dict):
+            raise corpus.CorpusParseError(f"{where} must be an object")
+        if corpus._get(raw, "index", int, where) != i:
+            raise corpus.CorpusValidationError(f"{where}.index: expected {i}")
+        frames = corpus._get(raw, "frames", list, where)
+        entries = [x for frame in frames if isinstance(frame, list) for x in frame]
+        try:
+            arr = np.asarray(frames, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or any(type(x) not in (int, float) for x in entries):
+            raise corpus.CorpusParseError(f"{where}.frames: ragged or non-numeric")
+        if arr.ndim != 2:
+            raise corpus.CorpusParseError(f"{where}.frames: expected a list of histograms")
+        subshots.append(arr)
+    corpus._check_coverage(ctx, len(subshots), video)
+    fault = frame_fault(bins, subshots)
+    if fault is not None:
+        raise corpus.CorpusValidationError(fault)
+    return corpus.SubshotFeatures(video_id, bins, subshots)
 
 
 def outcome(load, path):
@@ -51,61 +81,96 @@ def features_doc(draw):
 
 
 PERTURBATIONS = [
-    "none", "negative", "wrong_width", "ragged", "bool_index", "missing_index",
-    "sum_off_1e-6", "sum_off_near_tolerance", "non_finite", "nan", "string_entry",
-    "empty_frames", "no_subshots", "nested_frame",
+    "none", "negative", "wrong_width", "subshot_width", "ragged", "bool_index",
+    "missing_index", "sum_off_1e-6", "sum_off_near_tolerance", "non_finite", "nan",
+    "string_entry", "empty_frames", "no_subshots", "nested_frame",
 ]
+# offsets that put a row sum just inside or just outside math.isclose's 1e-9 of 1
+NEAR_TOLERANCE = [5e-10, 1e-9, 1.0000001e-9, 2e-9]
 
 
-@st.composite
-def feature_files(draw):
-    doc = features_doc(draw)
-    kind = draw(st.sampled_from(PERTURBATIONS))
+def perturb(draw, doc, kind):
+    """Put one fault of the given kind into doc at a drawn subshot, frame and entry."""
     rows = doc["subshots"]
+    if kind == "none" or not rows:
+        return None
     i = draw(st.integers(0, len(rows) - 1))
-    frames = rows[i]["frames"]
-    j = draw(st.integers(0, len(frames) - 1))
-    k = draw(st.integers(0, len(frames[j]) - 1))
-    literal = None
-    if kind == "negative":  # the row still sums to 1
-        frames[j][(k + 1) % len(frames[j])] += frames[j][k] + 0.25
-        frames[j][k] = -0.25
-    elif kind == "wrong_width":
-        doc["bins_per_channel"] += 1
-    elif kind == "ragged":
-        frames[j].pop()
-    elif kind == "bool_index":
+    frames = rows[i].get("frames", [])
+    if kind == "bool_index":
         rows[i]["index"] = draw(st.booleans())
     elif kind == "missing_index":
-        del rows[i]["index"]
-    elif kind == "sum_off_1e-6":
-        frames[j][k] += 1e-6
-    elif kind == "sum_off_near_tolerance":
-        frames[j][k] += draw(st.sampled_from([5e-10, 1e-9, 1.0000001e-9, 2e-9]))
-    elif kind == "non_finite":
-        frames[j][k] = MARK
-        literal = draw(st.sampled_from(["1e999", "-1e999", "2E308"]))
-    elif kind == "nan":
-        frames[j][k] = MARK
-        literal = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
-    elif kind == "string_entry":
-        frames[j][k] = str(frames[j][k])
+        rows[i].pop("index", None)
+    elif kind == "wrong_width":
+        doc["bins_per_channel"] += 1
+    elif kind == "subshot_width":  # every frame of the subshot, so it is not ragged
+        for frame in frames:
+            frame.append(0.0)
     elif kind == "empty_frames":
         rows[i]["frames"] = []
     elif kind == "no_subshots":
         doc["subshots"] = []
+    if not frames or kind in ("bool_index", "missing_index", "wrong_width", "subshot_width",
+                              "empty_frames", "no_subshots"):
+        return None
+    j = draw(st.integers(0, len(frames) - 1))
+    frame = frames[j]
+    if not frame or any(not isinstance(x, float) for x in frame):
+        return None
+    k = draw(st.integers(0, len(frame) - 1))
+    if kind == "negative":  # the row still sums to 1
+        frame[(k + 1) % len(frame)] += frame[k] + 0.25
+        frame[k] = -0.25
+    elif kind == "ragged":
+        frame.pop()
+    elif kind == "sum_off_1e-6":
+        frame[k] += 1e-6
+    elif kind == "sum_off_near_tolerance":
+        frame[k] += draw(st.sampled_from(NEAR_TOLERANCE))
+    elif kind == "non_finite":
+        frame[k] = MARK
+        return draw(st.sampled_from(["1e999", "-1e999", "2E308"]))
+    elif kind == "nan":
+        frame[k] = MARK
+        return draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+    elif kind == "string_entry":
+        frame[k] = str(frame[k])
     elif kind == "nested_frame":
-        frames[j][k] = [frames[j][k]]
+        frame[k] = [frame[k]]
+    return None
+
+
+# faults in a frame's values, and faults in a subshot's structure or shape
+VALUE_FAULTS = ["negative", "sum_off_1e-6", "sum_off_near_tolerance", "nan"]
+SHAPE_FAULTS = ["subshot_width", "wrong_width", "ragged", "string_entry", "empty_frames",
+                "nested_frame", "bool_index"]
+
+
+@st.composite
+def feature_files(draw, kinds=st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=1)):
+    """A features file with a fault of each drawn kind, each at a drawn place."""
+    doc = features_doc(draw)
+    literals = [perturb(draw, doc, kind) for kind in draw(kinds)]
     text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
-    if literal is not None:
-        text = text.replace(repr(MARK), literal, 1)
+    for literal in literals:
+        if literal is not None:
+            text = text.replace(repr(MARK), literal, 1)
     return text
 
 
 @settings(max_examples=300, deadline=None)
 @given(feature_files())
 def test_features_load_equals_the_checked_path(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("features") / "f.json"
+    assert_loads_like_the_checked_path(tmp_path_factory.mktemp("features") / "f.json", text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feature_files(st.tuples(st.sampled_from(VALUE_FAULTS),
+                               st.sampled_from(SHAPE_FAULTS)).flatmap(st.permutations)))
+def test_two_faults_load_equals_the_checked_path(tmp_path_factory, text):
+    assert_loads_like_the_checked_path(tmp_path_factory.mktemp("features") / "f.json", text)
+
+
+def assert_loads_like_the_checked_path(path, text):
     path.write_text(text)
     got, want = outcome(corpus.load_features, path), outcome(checked_features, path)
     assert got[0] == want[0]
@@ -120,6 +185,103 @@ def test_features_load_equals_the_checked_path(tmp_path_factory, text):
     assert len(got.subshots) == len(want.subshots)
     for a, b in zip(got.subshots, want.subshots):
         assert a.tobytes() == b.tobytes() and a.shape == b.shape
+
+
+def two_subshot_file(path, first, second):
+    """A features file of bins_per_channel 1 whose two subshots have the given frames."""
+    path.write_text(json.dumps({"video_id": "v", "bins_per_channel": 1, "subshots": [
+        {"index": 0, "frames": first}, {"index": 1, "frames": second}]}))
+    return path
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ([[0.5, 0.25, 0.0]], [[1.0, 0.0, 0.0, 0.0]],
+     "subshots[0].frames[0]: histogram sums to 0.75, expected 1"),
+    ([[1.0, 0.0, 0.0, 0.0]], [[0.5, 0.25, 0.0]],
+     "subshots[0].frames: histograms must have 3 bins, got 4"),
+    ([[1.0, 0.0, 0.0], [0.5, 0.25, 0.0]], [[-1.0, 2.0, 0.0]],
+     "subshots[0].frames[1]: histogram sums to 0.75, expected 1"),
+    ([[1.0, 0.0, 0.0]], [[-1.0, 1.5, 0.0], [0.5, 0.5]],
+     "subshots[1].frames: ragged or non-numeric"),
+    ([[1.0, 0.0, 0.0]], [[-1.0, 1.5, 0.0]],
+     "subshots[1].frames[0]: negative histogram entry"),
+], ids=["sum_then_width", "width_then_sum", "sum_then_negative", "ragged_beats_values",
+        "negative_before_sum"])
+def test_first_fault_in_subshot_order_is_named(tmp_path, first, second, message):
+    path = two_subshot_file(tmp_path / "f.json", first, second)
+    with pytest.raises(corpus.CorpusError) as info:
+        corpus.load_features(path)
+    assert str(info.value).removeprefix(f"{path}: ") == message
+    assert outcome(corpus.load_features, path) == outcome(checked_features, path)
+
+
+FRAME_FAULTS = ["negative", "nan", "inf", "sum_off", "near_tolerance"]
+
+
+@st.composite
+def built_features(draw, kinds=st.lists(st.sampled_from(FRAME_FAULTS + ["empty_subshot"]),
+                                        max_size=2)):
+    """Per-subshot arrays with a fault of each drawn kind; the loader cannot make some of them."""
+    bins = draw(st.sampled_from([1, 2, 16]))  # 48 bins sum pairwise in numpy
+    width = 3 * bins
+    subshots = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.lists(st.lists(st.integers(0, 9), min_size=width, max_size=width),
+                             min_size=1, max_size=3))
+        counts = np.array(rows, dtype=np.float64)
+        counts[:, 0] += counts.sum(axis=1) == 0
+        subshots.append(counts / counts.sum(axis=1, keepdims=True))
+    for kind in draw(kinds):
+        i = draw(st.integers(0, len(subshots) - 1))
+        if kind == "empty_subshot" or not len(subshots[i]):
+            subshots[i] = np.empty((0, width))
+            continue
+        j, k = draw(st.integers(0, len(subshots[i]) - 1)), draw(st.integers(0, width - 1))
+        if kind == "negative":
+            subshots[i][j, k] = -draw(st.sampled_from([0.25, 0.0, 1e-300]))
+        elif kind == "nan":
+            subshots[i][j, k] = np.nan
+        elif kind == "inf":
+            subshots[i][j, k] = draw(st.sampled_from([np.inf, -np.inf]))
+        elif kind == "sum_off":
+            subshots[i][j, k] += draw(st.sampled_from([1e-6, -1e-6, 0.5]))
+        else:
+            subshots[i][j, k] += draw(st.sampled_from(NEAR_TOLERANCE + [-1e-9, -2e-9]))
+    bins += draw(st.sampled_from([0, 0, 0, 1, -bins]))  # a width off the bins, or no bins
+    return bins, subshots
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_features())
+def test_validate_features_names_what_the_per_frame_loop_names(case):
+    assert_validates_like_the_per_frame_loop(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_features(st.tuples(st.sampled_from(FRAME_FAULTS),
+                                st.just("empty_subshot")).flatmap(st.permutations)))
+def test_validate_features_two_faults_name_what_the_per_frame_loop_names(case):
+    assert_validates_like_the_per_frame_loop(*case)
+
+
+def assert_validates_like_the_per_frame_loop(bins, subshots):
+    features = corpus.SubshotFeatures("v", bins, subshots)
+    try:
+        corpus.validate_features(features)
+        got = None
+    except corpus.CorpusValidationError as exc:
+        got = str(exc)
+    assert got == frame_fault(bins, subshots)
+
+
+def test_load_and_save_check_frames_through_validate_features(tmp_path):
+    features = corpus.SubshotFeatures("v", 1, [np.array([[0.5, 0.25, 0.0]])])
+    with mock.patch.object(corpus, "validate_features", wraps=corpus.validate_features) as check:
+        with pytest.raises(corpus.CorpusValidationError, match="sums to 0.75"):
+            corpus.save_features(tmp_path / "f.json", features)
+        two_subshot_file(tmp_path / "g.json", [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+        corpus.load_features(tmp_path / "g.json")
+    assert check.call_count == 2
 
 
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
