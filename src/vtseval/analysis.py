@@ -10,15 +10,22 @@ distances whose zero point is the maximal distance of 1.
 compare_pairs and compare_triples run the whole comparison of one video:
 every judgment, the verdict and case counts, and the agreement rates with
 a file of human verdicts. Triples look their scores up in two m x m
-matrices built once, so each record has the bits judge_subshot_pair gives.
+matrices built once, so each record has the bits judge_subshot_pair gives,
+and are judged all at once in numpy: verdict_codes applies the rule of
+PairJudgment.from_scores elementwise, a 4 x 4 table built from
+classify_case gives the cases, and the records come back as columns, one
+TripleRecords. It reads like the list of record dicts it replaces, and
+renders itself straight to canonical JSON for corpus.write_canonical.
 """
 from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from .corpus import (
     SubshotFeatures,
     SummarySelection,
     VideoRecord,
+    json_float,
     read_json,
 )
 from .evaluator import score_summary
@@ -233,6 +241,119 @@ def classify_case(vset: PairJudgment, pb: PairJudgment) -> CaseLabel:
     return CaseLabel.INEQUAL_DISAGREES_PB
 
 
+_VERDICTS = tuple(Verdict)
+_CASES = tuple(CaseLabel)
+_VERDICT_NAMES = tuple(v.value for v in _VERDICTS)
+_CASE_NAMES = tuple(c.value for c in _CASES)
+# _CASE_TABLE[v, p]: the index in _CASES of classify_case for text verdict
+# _VERDICTS[v] and pixel verdict _VERDICTS[p]
+_CASE_TABLE = np.array([
+    [_CASES.index(classify_case(PairJudgment(v, 0.0, 0.0), PairJudgment(p, 0.0, 0.0)))
+     for p in _VERDICTS]
+    for v in _VERDICTS
+])
+
+
+def verdict_codes(first: np.ndarray, second: np.ndarray, zero_threshold: float) -> np.ndarray:
+    """Each pair's verdict as an index into tuple(Verdict), as PairJudgment.from_scores gives it.
+
+    The same IEEE comparisons in the same precedence, elementwise: both at
+    or below the zero threshold, then within the tie tolerance, then first
+    above second; anything else, NaN included, is SECOND_CLOSER.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+        tie = np.abs(first - second) <= TIE_TOLERANCE
+    zero = (first <= zero_threshold) & (second <= zero_threshold)
+    return np.select([zero, tie, first > second], [0, 1, 2], 3)
+
+
+# one record of TripleRecords, laid out as canonical JSON at indent 0; the
+# fields in order are case, pb first/second/verdict, ref, vset first/second/verdict, x, y
+_RECORD = (
+    '{\n  "case": "%s",\n  "pb": {\n    "first_score": %r,\n    "second_score": %r,\n'
+    '    "verdict": "%s"\n  },\n  "ref": %d,\n  "vset": {\n    "first_score": %r,\n'
+    '    "second_score": %r,\n    "verdict": "%s"\n  },\n  "x": %d,\n  "y": %d\n}'
+)
+_BLOCK = 512  # records rendered per piece of canonical()
+
+
+def _record(case, pb_first, pb_second, pb, ref, vset_first, vset_second, vset, x, y) -> dict:
+    return {"ref": ref, "x": x, "y": y,
+            "vset": {"verdict": vset, "first_score": vset_first, "second_score": vset_second},
+            "pb": {"verdict": pb, "first_score": pb_first, "second_score": pb_second},
+            "case": case}
+
+
+class TripleRecords(Sequence):
+    """The records of compare_triples as three arrays, one row per triple.
+
+    ``triples`` holds (ref, x, y); ``scores`` the pixel scores of x and y
+    against ref, then their text scores (the order they are written in);
+    ``codes`` the text and pixel verdicts as indices into tuple(Verdict),
+    then the case as an index into tuple(CaseLabel). Indexing and
+    iteration give each record as a dict ``{"ref", "x", "y", "vset",
+    "pb", "case"}``, vset and pb as PairJudgment.to_dict has them;
+    ``canonical`` writes them all as canonical JSON, which is how
+    corpus.write_canonical writes them.
+    """
+
+    __slots__ = ("triples", "scores", "codes")
+
+    def __init__(self, triples: np.ndarray, scores: np.ndarray, codes: np.ndarray) -> None:
+        self.triples, self.scores, self.codes = triples, scores, codes
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def _rows(self, start: int = 0, stop: int | None = None):
+        """Rows start..stop as tuples of Python values, in the order of _RECORD's fields."""
+        part = slice(start, stop)
+        ref, x, y = self.triples[part].T.tolist()
+        pb_first, pb_second, vset_first, vset_second = self.scores[part].T.tolist()
+        vset, pb, case = self.codes[part].T.tolist()
+        verdict_of = _VERDICT_NAMES.__getitem__
+        return zip(map(_CASE_NAMES.__getitem__, case), pb_first, pb_second, map(verdict_of, pb),
+                   ref, vset_first, vset_second, map(verdict_of, vset), x, y)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # IndexError and negative indices as for a list
+        return _record(*next(self._rows(i, i + 1)))
+
+    def __iter__(self):
+        return starmap(_record, self._rows())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, TripleRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def canonical(self, indent: str):
+        """Yield the canonical JSON text of the records as a list, in pieces of _BLOCK records.
+
+        indent is the line break and spaces of the list's own line. Each
+        record is one ``%`` of a template, floats as ``float.__repr__``; a
+        non-finite score raises json's ValueError before anything is yielded.
+        """
+        if not len(self):
+            yield "[]"
+            return
+        bad = np.flatnonzero(~np.isfinite(self.scores))
+        if len(bad):
+            json_float(float(self.scores.flat[bad[0]]))  # raises, naming the first in file order
+        item = indent + "  "
+        template = _RECORD.replace("\n", item)
+        sep = "," + item
+        opening = "[" + item
+        for start in range(0, len(self), _BLOCK):
+            yield opening + sep.join(map(template.__mod__, self._rows(start, start + _BLOCK)))
+            opening = sep
+        yield indent + "]"
+
+
 def sample_summary_pairs(
     m: int,
     n: int,
@@ -260,13 +381,13 @@ def agreement_rate(judgments: Sequence[tuple[PairJudgment, Verdict]]) -> float:
     return hits / len(judgments)
 
 
-def _agreement(human: str | Path, matched: list[tuple]) -> dict:
-    """Agreement of the (text, pixel or None, human) verdicts of the human-judged items."""
-    if not matched:
+def _agreement(human: str | Path, n: int, vset_hits: int, pb_hits: int | None) -> dict:
+    """The agreement block: hit rates of the text and (when judged) pixel verdicts over n items."""
+    if not n:
         raise CorpusValidationError(f"{human}: no judgments match this video")
-    out = {"vset": agreement_rate([(v, verdict) for v, _, verdict in matched]), "n": len(matched)}
-    if matched[0][1] is not None:
-        out["pb"] = agreement_rate([(pb, verdict) for _, pb, verdict in matched])
+    out = {"vset": vset_hits / n, "n": n}
+    if pb_hits is not None:
+        out["pb"] = pb_hits / n
     return out
 
 
@@ -312,7 +433,10 @@ def compare_pairs(
     if with_pixel:
         payload["case_counts"] = dict(cases)
     if human:
-        payload["agreement"] = _agreement(human, matched)
+        pb_hits = sum(pb.verdict is said for _, pb, said in matched) if with_pixel else None
+        payload["agreement"] = _agreement(
+            human, len(matched), sum(v.verdict is said for v, _, said in matched), pb_hits
+        )
     return payload
 
 
@@ -326,8 +450,10 @@ def compare_triples(
 
     Text scores come from rouge.su_f_matrix, with subshot x's annotation
     as the candidate and ref's as the reference, pixel scores
-    from visual.subshot_distance_matrix. A human file must judge only such
-    triples (CorpusValidationError otherwise).
+    from visual.subshot_distance_matrix. All triples are judged at once
+    (verdict_codes, then the case table); the records come back as one
+    TripleRecords. A human file must judge only such triples
+    (CorpusValidationError otherwise).
     """
     m = len(video)
     if len(features) != m:
@@ -337,25 +463,46 @@ def compare_triples(
                      lambda key: 0 <= key[1] < key[2] < m and 0 <= key[0] < m
                      and key[0] not in key[1:])
     annotations = [shot.annotation for shot in video.subshots]
-    text = su_f_matrix(table or UnitTable(), annotations, annotations)
-    pixel = (-subshot_distance_matrix(features)).tolist()
-    records, cases, matched = [], Counter(), []
-    for ref in range(m):
-        for x in range(m):
-            if x == ref:
-                continue
-            for y in range(x + 1, m):
-                if y == ref:
-                    continue
-                vset = PairJudgment.from_scores(text[x][ref], text[y][ref], TEXT_ZERO)
-                pb = PairJudgment.from_scores(pixel[x][ref], pixel[y][ref], PIXEL_ZERO)
-                case = classify_case(vset, pb).value
-                cases[case] += 1
-                records.append({"ref": ref, "x": x, "y": y, "vset": vset.to_dict(),
-                                "pb": pb.to_dict(), "case": case})
-                if (ref, x, y) in verdicts:
-                    matched.append((vset, pb, verdicts[(ref, x, y)]))
-    payload = {"mode": "triples", "triples": records, "case_counts": dict(cases)}
+    text = np.array(su_f_matrix(table or UnitTable(), annotations, annotations), dtype=np.float64)
+    pixel = -subshot_distance_matrix(features)
+    ref, x, y = _triples(m)
+    scores = np.stack([pixel[x, ref], pixel[y, ref], text[x, ref], text[y, ref]], axis=1)
+    pb = verdict_codes(scores[:, 0], scores[:, 1], PIXEL_ZERO)
+    vset = verdict_codes(scores[:, 2], scores[:, 3], TEXT_ZERO)
+    case = _CASE_TABLE[vset, pb]
+    counts = np.bincount(case, minlength=len(_CASES)).tolist()
+    payload = {
+        "mode": "triples",
+        "triples": TripleRecords(np.stack([ref, x, y], axis=1), scores,
+                                 np.stack([vset, pb, case], axis=1)),
+        "case_counts": {name: k for name, k in zip(_CASE_NAMES, counts) if k},
+    }
     if human:
-        payload["agreement"] = _agreement(human, matched)
+        r, hx, hy = np.array(list(verdicts), dtype=np.intp).reshape(-1, 3).T
+        rows = _triple_rows(m, r, hx, hy)
+        said = np.array([_VERDICTS.index(v) for v in verdicts.values()], dtype=np.intp)
+        payload["agreement"] = _agreement(human, len(rows), np.count_nonzero(vset[rows] == said),
+                                          np.count_nonzero(pb[rows] == said))
     return payload
+
+
+def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triple (ref, x < y) of distinct subshots, in record order: by ref, x, then y."""
+    x, y = np.triu_indices(m, 1)  # the pairs x < y in row-major order
+    ref = np.repeat(np.arange(m), len(x))
+    x, y = np.tile(x, m), np.tile(y, m)
+    keep = (x != ref) & (y != ref)
+    return ref[keep], x[keep], y[keep]
+
+
+def _triple_rows(m: int, ref: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The record index of each triple (ref, x < y) of distinct subshots of m.
+
+    A ref's records are the pairs of the other n = m - 1 subshots,
+    renumbered 0..n-1 without ref; pair (x, y) of those comes after the
+    x * (2n - x - 1) / 2 pairs whose first subshot is below x.
+    """
+    n = m - 1
+    x = x - (x > ref)
+    y = y - (y > ref)
+    return ref * (n * (n - 1) // 2) + x * (2 * n - x - 1) // 2 + (y - x - 1)

@@ -45,6 +45,8 @@ def _table(args) -> UnitTable:
         return UnitTable(load_stopwords(args.stopwords))
     except OSError as exc:
         raise corpus.CorpusIOError(f"cannot read {args.stopwords}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise corpus.CorpusParseError(f"{args.stopwords}: not UTF-8 text: {exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

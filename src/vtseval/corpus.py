@@ -12,10 +12,19 @@ they keep; a file they refuse goes through read_json, so the error still
 names a non-finite literal. A feature file is read once, subshot by
 subshot, into one SubshotFeatures; ``validate_features``, the one check
 of frame values on load and on save, checks every frame in numpy and
-names the first bad subshot and frame. Writes go to a uniquely named
-temporary file in the target directory that is renamed into place, so a
-failed save never leaves a partial file and concurrent writers never
-clobber each other's temporary file.
+names the first bad subshot and frame. A file that is not UTF-8 is
+refused with a parse error naming it.
+
+Every file is written by one writer, ``write_canonical``. It streams the
+text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2,
+allow_nan=False)`` plus a newline, byte for byte, without the stdlib's
+pure-Python indent encoder: lists of plain numbers are written in one
+piece, and a value with a ``canonical(indent)`` method (the columnar
+analysis.TripleRecords) writes its own text. ``canonical_dumps`` returns
+the same text as a string. Writes go to a uniquely named temporary file
+in the target directory that is renamed into place, so a failed save
+never leaves a partial file and concurrent writers never clobber each
+other's temporary file.
 """
 from __future__ import annotations
 
@@ -230,17 +239,108 @@ def _check_video(ctx: str, video_id: str, video: VideoRecord | None) -> None:
 # canonical JSON plumbing
 
 
+_encode_str = json.encoder.encode_basestring
+
+
+def json_float(value: float) -> str:
+    """A finite float as JSON, ``float.__repr__``; json's allow_nan=False ValueError otherwise."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: numbers, bools and None become strings."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(json_float(key))
+    if key is True or key is False or key is None:
+        return _encode_str(json.dumps(key))
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _emit(obj, write, indent: str, active: set) -> None:
+    """Write obj as canonical JSON through write; indent is the line break of obj's line.
+
+    Types are tried in json.dumps' order and fail with its exception
+    classes: ValueError for a non-finite float or a circular reference,
+    TypeError for a value of no JSON type. A list of plain ints and
+    floats is written in one piece; a value with a ``canonical(indent)``
+    method writes the pieces that method yields.
+    """
+    if isinstance(obj, str):
+        write(_encode_str(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        write(json_float(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            write("{}" if isinstance(obj, dict) else "[]")
+            return
+        if id(obj) in active:
+            raise ValueError("Circular reference detected")
+        active.add(id(obj))
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            sep = "{" + inner
+            for key, value in sorted(obj.items()):
+                write(sep + _key_text(key) + ": ")
+                _emit(value, write, inner, active)
+                sep = "," + inner
+            write(indent + "}")
+        else:
+            # repr of an int or float is int.__repr__ or float.__repr__; of
+            # floats only nan and inf hold an "n", and go the checked way
+            numbers = set(map(type, obj)) <= {int, float}
+            text = ("," + inner).join(map(repr, obj)) if numbers else ""
+            if numbers and "n" not in text:
+                write("[" + inner + text + indent + "]")
+            else:
+                sep = "[" + inner
+                for item in obj:
+                    write(sep)
+                    _emit(item, write, inner, active)
+                    sep = "," + inner
+                write(indent + "]")
+        active.discard(id(obj))
+    elif hasattr(obj, "canonical"):
+        for chunk in obj.canonical(indent):
+            write(chunk)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """obj as canonical JSON text, ending in a newline.
+
+    The text is that of ``json.dumps(obj, ensure_ascii=False,
+    sort_keys=True, indent=2, allow_nan=False) + "\\n"``, with the same
+    exception classes; a value with ``canonical(indent)`` renders itself.
+    """
+    parts: list[str] = []
+    _emit(obj, parts.append, "\n", set())
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_canonical(path: str | Path, obj) -> None:
-    """Serialize to canonical JSON; write via a unique temp file + rename."""
+    """Write obj as canonical JSON, streamed into a unique temp file that is renamed into place.
+
+    A value that cannot be written (non-finite, or text that is not
+    UTF-8) raises CorpusValidationError naming the path, a value of no
+    JSON type TypeError; either way the temp file is removed.
+    """
     path = Path(path)
-    try:
-        text = canonical_dumps(obj)
-    except ValueError as exc:
-        raise CorpusValidationError(f"cannot write {path}: {exc}") from exc
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     created = False
     try:
@@ -248,9 +348,12 @@ def write_canonical(path: str | Path, obj) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _emit(obj, fh.write, "\n", set())
+            fh.write("\n")
         os.replace(tmp, path)
         created = False
+    except ValueError as exc:
+        raise CorpusValidationError(f"cannot write {path}: {exc}") from exc
     except OSError as exc:
         raise CorpusIOError(f"cannot write {path}: {exc}") from exc
     finally:
@@ -263,6 +366,8 @@ def _read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_json(path: str | Path) -> dict:

@@ -137,6 +137,54 @@ def frame_fault(bins_per_channel, subshots):
     return None
 
 
+def triple_loop(text, pixel, human=None) -> dict:
+    """compare_triples' records, case counts and agreement, one triple at a time.
+
+    text and pixel are m x m score lists whose cell [x][ref] scores subshot
+    x against ref; human maps (ref, x, y) to a verdict name. A verdict is
+    both_zero when both scores are at or below zero (0.0 for text, -1.0
+    for pixel), both_equal within 1e-9, else the larger score's side.
+    """
+    def verdict(first, second, zero):
+        if first <= zero and second <= zero:
+            return "both_zero"
+        if abs(first - second) <= 1e-9:
+            return "both_equal"
+        return "first_closer" if first > second else "second_closer"
+
+    m = len(text)
+    records, cases, hits = [], {}, {"vset": 0, "pb": 0, "n": 0}
+    for ref in range(m):
+        for x in range(m):
+            for y in range(x + 1, m):
+                if ref in (x, y):
+                    continue
+                vset = verdict(text[x][ref], text[y][ref], 0.0)
+                pb = verdict(pixel[x][ref], pixel[y][ref], -1.0)
+                if vset in ("both_zero", "both_equal"):
+                    case = vset
+                else:
+                    case = "inequal_agrees_pb" if pb == vset else "inequal_disagrees_pb"
+                cases[case] = cases.get(case, 0) + 1
+                records.append({
+                    "ref": ref, "x": x, "y": y,
+                    "vset": {"verdict": vset, "first_score": text[x][ref],
+                             "second_score": text[y][ref]},
+                    "pb": {"verdict": pb, "first_score": pixel[x][ref],
+                           "second_score": pixel[y][ref]},
+                    "case": case,
+                })
+                if human and (ref, x, y) in human:
+                    hits["n"] += 1
+                    hits["vset"] += vset == human[(ref, x, y)]
+                    hits["pb"] += pb == human[(ref, x, y)]
+    out = {"mode": "triples", "triples": records, "case_counts": cases}
+    if human:
+        out["agreement"] = {"vset": hits["vset"] / hits["n"], "pb": hits["pb"] / hits["n"],
+                            "n": hits["n"]}
+    return out
+
+
 def fold_right_sum(values) -> float:
     total = 0.0
     for v in reversed(list(values)):

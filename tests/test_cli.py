@@ -347,6 +347,33 @@ def test_unreadable_stopwords_file_exits_2_naming_it(paths, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+class TestNotUtf8:
+    """Input bytes that are not UTF-8 exit 2 with a parse error that names the file."""
+
+    def run(self, paths, tmp_path, capsys, *extra):
+        argv = ["evaluate", "--annotations", paths["annotations"],
+                "--ground-truth", paths["ground_truth"], "--summary", paths["summary"],
+                "--output", str(tmp_path / "r.json"), *extra]
+        assert main(argv) == 2
+        assert not (tmp_path / "r.json").exists()
+        return json.loads(capsys.readouterr().err)
+
+    def test_annotations_file(self, paths, tmp_path, capsys):
+        annotations = tmp_path / "a.json"
+        annotations.write_bytes(b'{"video_id": "v\xff"}')
+        paths = {**paths, "annotations": str(annotations)}
+        error = self.run(paths, tmp_path, capsys)
+        assert error["error"] == "CorpusParseError"
+        assert error["message"].startswith(f"{annotations}: not UTF-8 text: ")
+
+    def test_stopwords_file(self, paths, tmp_path, capsys):
+        stops = tmp_path / "stop.txt"
+        stops.write_bytes(b"\xff\xfe")
+        error = self.run(paths, tmp_path, capsys, "--stopwords", str(stops))
+        assert error["error"] == "CorpusParseError"
+        assert error["message"].startswith(f"{stops}: not UTF-8 text: ")
+
+
 def test_stopwords_flag_reaches_every_text_command(paths, tmp_path):
     """With every word of the fixture a stopword, no text has a unit: all text scores are 0."""
     texts = [shot.annotation for shot in corpus.load_annotations(paths["annotations"]).subshots]

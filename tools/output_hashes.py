@@ -13,6 +13,11 @@ appeared in that directory while the steps ran. It writes
 so two checkouts give comparable hashes only at the same relative paths,
 which this layout keeps.
 
+Every file a vtseval command wrote must equal the stdlib's canonical
+encoding of its own parse, ``json.dumps(..., ensure_ascii=False,
+sort_keys=True, indent=2, allow_nan=False) + "\\n"``; the tool exits 1 if
+one does not, so vtseval's own writer cannot drift from that form.
+
 It then runs the last command of each label again, each in a fresh
 ``python -m vtseval.cli`` process with the same arguments, and exits 1 if
 any output differs from the in-process run: state that one command leaves
@@ -44,8 +49,14 @@ def _files(directory: Path) -> set[Path]:
     return {p for p in directory.rglob("*") if p.is_file()}
 
 
-def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """Hashes of every file the plans write, and the last command of each label."""
+def _canonical(path: Path) -> bool:
+    text = path.read_text(encoding="utf-8")
+    return text == json.dumps(json.loads(text), ensure_ascii=False, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+
+
+def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]], list[Path]]:
+    """Hashes of every file the plans write, the last command of each label, the commands' files."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
     from worker import _write_scores
@@ -54,6 +65,7 @@ def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]]]:
 
     hashes: dict[str, str] = {}
     last: dict[str, list[str]] = {}
+    written: list[Path] = []
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             work = WORK / f"{workload}-{seed}"
@@ -64,15 +76,17 @@ def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]]]:
                 if step.kind == "scores":
                     _write_scores(step.argv[0], step.argv[1:])
                     continue
+                before = _files(work)
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(step.argv)
+                written += sorted(_files(work) - before)
                 if code != 0:
                     raise SystemExit(f"output_hashes: {workload} seed {seed}: "
                                      f"{' '.join(step.argv)} failed")
                 last[step.label] = step.argv
             for path in sorted(_files(work) - inputs):
                 hashes[str(path.relative_to(WORK))] = _sha256(path)
-    return hashes, last
+    return hashes, last, written
 
 
 def main() -> int:
@@ -85,13 +99,18 @@ def main() -> int:
     # plan paths are relative to the checkout root, and commands resolve them from the cwd
     os.chdir(ROOT)
     shutil.rmtree(WORK, ignore_errors=True)
-    hashes, reruns = _run_plans(args.seeds)
+    hashes, reruns, written = _run_plans(args.seeds)
     text = json.dumps(hashes, indent=2, sort_keys=True) + "\n"
     if output:
         output.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"output_hashes: {len(hashes)} files from seeds {args.seeds}\n")
+    drifted = [path for path in written if not _canonical(path)]
+    sys.stderr.write(f"output_hashes: {len(written) - len(drifted)} of {len(written)} command "
+                     "outputs are the stdlib's canonical JSON\n")
+    for path in drifted:
+        sys.stderr.write(f"output_hashes: not canonical: {path.relative_to(ROOT)}\n")
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     differ = []
@@ -107,7 +126,7 @@ def main() -> int:
                      "give the same bytes in a fresh process\n")
     for line in differ:
         sys.stderr.write(f"output_hashes: differs in a fresh process: {line}\n")
-    return 1 if differ else 0
+    return 1 if differ or drifted else 0
 
 
 if __name__ == "__main__":
