@@ -5,27 +5,23 @@ zero threshold means neither item resembles the reference, scores within
 the tie tolerance mean they are equally similar, and otherwise the larger
 similarity wins. Text scores are F-measures whose zero point is an exact
 integer match count of zero; pixel scores are negated chi-square
-distances whose zero point is the maximal distance of 1.
+distances whose zero point is the maximal distance of 1. verdict_codes
+is the only copy of this rule; PairJudgment and the judge_* functions
+judge one item at a time.
 
-compare_pairs and compare_triples run the whole comparison of one video:
-every judgment, the verdict and case counts, and the agreement rates with
-a file of human verdicts. Triples look their scores up in two m x m
-matrices built once, so each record has the bits judge_subshot_pair gives,
-and are judged all at once in numpy: verdict_codes applies the rule of
-PairJudgment.from_scores elementwise, a 4 x 4 table built from
-classify_case gives the cases, and the records come back as columns, one
-TripleRecords. It reads like the list of record dicts it replaces, and
-renders itself straight to canonical JSON for corpus.write_canonical.
+compare_pairs and compare_triples judge a whole video alike: scores go
+into one k x 4 array, verdict_codes and a case table built from
+classify_case judge every row at once, and human verdicts are looked up
+by record row. Triples come back as one columnar TripleRecords, which
+reads like a list of record dicts and renders itself as canonical JSON.
 """
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -82,15 +78,6 @@ def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, 
     return out
 
 
-def _refuse_unjudged(path: str | Path, verdicts: dict[tuple, Verdict], keys: tuple[str, ...],
-                     judged: Callable[[tuple], bool]) -> None:
-    """Refuse a human verdict for an item the comparison does not judge (judged(key) false)."""
-    for i, key in enumerate(verdicts):  # in file order: a repeated key was refused on load
-        if not judged(key):
-            fields = ", ".join(f"{k}={v}" for k, v in zip(keys, key))
-            raise CorpusValidationError(f"{path}: judgments[{i}]: no judgments match {fields}")
-
-
 class CaseLabel(enum.Enum):
     BOTH_ZERO = "both_zero"
     BOTH_EQUAL = "both_equal"
@@ -105,25 +92,17 @@ class PairJudgment:
     second_score: float
 
     @classmethod
-    def from_scores(
-        cls, first: float, second: float, zero_threshold: float = TEXT_ZERO
-    ) -> "PairJudgment":
-        if first <= zero_threshold and second <= zero_threshold:
-            verdict = Verdict.BOTH_ZERO
-        elif abs(first - second) <= TIE_TOLERANCE:
-            verdict = Verdict.BOTH_EQUAL
-        elif first > second:
-            verdict = Verdict.FIRST_CLOSER
-        else:
-            verdict = Verdict.SECOND_CLOSER
-        return cls(verdict=verdict, first_score=first, second_score=second)
+    def from_scores(cls, first: float, second: float, zero_threshold: float = TEXT_ZERO):
+        code = verdict_codes(np.float64(first), np.float64(second), zero_threshold)
+        return cls(verdict=_VERDICTS[code], first_score=first, second_score=second)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "first_score": self.first_score,
-            "second_score": self.second_score,
-        }
+        return _judgment(self.verdict.value, self.first_score, self.second_score)
+
+
+def _judgment(verdict: str, first: float, second: float) -> dict:
+    """One side's judgment as written in every compare record."""
+    return {"verdict": verdict, "first_score": first, "second_score": second}
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -185,12 +164,10 @@ def judge_summary_pair(
     if metric == "pixel":
         if features is None or gt_subshots is None:
             raise ValueError("pixel judgments need features and a ground-truth subshot selection")
-        sa = -pixel_summary_distance(a, gt_subshots, features)
-        sb = -pixel_summary_distance(b, gt_subshots, features)
+        sa, sb = (-pixel_summary_distance(s, gt_subshots, features) for s in (a, b))
         return PairJudgment.from_scores(sa, sb, zero_threshold=PIXEL_ZERO)
     table = table or UnitTable()
-    sa = score_summary(a, video, gts, metric, table=table).score
-    sb = score_summary(b, video, gts, metric, table=table).score
+    sa, sb = (score_summary(s, video, gts, metric, table=table).score for s in (a, b))
     return PairJudgment.from_scores(sa, sb, zero_threshold=TEXT_ZERO)
 
 
@@ -206,22 +183,19 @@ def judge_subshot_pair(
     """Which of subshots x, y is closer to reference subshot ref."""
     if len({x, y, ref}) != 3:
         raise ValueError(f"subshot indices must be distinct, got ({x}, {y}, {ref})")
-    if metric == "pixel":
-        if features is None:
-            raise ValueError("pixel judgments need features")
-        for idx in (x, y, ref):
-            if idx < 0 or idx >= len(features):
-                raise ValueError(f"subshot index {idx} out of range")
-        sx = -subshot_min_distance(features.subshots[x], features.subshots[ref])
-        sy = -subshot_min_distance(features.subshots[y], features.subshots[ref])
-        return PairJudgment.from_scores(sx, sy, zero_threshold=PIXEL_ZERO)
+    if metric == "pixel" and features is None:
+        raise ValueError("pixel judgments need features")
     for idx in (x, y, ref):
-        if idx < 0 or idx >= len(video):
+        if idx < 0 or idx >= len(features if metric == "pixel" else video):
             raise ValueError(f"subshot index {idx} out of range")
+    if metric == "pixel":
+        frames = features.subshots
+        sx, sy = (-subshot_min_distance(frames[i], frames[ref]) for i in (x, y))
+        return PairJudgment.from_scores(sx, sy, zero_threshold=PIXEL_ZERO)
     table = table or UnitTable()
     ref_text = [video.subshots[ref].annotation]
-    sx = rouge_su([video.subshots[x].annotation], ref_text, table=table).f_measure
-    sy = rouge_su([video.subshots[y].annotation], ref_text, table=table).f_measure
+    sx, sy = (rouge_su([video.subshots[i].annotation], ref_text, table=table).f_measure
+              for i in (x, y))
     return PairJudgment.from_scores(sx, sy, zero_threshold=TEXT_ZERO)
 
 
@@ -232,10 +206,8 @@ def classify_case(vset: PairJudgment, pb: PairJudgment) -> CaseLabel:
     agrees with the pixel side only when the pixel verdict names the same
     side (a non-directional pixel verdict counts as disagreement).
     """
-    if vset.verdict is Verdict.BOTH_ZERO:
-        return CaseLabel.BOTH_ZERO
-    if vset.verdict is Verdict.BOTH_EQUAL:
-        return CaseLabel.BOTH_EQUAL
+    if vset.verdict in (Verdict.BOTH_ZERO, Verdict.BOTH_EQUAL):
+        return CaseLabel(vset.verdict.value)
     if pb.verdict is vset.verdict:
         return CaseLabel.INEQUAL_AGREES_PB
     return CaseLabel.INEQUAL_DISAGREES_PB
@@ -255,11 +227,9 @@ _CASE_TABLE = np.array([
 
 
 def verdict_codes(first: np.ndarray, second: np.ndarray, zero_threshold: float) -> np.ndarray:
-    """Each pair's verdict as an index into tuple(Verdict), as PairJudgment.from_scores gives it.
-
-    The same IEEE comparisons in the same precedence, elementwise: both at
-    or below the zero threshold, then within the tie tolerance, then first
-    above second; anything else, NaN included, is SECOND_CLOSER.
+    """Each pair's verdict as an index into tuple(Verdict), by the rule in order of precedence:
+    both at or below the zero threshold, then within the tie tolerance, then
+    first above second; anything else, NaN included, is SECOND_CLOSER.
     """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
         tie = np.abs(first - second) <= TIE_TOLERANCE
@@ -278,23 +248,18 @@ _BLOCK = 512  # records rendered per piece of canonical()
 
 
 def _record(case, pb_first, pb_second, pb, ref, vset_first, vset_second, vset, x, y) -> dict:
-    return {"ref": ref, "x": x, "y": y,
-            "vset": {"verdict": vset, "first_score": vset_first, "second_score": vset_second},
-            "pb": {"verdict": pb, "first_score": pb_first, "second_score": pb_second},
-            "case": case}
+    return {"ref": ref, "x": x, "y": y, "vset": _judgment(vset, vset_first, vset_second),
+            "pb": _judgment(pb, pb_first, pb_second), "case": case}
 
 
 class TripleRecords(Sequence):
     """The records of compare_triples as three arrays, one row per triple.
 
     ``triples`` holds (ref, x, y); ``scores`` the pixel scores of x and y
-    against ref, then their text scores (the order they are written in);
-    ``codes`` the text and pixel verdicts as indices into tuple(Verdict),
-    then the case as an index into tuple(CaseLabel). Indexing and
-    iteration give each record as a dict ``{"ref", "x", "y", "vset",
-    "pb", "case"}``, vset and pb as PairJudgment.to_dict has them;
-    ``canonical`` writes them all as canonical JSON, which is how
-    corpus.write_canonical writes them.
+    against ref, then their text scores; ``codes`` is what _judge gives.
+    Indexing and iteration give each record as a dict ``{"ref", "x", "y",
+    "vset", "pb", "case"}``; ``canonical`` writes them all as canonical
+    JSON, which is how corpus.write_canonical writes them.
     """
 
     __slots__ = ("triples", "scores", "codes")
@@ -328,8 +293,6 @@ class TripleRecords(Sequence):
         if isinstance(other, (list, TripleRecords)):
             return list(self) == list(other)
         return NotImplemented
-
-    __hash__ = None
 
     def canonical(self, indent: str):
         """Yield the canonical JSON text of the records as a list, in pieces of _BLOCK records.
@@ -365,30 +328,50 @@ def sample_summary_pairs(
     if n > m:
         raise ValueError(f"cannot sample {n} distinct indices from {m}")
     rng = SplitMix64(seed)
-    pairs = []
-    for _ in range(count):
-        first = SummarySelection(video_id=video_id, indices=tuple(sample_indices(m, n, rng)))
-        second = SummarySelection(video_id=video_id, indices=tuple(sample_indices(m, n, rng)))
-        pairs.append((first, second))
-    return pairs
+
+    def draw() -> SummarySelection:
+        return SummarySelection(video_id=video_id, indices=tuple(sample_indices(m, n, rng)))
+
+    return [(draw(), draw()) for _ in range(count)]  # first, then second
 
 
-def agreement_rate(judgments: Sequence[tuple[PairJudgment, Verdict]]) -> float:
-    """Fraction of judgments whose verdict matches the human verdict."""
-    if not judgments:
-        raise ValueError("cannot compute agreement over an empty list")
-    hits = sum(1 for automatic, human in judgments if automatic.verdict is human)
-    return hits / len(judgments)
+def _judge(scores: np.ndarray) -> np.ndarray:
+    """Codes of a k x 4 score array (pixel first, second, text first, second): the text
+    and pixel verdicts as indices into tuple(Verdict), the case into tuple(CaseLabel)."""
+    pb = verdict_codes(scores[:, 0], scores[:, 1], PIXEL_ZERO)
+    vset = verdict_codes(scores[:, 2], scores[:, 3], TEXT_ZERO)
+    return np.stack([vset, pb, _CASE_TABLE[vset, pb]], axis=1)
 
 
-def _agreement(human: str | Path, n: int, vset_hits: int, pb_hits: int | None) -> dict:
-    """The agreement block: hit rates of the text and (when judged) pixel verdicts over n items."""
-    if not n:
+def _counts(codes: np.ndarray, names: tuple[str, ...]) -> dict:
+    """How often each name's code occurs, for the names that occur."""
+    counts = np.bincount(codes, minlength=len(names)).tolist()
+    return {name: k for name, k in zip(names, counts) if k}
+
+
+def _human_rows(human: str | Path, fields: tuple[str, ...], bound: int, rows_of) -> tuple:
+    """The record rows a human file judges, and its verdicts as indices into tuple(Verdict).
+
+    rows_of maps key columns (a field outside 0..bound-1 as -1) to rows, -1 where no record has
+    the key; a key with no record, or an empty file, is refused (CorpusValidationError).
+    """
+    verdicts = load_human_verdicts(human, fields)
+    if not verdicts:
         raise CorpusValidationError(f"{human}: no judgments match this video")
-    out = {"vset": vset_hits / n, "n": n}
-    if pb_hits is not None:
-        out["pb"] = pb_hits / n
-    return out
+    keys = np.array([[v if 0 <= v < bound else -1 for v in key] for key in verdicts])
+    rows = rows_of(*keys.T)
+    missing = np.flatnonzero(rows < 0)
+    if len(missing):
+        i = int(missing[0])
+        named = ", ".join(f"{k}={v}" for k, v in zip(fields, list(verdicts)[i]))
+        raise CorpusValidationError(f"{human}: judgments[{i}]: no judgments match {named}")
+    return rows, np.array([_VERDICTS.index(v) for v in verdicts.values()])
+
+
+def _agreement(codes: np.ndarray, said: np.ndarray) -> dict:
+    """The agreement block: the share of judged rows whose vset (then pb) code is the human's."""
+    hits = np.count_nonzero(codes == said[:, None], axis=0).tolist()
+    return {"n": len(said), **{side: k / len(said) for side, k in zip(("vset", "pb"), hits)}}
 
 
 def compare_pairs(
@@ -409,34 +392,30 @@ def compare_pairs(
     agreement rates need a human file judging pairs by their index, each
     in 0..count-1 (CorpusValidationError otherwise).
     """
-    verdicts = load_human_verdicts(human, ("pair",)) if human else {}
-    _refuse_unjudged(human, verdicts, ("pair",), lambda key: 0 <= key[0] < count)
+    rows, said = _human_rows(human, ("pair",), count, lambda pair: pair) if human else (None, None)
     with_pixel = features is not None and gt_subshots is not None
     table = table or UnitTable()
-    records, counts, cases, matched = [], Counter(), Counter(), []
-    for i, (a, b) in enumerate(sample_summary_pairs(len(video), n, count, seed, video.video_id)):
-        vset = judge_summary_pair(a, b, video, gts, metric, table=table)
-        counts[vset.verdict.value] += 1
-        record = {"pair": i, "a": list(a.indices), "b": list(b.indices), "vset": vset.to_dict()}
-        pb = None
+    pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
+    scores = np.zeros((count, 4))
+    for i, (a, b) in enumerate(pairs):
+        scores[i, 2:] = [score_summary(s, video, gts, metric, table=table).score for s in (a, b)]
         if with_pixel:
-            pb = judge_summary_pair(
-                a, b, video, gts, "pixel", features=features, gt_subshots=gt_subshots
-            )
-            case = classify_case(vset, pb).value
-            cases[case] += 1
-            record.update(pb=pb.to_dict(), case=case)
-        if (i,) in verdicts:
-            matched.append((vset, pb, verdicts[(i,)]))
+            scores[i, :2] = [-pixel_summary_distance(s, gt_subshots, features) for s in (a, b)]
+    codes = _judge(scores)
+    records = []
+    for i, ((a, b), (pb1, pb2, v1, v2), (vset, pb, case)) in enumerate(
+            zip(pairs, scores.tolist(), codes.tolist())):
+        record = {"pair": i, "a": list(a.indices), "b": list(b.indices),
+                  "vset": _judgment(_VERDICT_NAMES[vset], v1, v2)}
+        if with_pixel:
+            record.update(pb=_judgment(_VERDICT_NAMES[pb], pb1, pb2), case=_CASE_NAMES[case])
         records.append(record)
-    payload = {"mode": "pairs", "pairs": records, "verdict_counts": dict(counts)}
+    payload = {"mode": "pairs", "pairs": records,
+               "verdict_counts": _counts(codes[:, 0], _VERDICT_NAMES)}
     if with_pixel:
-        payload["case_counts"] = dict(cases)
+        payload["case_counts"] = _counts(codes[:, 2], _CASE_NAMES)
     if human:
-        pb_hits = sum(pb.verdict is said for _, pb, said in matched) if with_pixel else None
-        payload["agreement"] = _agreement(
-            human, len(matched), sum(v.verdict is said for v, _, said in matched), pb_hits
-        )
+        payload["agreement"] = _agreement(codes[rows, :2 if with_pixel else 1], said)
     return payload
 
 
@@ -448,41 +427,26 @@ def compare_triples(
 ) -> dict:
     """Judge every triple (ref, x < y) of distinct subshots; the compare output of triples mode.
 
-    Text scores come from rouge.su_f_matrix, with subshot x's annotation
-    as the candidate and ref's as the reference, pixel scores
-    from visual.subshot_distance_matrix. All triples are judged at once
-    (verdict_codes, then the case table); the records come back as one
-    TripleRecords. A human file must judge only such triples
-    (CorpusValidationError otherwise).
+    Text scores come from rouge.su_f_matrix, with subshot x's annotation as
+    the candidate and ref's as the reference, pixel scores from
+    visual.subshot_distance_matrix; the records are one TripleRecords. A
+    human file must judge only such triples (CorpusValidationError otherwise).
     """
     m = len(video)
     if len(features) != m:
         raise ValueError(f"features cover {len(features)} subshots, the video has {m}")
-    verdicts = load_human_verdicts(human, ("ref", "x", "y")) if human else {}
-    _refuse_unjudged(human, verdicts, ("ref", "x", "y"),
-                     lambda key: 0 <= key[1] < key[2] < m and 0 <= key[0] < m
-                     and key[0] not in key[1:])
+    rows, said = (_human_rows(human, ("ref", "x", "y"), m, lambda *key: _triple_rows(m, *key))
+                  if human else (None, None))
     annotations = [shot.annotation for shot in video.subshots]
     text = np.array(su_f_matrix(table or UnitTable(), annotations, annotations), dtype=np.float64)
     pixel = -subshot_distance_matrix(features)
     ref, x, y = _triples(m)
     scores = np.stack([pixel[x, ref], pixel[y, ref], text[x, ref], text[y, ref]], axis=1)
-    pb = verdict_codes(scores[:, 0], scores[:, 1], PIXEL_ZERO)
-    vset = verdict_codes(scores[:, 2], scores[:, 3], TEXT_ZERO)
-    case = _CASE_TABLE[vset, pb]
-    counts = np.bincount(case, minlength=len(_CASES)).tolist()
-    payload = {
-        "mode": "triples",
-        "triples": TripleRecords(np.stack([ref, x, y], axis=1), scores,
-                                 np.stack([vset, pb, case], axis=1)),
-        "case_counts": {name: k for name, k in zip(_CASE_NAMES, counts) if k},
-    }
+    codes = _judge(scores)
+    payload = {"mode": "triples", "case_counts": _counts(codes[:, 2], _CASE_NAMES),
+               "triples": TripleRecords(np.stack([ref, x, y], axis=1), scores, codes)}
     if human:
-        r, hx, hy = np.array(list(verdicts), dtype=np.intp).reshape(-1, 3).T
-        rows = _triple_rows(m, r, hx, hy)
-        said = np.array([_VERDICTS.index(v) for v in verdicts.values()], dtype=np.intp)
-        payload["agreement"] = _agreement(human, len(rows), np.count_nonzero(vset[rows] == said),
-                                          np.count_nonzero(pb[rows] == said))
+        payload["agreement"] = _agreement(codes[rows, :2], said)
     return payload
 
 
@@ -496,13 +460,14 @@ def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _triple_rows(m: int, ref: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The record index of each triple (ref, x < y) of distinct subshots of m.
+    """The record index of each key (ref, x, y) with fields below m, -1 where no record has it.
 
     A ref's records are the pairs of the other n = m - 1 subshots,
     renumbered 0..n-1 without ref; pair (x, y) of those comes after the
     x * (2n - x - 1) / 2 pairs whose first subshot is below x.
     """
     n = m - 1
+    valid = (ref >= 0) & (x >= 0) & (x < y) & (ref != x) & (ref != y)
     x = x - (x > ref)
     y = y - (y > ref)
-    return ref * (n * (n - 1) // 2) + x * (2 * n - x - 1) // 2 + (y - x - 1)
+    return np.where(valid, ref * (n * (n - 1) // 2) + x * (2 * n - x - 1) // 2 + (y - x - 1), -1)

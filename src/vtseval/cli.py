@@ -177,11 +177,24 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    video = corpus.load_annotations(args.annotations)
-    features = corpus.load_features(args.features, video) if args.features else None
+    # options that do not fit the mode are refused before any file is read
     if args.mode == "pairs":
         if not args.ground_truth:
             raise CorpusError("pairs mode requires --ground-truth")
+        if bool(args.features) != bool(args.gt_subshots):
+            missing = "--gt-subshots" if args.features else "--features"
+            raise CorpusError(f"pixel judgments in pairs mode also require {missing}")
+    else:
+        if not args.features:
+            raise CorpusError("triples mode requires --features")
+        if args.ground_truth or args.gt_subshots:
+            option = "--ground-truth" if args.ground_truth else "--gt-subshots"
+            raise CorpusError(f"triples mode does not take {option}")
+        if args.metric != "rouge-su":
+            raise CorpusError(f"triples mode scores with rouge-su, not --metric {args.metric}")
+    video = corpus.load_annotations(args.annotations)
+    features = corpus.load_features(args.features, video) if args.features else None
+    if args.mode == "pairs":
         payload = analysis.compare_pairs(
             video,
             corpus.load_ground_truths(args.ground_truth, video),
@@ -194,8 +207,6 @@ def _cmd_compare(args) -> int:
             human=args.human,
             table=_table(args),
         )
-    elif features is None:
-        raise CorpusError("triples mode requires --features")
     else:
         payload = analysis.compare_triples(
             video, features, human=args.human, table=_table(args)

@@ -137,21 +137,30 @@ def frame_fault(bins_per_channel, subshots):
     return None
 
 
+def verdict(first, second, zero) -> str:
+    """The verdict on two similarity scores: both_zero when both are at or below
+    zero (0.0 for text, -1.0 for pixel), both_equal within 1e-9, else the larger
+    score's side; a NaN falls through to second_closer."""
+    if first <= zero and second <= zero:
+        return "both_zero"
+    if abs(first - second) <= 1e-9:
+        return "both_equal"
+    return "first_closer" if first > second else "second_closer"
+
+
+def case(vset, pb) -> str:
+    """The agreement case of a text verdict and a pixel verdict."""
+    if vset in ("both_zero", "both_equal"):
+        return vset
+    return "inequal_agrees_pb" if pb == vset else "inequal_disagrees_pb"
+
+
 def triple_loop(text, pixel, human=None) -> dict:
     """compare_triples' records, case counts and agreement, one triple at a time.
 
     text and pixel are m x m score lists whose cell [x][ref] scores subshot
-    x against ref; human maps (ref, x, y) to a verdict name. A verdict is
-    both_zero when both scores are at or below zero (0.0 for text, -1.0
-    for pixel), both_equal within 1e-9, else the larger score's side.
+    x against ref; human maps (ref, x, y) to a verdict name.
     """
-    def verdict(first, second, zero):
-        if first <= zero and second <= zero:
-            return "both_zero"
-        if abs(first - second) <= 1e-9:
-            return "both_equal"
-        return "first_closer" if first > second else "second_closer"
-
     m = len(text)
     records, cases, hits = [], {}, {"vset": 0, "pb": 0, "n": 0}
     for ref in range(m):
@@ -161,18 +170,15 @@ def triple_loop(text, pixel, human=None) -> dict:
                     continue
                 vset = verdict(text[x][ref], text[y][ref], 0.0)
                 pb = verdict(pixel[x][ref], pixel[y][ref], -1.0)
-                if vset in ("both_zero", "both_equal"):
-                    case = vset
-                else:
-                    case = "inequal_agrees_pb" if pb == vset else "inequal_disagrees_pb"
-                cases[case] = cases.get(case, 0) + 1
+                label = case(vset, pb)
+                cases[label] = cases.get(label, 0) + 1
                 records.append({
                     "ref": ref, "x": x, "y": y,
                     "vset": {"verdict": vset, "first_score": text[x][ref],
                              "second_score": text[y][ref]},
                     "pb": {"verdict": pb, "first_score": pixel[x][ref],
                            "second_score": pixel[y][ref]},
-                    "case": case,
+                    "case": label,
                 })
                 if human and (ref, x, y) in human:
                     hits["n"] += 1
@@ -182,6 +188,42 @@ def triple_loop(text, pixel, human=None) -> dict:
     if human:
         out["agreement"] = {"vset": hits["vset"] / hits["n"], "pb": hits["pb"] / hits["n"],
                             "n": hits["n"]}
+    return out
+
+
+def pair_loop(pairs, text, pixel=None, human=None) -> dict:
+    """compare_pairs' records, verdict and case counts and agreement, one pair at a time.
+
+    pairs lists each pair's two index lists; text and pixel list each pair's
+    two scores (pixel None without pixel judgments); human maps a pair index
+    to a verdict name.
+    """
+    records, verdicts, cases, hits = [], {}, {}, {"vset": 0, "pb": 0, "n": 0}
+    for i, (a, b) in enumerate(pairs):
+        vset = verdict(*text[i], 0.0)
+        verdicts[vset] = verdicts.get(vset, 0) + 1
+        record = {"pair": i, "a": list(a), "b": list(b),
+                  "vset": {"verdict": vset, "first_score": text[i][0], "second_score": text[i][1]}}
+        pb = None
+        if pixel is not None:
+            pb = verdict(*pixel[i], -1.0)
+            label = case(vset, pb)
+            cases[label] = cases.get(label, 0) + 1
+            record["pb"] = {"verdict": pb, "first_score": pixel[i][0],
+                            "second_score": pixel[i][1]}
+            record["case"] = label
+        records.append(record)
+        if human and i in human:
+            hits["n"] += 1
+            hits["vset"] += vset == human[i]
+            hits["pb"] += pb == human[i]
+    out = {"mode": "pairs", "pairs": records, "verdict_counts": verdicts}
+    if pixel is not None:
+        out["case_counts"] = cases
+    if human:
+        out["agreement"] = {"vset": hits["vset"] / hits["n"], "n": hits["n"]}
+        if pixel is not None:
+            out["agreement"]["pb"] = hits["pb"] / hits["n"]
     return out
 
 

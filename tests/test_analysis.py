@@ -10,7 +10,6 @@ from vtseval.analysis import (
     CaseLabel,
     PairJudgment,
     Verdict,
-    agreement_rate,
     classify_case,
     judge_subshot_pair,
     judge_summary_pair,
@@ -300,25 +299,3 @@ class TestSampleSummaryPairs:
             assert list(a.indices) == row["a"]
             assert list(b.indices) == row["b"]
 
-
-class TestAgreementRate:
-    def j(self, verdict):
-        return PairJudgment(verdict, 0.0, 0.0)
-
-    def test_all_match(self):
-        items = [(self.j(Verdict.BOTH_ZERO), Verdict.BOTH_ZERO)] * 5
-        assert agreement_rate(items) == 1.0
-
-    def test_none_match(self):
-        items = [(self.j(Verdict.FIRST_CLOSER), Verdict.SECOND_CLOSER)] * 5
-        assert agreement_rate(items) == 0.0
-
-    def test_fraction(self):
-        items = [(self.j(Verdict.FIRST_CLOSER), Verdict.FIRST_CLOSER)] * 61 + [
-            (self.j(Verdict.FIRST_CLOSER), Verdict.SECOND_CLOSER)
-        ] * 39
-        assert agreement_rate(items) == pytest.approx(0.61, abs=1e-15)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            agreement_rate([])

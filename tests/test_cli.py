@@ -395,7 +395,8 @@ def test_stopwords_flag_reaches_every_text_command(paths, tmp_path):
     assert main(["compare", "--mode", "pairs", *common, "--count", "5", "--n", "4",
                  "--output", str(out)]) == 0
     assert json.loads(out.read_text())["verdict_counts"] == {"both_zero": 5}
-    assert main(["compare", "--mode", "triples", *common, "--features", paths["features"],
+    assert main(["compare", "--mode", "triples", "--annotations", paths["annotations"],
+                 "--stopwords", str(stops), "--features", paths["features"],
                  "--output", str(out)]) == 0
     assert {r["vset"]["verdict"] for r in json.loads(out.read_text())["triples"]} == {"both_zero"}
 
@@ -470,6 +471,39 @@ class TestCompare:
         assert code == 2
 
 
+class TestCompareOptionsFitTheMode:
+    """An option the mode would ignore is refused, naming it, before any file is read."""
+
+    @pytest.mark.parametrize("mode, extra, named", [
+        ("triples", ["--features", "f.json", "--ground-truth", "nope.json"], "--ground-truth"),
+        ("triples", ["--features", "f.json", "--gt-subshots", "nope.json"], "--gt-subshots"),
+        ("triples", ["--features", "f.json", "--metric", "rouge-2"], "--metric rouge-2"),
+        ("triples", ["--features", "f.json", "--metric", "rouge-1"], "--metric rouge-1"),
+        ("triples", [], "--features"),
+        ("pairs", ["--ground-truth", "g.json", "--features", "f.json"], "--gt-subshots"),
+        ("pairs", ["--ground-truth", "g.json", "--gt-subshots", "s.json"], "--features"),
+        ("pairs", ["--features", "f.json", "--gt-subshots", "s.json"], "--ground-truth"),
+    ])
+    def test_refused_before_reading(self, tmp_path, capsys, mode, extra, named):
+        out = tmp_path / "out.json"
+        argv = ["compare", "--mode", mode, "--annotations", str(tmp_path / "missing.json"),
+                *extra, "--output", str(out)]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "CorpusError"  # not the CorpusIOError of the missing files
+        assert named in error["message"] and f"{mode} mode" in error["message"]
+        assert not out.exists()
+
+    def test_triples_take_an_explicit_rouge_su(self, paths, tmp_path):
+        outs = [tmp_path / "default.json", tmp_path / "explicit.json"]
+        for out, extra in zip(outs, ([], ["--metric", "rouge-su"])):
+            assert main(["compare", "--mode", "triples", "--annotations", paths["annotations"],
+                         "--features", paths["features"], *extra, "--output", str(out)]) == 0
+        default, explicit = (json.loads(out.read_text()) for out in outs)
+        assert default.pop("config").pop("output") != explicit.pop("config").pop("output")
+        assert default == explicit
+
+
 class TestFeaturesBelongToVideo:
     """Every command that reads --features checks them against the annotations."""
 
@@ -506,10 +540,13 @@ class TestFeaturesBelongToVideo:
         out = tmp_path / "out.json"
         argv = self.COMMANDS[command] + [
             "--annotations", paths["annotations"],
-            "--ground-truth", paths["ground_truth"],
             "--features", str(self._bad_features(features12, tmp_path, kind)),
             "--output", str(out),
         ]
+        if command != "compare-triples":  # triples mode refuses a ground truth
+            argv += ["--ground-truth", paths["ground_truth"]]
+        if command == "compare-pairs":  # pixel judgments need both pixel inputs
+            argv += ["--gt-subshots", paths["summary"]]
         assert main(argv) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "CorpusValidationError"

@@ -3,10 +3,11 @@
 compare_triples reads its scores from two m x m matrices; every record
 must carry the bits that judge_subshot_pair computes for that triple,
 including on empty histogram bins, frames shared between subshots and
-annotations that share no words. Its verdicts are judged in numpy
-(analysis.verdict_codes), pinned here to PairJudgment.from_scores on the
-edge values of the rule, and its whole output to the per-triple loop of
-oracles.triple_loop.
+annotations that share no words. Both modes judge in numpy
+(analysis.verdict_codes, which PairJudgment.from_scores also reads); the
+rule is pinned here to the scalar oracles.verdict on its edge values, and
+the whole output of each mode to the one-item-at-a-time loops
+oracles.triple_loop and oracles.pair_loop.
 """
 import json
 import math
@@ -17,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtseval import analysis, visual
-from vtseval.corpus import CorpusValidationError, SubshotFeatures, canonical_dumps, load_summary
+from vtseval.corpus import (
+    CorpusValidationError,
+    SubshotFeatures,
+    SummarySelection,
+    canonical_dumps,
+    load_summary,
+)
+from vtseval.evaluator import score_summary
 from vtseval.rouge import UnitTable, su_f_matrix
 
 import oracles
@@ -104,28 +112,37 @@ def score_pairs(draw):
     return a, a if kind == "equal" else draw(scores)
 
 
+NAMES = [v.value for v in VERDICTS]
+
+
 def expected_codes(pairs, zero):
-    return [VERDICTS.index(analysis.PairJudgment.from_scores(a, b, zero).verdict)
-            for a, b in pairs]
+    return [NAMES.index(oracles.verdict(a, b, zero)) for a, b in pairs]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(score_pairs(), min_size=1, max_size=20),
        st.sampled_from([analysis.TEXT_ZERO, analysis.PIXEL_ZERO]))
 def test_verdict_codes_equal_from_scores(pairs, zero):
+    """verdict_codes and the scalar PairJudgment.from_scores both give the oracle's verdict."""
     first, second = (np.array(side, dtype=np.float64) for side in zip(*pairs))
-    assert analysis.verdict_codes(first, second, zero).tolist() == expected_codes(pairs, zero)
+    expected = expected_codes(pairs, zero)
+    assert analysis.verdict_codes(first, second, zero).tolist() == expected
+    assert [VERDICTS.index(analysis.PairJudgment.from_scores(a, b, zero).verdict)
+            for a, b in pairs] == expected
 
 
 @pytest.mark.parametrize("a, b", [
     (0.0, TIE), (0.0, math.nextafter(TIE, 1.0)), (TIE, 0.0), (math.nextafter(TIE, 1.0), 0.0),
     (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-1.0, -0.9999999999999999),
     (-0.9999999999999999, -1.0), (-1.0, -1.0), (0.25, 0.25), (0.5, 0.5 + TIE),
+    (math.nan, 0.0), (0.0, math.nan), (-2.0, math.nan), (math.inf, math.inf), (-math.inf, -1.0),
 ])
 def test_verdict_codes_on_the_edges(a, b):
     for zero in (analysis.TEXT_ZERO, analysis.PIXEL_ZERO):
         got = analysis.verdict_codes(np.array([a]), np.array([b]), zero).tolist()
         assert got == expected_codes([(a, b)], zero)
+        assert analysis.PairJudgment.from_scores(a, b, zero).verdict.value == oracles.verdict(
+            a, b, zero)
 
 
 @st.composite
@@ -163,6 +180,11 @@ def test_triple_rows_index_every_record(m):
     ref, x, y = analysis._triples(m)
     assert len(ref) == m * (m - 1) * (m - 2) // 2
     assert analysis._triple_rows(m, ref, x, y).tolist() == list(range(len(ref)))
+    # every other key with fields in -1..m-1 (-1 stands for out of range) has no record
+    keys = np.array([k for k in np.ndindex(m + 1, m + 1, m + 1)]).reshape(-1, 3) - 1
+    rows = analysis._triple_rows(m, *keys.T)
+    has_record = {tuple(k) for k in np.stack([ref, x, y], axis=1).tolist()}
+    assert [row >= 0 for row in rows.tolist()] == [tuple(k) in has_record for k in keys.tolist()]
 
 
 def test_triple_records_are_a_sequence_of_the_record_dicts(video12, features12):
@@ -251,3 +273,79 @@ class TestHumanVerdicts:
         ])
         with pytest.raises(CorpusValidationError, match=r"judgments\[2\]"):
             analysis.load_human_verdicts(path, ("pair",))
+
+
+@st.composite
+def judged_pair_videos(draw):
+    """compare_pairs inputs: a video of 4-8 subshots, 1-2 ground truths, count pairs of
+    n-subshot summaries, with or without pixel inputs, with or without a human file that
+    uses all four verdicts."""
+    m = draw(st.integers(4, 8))
+    words = st.lists(st.sampled_from(oracles.SAFE_VOCAB[:5]), min_size=1, max_size=4)
+    video = make_video([" ".join(draw(words)) for _ in range(m)])
+    gts = []
+    for author in ("a", "b")[: draw(st.integers(1, 2))]:
+        k = draw(st.integers(1, 3))
+        positions = sorted(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k,
+                                         unique=True)))
+        ranks = draw(st.permutations(range(1, k + 1)))
+        gts.append(make_gt([(p, r, " ".join(draw(words))) for p, r in zip(positions, ranks)],
+                           author))
+    n, count, seed = draw(st.integers(1, 4)), draw(st.integers(4, 12)), draw(st.integers(0, 2**32))
+    features = gt_subshots = None
+    if draw(st.booleans()):
+        features = draw(features_of(m))
+        gt_subshots = SummarySelection("v", tuple(sorted(draw(st.lists(
+            st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))))
+    human = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.integers(0, count - 1), min_size=4, max_size=count, unique=True))
+        said = NAMES + draw(st.lists(st.sampled_from(NAMES), min_size=len(keys) - 4,
+                                     max_size=len(keys) - 4))
+        human = dict(zip(keys, said))
+    return video, gts, n, count, seed, features, gt_subshots, human
+
+
+@settings(max_examples=60, deadline=None)
+@given(judged_pair_videos())
+def test_pairs_equal_the_per_pair_loop(tmp_path_factory, inputs):
+    video, gts, n, count, seed, features, gt_subshots, human = inputs
+    path = None
+    if human is not None:
+        path = write_judgments(tmp_path_factory.mktemp("h") / "h.json",
+                               [{"pair": i, "verdict": v} for i, v in human.items()])
+    out = analysis.compare_pairs(video, gts, n, count, seed, features=features,
+                                 gt_subshots=gt_subshots, human=path)
+    pairs = analysis.sample_summary_pairs(len(video), n, count, seed, video.video_id)
+    text = [tuple(score_summary(s, video, gts).score for s in pair) for pair in pairs]
+    pixel = None
+    if features is not None:
+        pixel = [tuple(-visual.pixel_summary_distance(s, gt_subshots, features) for s in pair)
+                 for pair in pairs]
+    expected = oracles.pair_loop([(a.indices, b.indices) for a, b in pairs], text, pixel, human)
+    assert out == expected
+    for got, want in zip(out["pairs"], expected["pairs"], strict=True):
+        for side in ("vset", "pb") if pixel else ("vset",):
+            assert bits(got[side]) == bits(want[side])
+    assert canonical_dumps(out) == json.dumps(expected, ensure_ascii=False, sort_keys=True,
+                                              indent=2, allow_nan=False) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(0, 5), max_size=4, unique=True),
+       st.integers(-3, 2**70) | st.sampled_from([-1, -(2**70)]), st.data())
+def test_pairs_refuse_an_out_of_range_pair(tmp_path_factory, count, good, bad, data):
+    """A judged pair outside 0..count-1 is refused, naming the first such row in file order."""
+    good = [i for i in good if i < count]
+    if 0 <= bad < count:
+        bad = count + bad
+    rows = [{"pair": i, "verdict": "both_zero"} for i in good]
+    at = data.draw(st.integers(0, len(rows)))
+    rows.insert(at, {"pair": bad, "verdict": "first_closer"})
+    path = write_judgments(tmp_path_factory.mktemp("h") / "h.json", rows)
+    video = make_video(["dog park", "tree car", "lake fish", "dog tree"])
+    gts = [make_gt([(0, 1, "dog park"), (3, 2, "dog tree")])]
+    message = f"{path}: judgments[{at}]: no judgments match pair={bad}"
+    with pytest.raises(CorpusValidationError) as exc:
+        analysis.compare_pairs(video, gts, 2, count, 1, human=path)
+    assert str(exc.value) == message
