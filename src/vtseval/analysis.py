@@ -35,7 +35,7 @@ from .corpus import (
     json_float,
     read_json,
 )
-from .evaluator import score_summary
+from .evaluator import best_scores, score_summary
 from .rng import SplitMix64, sample_indices
 from .rouge import UnitTable, rouge_su, su_f_matrix
 from .visual import pixel_summary_distance, subshot_distance_matrix, subshot_min_distance
@@ -394,13 +394,13 @@ def compare_pairs(
     """
     rows, said = _human_rows(human, ("pair",), count, lambda pair: pair) if human else (None, None)
     with_pixel = features is not None and gt_subshots is not None
-    table = table or UnitTable()
     pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
+    summaries = [s for pair in pairs for s in pair]
     scores = np.zeros((count, 4))
-    for i, (a, b) in enumerate(pairs):
-        scores[i, 2:] = [score_summary(s, video, gts, metric, table=table).score for s in (a, b)]
-        if with_pixel:
-            scores[i, :2] = [-pixel_summary_distance(s, gt_subshots, features) for s in (a, b)]
+    scores[:, 2:] = best_scores(summaries, video, gts, n, metric, table).reshape(count, 2)
+    if with_pixel:
+        scores[:, :2] = np.reshape(
+            [-pixel_summary_distance(s, gt_subshots, features) for s in summaries], (count, 2))
     codes = _judge(scores)
     records = []
     for i, ((a, b), (pb1, pb2, v1, v2), (vset, pb, case)) in enumerate(
@@ -438,7 +438,7 @@ def compare_triples(
     rows, said = (_human_rows(human, ("ref", "x", "y"), m, lambda *key: _triple_rows(m, *key))
                   if human else (None, None))
     annotations = [shot.annotation for shot in video.subshots]
-    text = np.array(su_f_matrix(table or UnitTable(), annotations, annotations), dtype=np.float64)
+    text = su_f_matrix(table or UnitTable(), annotations, annotations)
     pixel = -subshot_distance_matrix(features)
     ref, x, y = _triples(m)
     scores = np.stack([pixel[x, ref], pixel[y, ref], text[x, ref], text[y, ref]], axis=1)

@@ -31,8 +31,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -564,8 +565,9 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
     """Load a summary given as indices, keyframe times, or time spans.
 
     Keyframe and span files need the video record: keyframe times map to
-    floor(time / subshot_seconds), spans map to every overlapped subshot.
-    Given the video, the summary must be for it.
+    floor(time / subshot_seconds), spans map to every overlapped subshot,
+    found by bisection on the start times (sorted, as ``validate_video``
+    requires). Given the video, the summary must be for it.
     """
     data = read_json(path)
     ctx = str(path)
@@ -602,6 +604,13 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
     else:
         if video is None:
             raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
+        # Subshots are sorted by start time, but may overlap, so their end
+        # times are not sorted: the subshots a span can reach lie between
+        # the first whose running maximum end time passes the span's start
+        # and the first that starts at or after the span's end.
+        shots = video.subshots
+        starts = [shot.start_s for shot in shots]
+        reach = list(accumulate((shot.end_s for shot in shots), max))
         seen = set()
         for i, raw in enumerate(_get(data, "spans", list, ctx)):
             if not isinstance(raw, dict):
@@ -610,9 +619,9 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
             end = _get(raw, "end_s", float, f"{ctx}: spans[{i}]")
             if not end > start:
                 raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
-            for shot in video.subshots:
-                if start < shot.end_s and shot.start_s < end:
-                    seen.add(shot.index)
+            for j in range(bisect_right(reach, start), bisect_left(starts, end)):
+                if start < shots[j].end_s:
+                    seen.add(shots[j].index)
         indices = tuple(sorted(seen))
 
     summary = SummarySelection(video_id=video_id, indices=indices)

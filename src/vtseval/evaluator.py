@@ -7,6 +7,8 @@ sentences, re-sorted temporally. The summary score is the maximum
 F-measure over the adjusted references. Scores come from a
 ``rouge.UnitTable``, which also carries the stopword set: pass one table
 to many calls and each annotation and reference sentence is compiled once.
+``best_scores`` scores many summaries of one length in one
+``rouge.match_matrix`` call, building each reference's bag once.
 Nothing here reads or writes files: the CLI writes a report's ``to_dict()``
 with ``corpus.write_canonical``.
 """
@@ -14,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import GroundTruthSummary, SummarySelection, VideoRecord
-from .rouge import SU, RougeScore, UnitTable, score_bags
+from .rouge import SU, RougeScore, UnitTable, match_matrix, prf, scores_against
 
 METRICS = ("rouge-su", "rouge-1", "rouge-2")
 _UNIT_KINDS = {"rouge-su": SU, "rouge-1": 1, "rouge-2": 2}
@@ -63,6 +67,15 @@ def length_adjust(gt: GroundTruthSummary, n: int) -> list[str]:
     return [s.text for s in sorted(top, key=lambda s: s.temporal_pos)]
 
 
+def _unit_kind(metric: str, gts: list[GroundTruthSummary]):
+    """The unit kind of a metric; refuses an unknown metric or an empty list of ground truths."""
+    if not gts:
+        raise ValueError("at least one ground-truth summary is required")
+    if metric not in _UNIT_KINDS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {', '.join(METRICS)}")
+    return _UNIT_KINDS[metric]
+
+
 def score_summary(
     summary: SummarySelection,
     video: VideoRecord,
@@ -81,21 +94,41 @@ def score_summary(
     if len(summary) == 0:
         raise ValueError("cannot score an empty summary")
     candidate = text_representation(summary, video)
-    if metric not in _UNIT_KINDS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {', '.join(METRICS)}")
-    kind = _UNIT_KINDS[metric]
-    table = table or UnitTable()
+    kind = _unit_kind(metric, gts)
     n = len(summary)
-    cand = table.bag(kind, candidate)
-    pairwise = [
-        (gt.author_id, score_bags(cand, table.bag(kind, length_adjust(gt, n)))) for gt in gts
-    ]
+    scores = scores_against(table or UnitTable(), kind, candidate,
+                            [length_adjust(gt, n) for gt in gts])
+    pairwise = tuple(zip((gt.author_id for gt in gts), scores))
     best_author, best = max(pairwise, key=lambda item: item[1].f_measure)
     # max() keeps the first maximum, which is the tie-break we want
     return EvaluationReport(
         summary_id=summary_id if summary_id is not None else summary.video_id,
         length_used=n,
-        per_ground_truth=tuple(pairwise),
+        per_ground_truth=pairwise,
         best_author=best_author,
         score=best.f_measure,
     )
+
+
+def best_scores(
+    summaries: list[SummarySelection],
+    video: VideoRecord,
+    gts: list[GroundTruthSummary],
+    n: int,
+    metric: str = "rouge-su",
+    table: UnitTable | None = None,
+) -> np.ndarray:
+    """``score_summary(s, video, gts, metric).score`` of each n-subshot summary s.
+
+    Every summary is scored in one ``match_matrix`` call, so each
+    ground truth is length-adjusted and its bag built once.
+    """
+    kind = _unit_kind(metric, gts)
+    if n < 1:
+        raise ValueError("cannot score an empty summary")
+    if any(len(s) != n for s in summaries):
+        raise ValueError(f"every summary must have {n} subshots")
+    candidates = [text_representation(s, video) for s in summaries]
+    refs = [length_adjust(gt, n) for gt in gts]
+    f = prf(*match_matrix(table or UnitTable(), kind, candidates, refs))[2]
+    return f.max(axis=1, initial=0.0)

@@ -16,11 +16,19 @@ sentence's units of that kind as an int array, one entry per occurrence.
 A unigram's id is its stem id; an ordered pair (skip-bigram or contiguous
 bigram) of stem ids a, b has the id (a + 1) * 2**32 + b, which no stem id
 reaches and which fits the signed 64-bit rows while a table holds fewer
-than 2**31 stems, so pair ids need no second intern dict. A score then
-pools the rows of each side into an int -> count bag, takes the per-unit
-minimum over the shared ids and hands the integer sums to
-``RougeScore.from_counts``, so every float is the same as with
-string-keyed counting.
+than 2**31 stems, so pair ids need no second intern dict.
+
+A text's bag is two int64 arrays: the sorted distinct unit ids of its
+pooled rows and their counts. ``match_matrix`` scores many texts against
+many at once. It lays the bags of the references end to end, sorted by
+unit id (``postings``), once. Then, for each candidate in turn, two
+``searchsorted`` calls find the runs of postings that hold the
+candidate's units (``find``), the minimum of the two counts is taken on
+every one of them, and one ``bincount`` sums the minima per reference. ``prf`` turns the integer counts
+into precision, recall and F elementwise; numpy's float64 division,
+multiplication and addition are the IEEE operations Python's floats use,
+so every score is bit-identical to counting string-keyed units one by
+one.
 
 The table is the only place where text turns into units and the only
 way to choose stopwords: every text entry point (here, in ``evaluator``,
@@ -36,10 +44,11 @@ ROUGE-SU scores, for the ordered-assignment summarizer and for triples.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .textproc import DEFAULT_STOPWORDS, stem, tokenize
 
@@ -55,33 +64,6 @@ class RougeScore:
     match_count: int
     candidate_units: int
     reference_units: int
-
-    @classmethod
-    def from_counts(cls, match_count: int, candidate_units: int, reference_units: int) -> "RougeScore":
-        p = match_count / candidate_units if candidate_units else 0.0
-        r = match_count / reference_units if reference_units else 0.0
-        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-        return cls(
-            precision=p,
-            recall=r,
-            f_measure=f,
-            match_count=match_count,
-            candidate_units=candidate_units,
-            reference_units=reference_units,
-        )
-
-
-def count_matches(candidate_units: Counter, reference_units: Counter) -> int:
-    """Sum over distinct units of min(candidate count, reference count)."""
-    return sum(min(candidate_units[u], reference_units[u])
-               for u in candidate_units.keys() & reference_units.keys())
-
-
-def score_bags(candidate: Counter, reference: Counter) -> RougeScore:
-    """Score two pooled unit bags (as returned by ``UnitTable.bag``)."""
-    return RougeScore.from_counts(
-        count_matches(candidate, reference), sum(candidate.values()), sum(reference.values())
-    )
 
 
 class UnitTable:
@@ -128,23 +110,107 @@ class UnitTable:
             self._rows[key] = row
         return row
 
-    def bag(self, kind, sentences: Sequence[str]) -> Counter:
-        """Pooled unit counts of a text: its sentences' rows summed."""
-        return Counter(chain.from_iterable(self.row(kind, s) for s in sentences))
+
+def postings(
+    table: UnitTable, kind, texts: Sequence[Sequence[str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bags of the texts in one list sorted by unit id, all int64.
+
+    For each distinct unit of each text: its id, its count in that text
+    and the text's index, in order of id and then text. For one text this
+    is the text's bag: its sorted distinct unit ids and their counts.
+    """
+    pooled = array("q")
+    lengths = []
+    for text in texts:
+        start = len(pooled)
+        for s in text:
+            pooled += table.row(kind, s)
+        lengths.append(len(pooled) - start)
+    ids = np.asarray(pooled, dtype=np.int64)
+    # the occurrences come text by text, so a stable sort by id keeps each id's run in text order
+    order = np.argsort(ids, kind="stable")
+    ids, owners = ids[order], np.repeat(np.arange(len(texts)), lengths)[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (owners[1:] != owners[:-1])
+    starts = np.flatnonzero(first)
+    return ids[starts], np.diff(np.append(starts, len(ids))), owners[starts]
+
+
+def find(ids: np.ndarray, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in sorted ids that hold one of units, and for each, which unit it holds."""
+    lo = np.searchsorted(ids, units, "left")
+    runs = np.searchsorted(ids, units, "right") - lo
+    starts = np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    return np.arange(len(starts)) + starts, np.repeat(np.arange(len(units)), runs)
+
+
+def match_matrix(
+    table: UnitTable,
+    kind,
+    candidates: Sequence[Sequence[str]],
+    references: Sequence[Sequence[str]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clipped match counts of every candidate text against every reference text.
+
+    Returns the k x r int64 matrix of match counts (cell [j, i] sums
+    min(count in candidate j, count in reference i) over the shared
+    units) and the unit totals of the k candidates and the r references.
+    The references' postings are built once; each candidate's bag is built
+    in turn, so only one candidate bag is held at a time.
+    """
+    ids, counts, owners = postings(table, kind, references)
+    matches = np.zeros((len(candidates), len(references)), dtype=np.int64)
+    cand_units = np.zeros(len(candidates), dtype=np.int64)
+    for j, text in enumerate(candidates):
+        units, unit_counts, _ = postings(table, kind, [text])
+        at, which = find(ids, units)
+        clipped = np.minimum(unit_counts[which], counts[at])
+        matches[j] = np.bincount(owners[at], weights=clipped, minlength=len(references))
+        cand_units[j] = unit_counts.sum()
+    ref_units = np.bincount(owners, weights=counts, minlength=len(references)).astype(np.int64)
+    return matches, cand_units, ref_units
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0.0 where den is not positive."""
+    num, den = np.broadcast_arrays(num, den)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+def prf(
+    matches: np.ndarray, candidate_units: np.ndarray, reference_units: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F of a match matrix and its unit totals, elementwise.
+
+    A side without units gives zero precision (recall); F is zero when
+    precision and recall both are.
+    """
+    p = _ratio(matches, candidate_units[:, None])
+    r = _ratio(matches, reference_units[None, :])
+    return p, r, _ratio(2.0 * p * r, p + r)
+
+
+def scores_against(
+    table: UnitTable, kind, candidate: Sequence[str], references: Sequence[Sequence[str]]
+) -> list[RougeScore]:
+    """The score of one candidate text against each reference text."""
+    matches, cand_units, ref_units = match_matrix(table, kind, [candidate], references)
+    p, r, f = (a[0].tolist() for a in prf(matches, cand_units, ref_units))
+    cand_total = int(cand_units[0])
+    cells = zip(p, r, f, matches[0].tolist(), ref_units.tolist())
+    return [RougeScore(pi, ri, fi, match, cand_total, ref_total)
+            for pi, ri, fi, match, ref_total in cells]
 
 
 def su_f_matrix(
     table: UnitTable, candidates: Sequence[str], references: Sequence[str]
-) -> list[list[float]]:
+) -> np.ndarray:
     """ROUGE-SU F of one-sentence candidates (rows) against one-sentence references (columns).
 
-    Cell [j][i] is ``rouge_su([candidates[j]], [references[i]], table).f_measure``.
+    Cell [j, i] is ``rouge_su([candidates[j]], [references[i]], table).f_measure``.
     """
-    ref_bags = [table.bag(SU, [s]) for s in references]
-    return [
-        [score_bags(cand, ref).f_measure for ref in ref_bags]
-        for cand in (table.bag(SU, [s]) for s in candidates)
-    ]
+    return prf(*match_matrix(table, SU, [[s] for s in candidates], [[s] for s in references]))[2]
 
 
 def rouge_su(
@@ -154,8 +220,7 @@ def rouge_su(
 
     Either side may be empty; a side without units scores zero.
     """
-    table = table or UnitTable()
-    return score_bags(table.bag(SU, candidate), table.bag(SU, reference))
+    return scores_against(table or UnitTable(), SU, candidate, [reference])[0]
 
 
 def rouge_n(
@@ -164,5 +229,4 @@ def rouge_n(
     """Contiguous n-gram co-occurrence score, n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    table = table or UnitTable()
-    return score_bags(table.bag(n, candidate), table.bag(n, reference))
+    return scores_against(table or UnitTable(), n, candidate, [reference])[0]

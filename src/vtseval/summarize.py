@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, VideoRecord
 from .evaluator import length_adjust
 from .rng import SplitMix64
-from .rouge import UnitTable, count_matches, su_f_matrix
+from .rouge import UnitTable, find, postings, su_f_matrix
 from .visual import chi_square_matrix, pairwise_chi_square
 
 
@@ -257,24 +257,24 @@ def greedy_bow(
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
     table = table or UnitTable()
-    bag = table.bag(1, length_adjust(gt, n))
-    ann_units = [table.bag(1, [s.annotation]) for s in video.subshots]
+    words, remaining, _ = postings(table, 1, [length_adjust(gt, n)])
+    ids, counts, owners = postings(table, 1, [[s.annotation] for s in video.subshots])
+    # keep the annotation words that are in the bag, each with its position in the bag
+    at, pos = find(ids, words)
+    counts, owners = counts[at], owners[at]
 
     chosen: set[int] = set()
     for _ in range(n):
-        best_idx = None
-        best_gain = 0
-        for i in range(m):
-            if i in chosen:
-                continue
-            gain = count_matches(ann_units[i], bag)
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-        if best_idx is None:
+        gains = np.bincount(owners, weights=np.minimum(counts, remaining[pos]), minlength=m)
+        gains[list(chosen)] = -1.0
+        # argmax takes the first maximum: ties go to the lowest index
+        best_idx = int(np.argmax(gains))
+        if gains[best_idx] <= 0:
             break
         chosen.add(best_idx)
-        bag -= ann_units[best_idx]
+        mine = owners == best_idx
+        remaining[pos[mine]] -= counts[mine]
+        np.maximum(remaining, 0, out=remaining)
     indices = _fill_uniform(chosen, m, n)
     return SummarySelection(video_id=video.video_id, indices=tuple(indices))
 
@@ -306,14 +306,13 @@ def sentence_dp(
     sim = su_f_matrix(table or UnitTable(), sentences, [s.annotation for s in video.subshots])
 
     # best[j][i]: best right-folded total for sentences j.. using subshot
-    # indices >= i
-    neg_inf = float("-inf")
-    best = [[neg_inf] * (m + 1) for _ in range(k + 1)]
-    best[k] = [0.0] * (m + 1)
+    # indices >= i; best[j][m] is -inf for j < k
+    best = np.full((k + 1, m + 1), float("-inf"))
+    best[k] = 0.0
     for j in range(k - 1, -1, -1):
-        for i in range(m - 1, -1, -1):
-            take = sim[j][i] + best[j + 1][i + 1]
-            best[j][i] = max(best[j][i + 1], take)
+        # best[j][i] = max(best[j][i + 1], sim[j][i] + best[j + 1][i + 1])
+        best[j, :m] = np.maximum.accumulate((sim[j] + best[j + 1, 1:])[::-1])[::-1]
+    sim, best = sim.tolist(), best.tolist()
 
     # Lexicographically smallest optimum. Candidate index i is feasible at
     # row j iff the full fold through the already-chosen prefix hits the

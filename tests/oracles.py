@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 
 
 def split_tokens(sentence: str) -> list[str]:
@@ -225,6 +226,67 @@ def pair_loop(pairs, text, pixel=None, human=None) -> dict:
         if pixel is not None:
             out["agreement"]["pb"] = hits["pb"] / hits["n"]
     return out
+
+
+def greedy_bow_loop(annotations, reference, n, prep=split_tokens) -> tuple[int, ...]:
+    """Greedy bag-of-words picks by a loop over Counter bags.
+
+    reference is the ground truth already length-adjusted to n. Each step
+    scans every unchosen annotation and keeps the first with the largest
+    positive clipped gain; covered words leave the bag. Once nothing gains,
+    the missing slots take the unchosen indices at floor(p * left / missing).
+    """
+    bag = Counter(t for sentence in reference for t in prep(sentence))
+    units = [Counter(prep(a)) for a in annotations]
+    m = len(annotations)
+    chosen = set()
+    for _ in range(n):
+        best_idx = None
+        best_gain = 0
+        for i in range(m):
+            if i in chosen:
+                continue
+            gain = sum(min(units[i][u], bag[u]) for u in units[i].keys() & bag.keys())
+            if gain > best_gain:
+                best_gain = gain
+                best_idx = i
+        if best_idx is None:
+            break
+        chosen.add(best_idx)
+        bag -= units[best_idx]
+    missing = n - len(chosen)
+    if missing > 0:
+        pool = sorted(set(range(m)) - chosen)
+        chosen |= {pool[p * len(pool) // missing] for p in range(missing)}
+    return tuple(sorted(chosen))
+
+
+def fisher_yates(items, rng) -> None:
+    """In-place Fisher-Yates, high index down, one ``next_below`` draw per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def span_indices_scan(data, video, ctx) -> tuple[int, ...]:
+    """Subshot indices of a span summary's ``spans``, scanning every subshot for every span.
+
+    The errors are corpus.load_summary's, in its order.
+    """
+    from vtseval.corpus import CorpusParseError, CorpusValidationError, _get
+
+    seen = set()
+    for i, raw in enumerate(_get(data, "spans", list, ctx)):
+        if not isinstance(raw, dict):
+            raise CorpusParseError(f"{ctx}: spans[{i}] must be an object")
+        start = _get(raw, "start_s", float, f"{ctx}: spans[{i}]")
+        end = _get(raw, "end_s", float, f"{ctx}: spans[{i}]")
+        if not end > start:
+            raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
+        for shot in video.subshots:
+            if start < shot.end_s and shot.start_s < end:
+                seen.add(shot.index)
+    return tuple(sorted(seen))
 
 
 def fold_right_sum(values) -> float:

@@ -1,7 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from vtseval import corpus
 from vtseval.corpus import (
@@ -452,3 +458,35 @@ class TestRowErrors:
         assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
             f"{path}: spans[0].end_s: number out of float range"
         )
+
+
+@st.composite
+def span_cases(draw):
+    """A video whose subshots may overlap (sorted starts, unsorted ends) and a spans list."""
+    starts = sorted(draw(st.lists(st.integers(0, 20), min_size=1, max_size=10)))
+    shots = tuple(Subshot(index=i, start_s=s / 2, end_s=(s + draw(st.integers(1, 12))) / 2,
+                          annotation="dog")
+                  for i, s in enumerate(starts))
+    video = VideoRecord(video_id="v", subshot_seconds=0.5, subshots=shots)
+    span = st.builds(lambda a, d: {"start_s": a / 2, "end_s": (a + d) / 2},
+                     st.integers(-4, 40), st.integers(-2, 16))
+    faulty = st.sampled_from([[], {"start_s": 1.0}, {"start_s": 0, "end_s": "2"}])
+    spans = draw(st.lists(st.one_of(span, span, span, faulty), max_size=5))
+    return video, spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_cases())
+def test_span_bisection_matches_the_scan(case):
+    video, spans = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps({"video_id": "v", "spans": spans}))
+        try:
+            want = oracles.span_indices_scan({"spans": spans}, video, str(path))
+        except (CorpusParseError, CorpusValidationError) as e:
+            with pytest.raises(type(e)) as got:
+                corpus.load_summary(path, video)
+            assert str(got.value) == str(e)
+        else:
+            assert corpus.load_summary(path, video).indices == want

@@ -1,4 +1,10 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vtseval.rng import SplitMix64, sample_indices
+
+from oracles import fisher_yates
 
 
 def test_reference_vector_seed_zero():
@@ -52,3 +58,39 @@ def test_sample_indices_sorted_distinct():
     out = sample_indices(50, 10, rng)
     assert len(out) == len(set(out)) == 10
     assert out == sorted(out)
+
+
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2**20, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(0, 300))
+def test_bulk_equals_scalar_draws(seed, k):
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    draws = bulk.bulk(k)
+    assert draws.dtype == np.uint64
+    assert draws.tolist() == [scalar.next_u64() for _ in range(k)]
+    # the state advanced by k steps: the streams go on together
+    assert bulk._state == scalar._state
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_bulk_wraps_the_state():
+    gamma = 0x9E3779B97F4A7C15
+    seed = 2**64 - gamma // 2  # the first step already passes 2**64
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert bulk.bulk(3).tolist() == [scalar.next_u64() for _ in range(3)]
+    assert bulk._state == scalar._state == (seed + 3 * gamma) % 2**64
+    empty = SplitMix64(seed)
+    assert empty.bulk(0).tolist() == [] and empty._state == seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(0, 60))
+def test_shuffle_equals_scalar_fisher_yates(seed, m):
+    a, b = list(range(m)), list(range(m))
+    rng_a, rng_b = SplitMix64(seed), SplitMix64(seed)
+    rng_a.shuffle(a)
+    fisher_yates(b, rng_b)
+    assert a == b
+    assert rng_a.next_u64() == rng_b.next_u64()

@@ -1,11 +1,10 @@
 import random
-from collections import Counter
 
 import pytest
 
-from vtseval.rouge import RougeScore, count_matches, rouge_n, rouge_su
+from vtseval.rouge import RougeScore, UnitTable, match_matrix, rouge_n, rouge_su
 
-from oracles import SAFE_VOCAB, naive_rouge_n, naive_rouge_su
+from oracles import SAFE_VOCAB, clip_count, naive_rouge_n, naive_rouge_su
 
 
 def random_text(rng, max_sentences=6, max_tokens=6):
@@ -15,16 +14,24 @@ def random_text(rng, max_sentences=6, max_tokens=6):
     ]
 
 
+def unigram_matches(candidate: str, reference: str) -> int:
+    """Clipped unigram matches of two one-sentence texts, through match_matrix."""
+    return int(match_matrix(UnitTable(), 1, [[candidate]], [[reference]])[0][0, 0])
+
+
 class TestCountMatches:
     def test_clipped(self):
-        assert count_matches(Counter(["a", "a", "b"]), Counter(["a", "b", "b"])) == 2
+        assert clip_count(["a", "a", "b"], ["a", "b", "b"]) == 2
+        assert unigram_matches("dog dog park", "dog park park") == 2
 
     def test_identity(self):
-        x = Counter(["a", "a", "b", "c"])
-        assert count_matches(x, x) == 4
+        x = ["a", "a", "b", "c"]
+        assert clip_count(x, x) == 4
+        assert unigram_matches("dog dog park lake", "dog dog park lake") == 4
 
     def test_disjoint(self):
-        assert count_matches(Counter(["a"]), Counter(["b"])) == 0
+        assert clip_count(["a"], ["b"]) == 0
+        assert unigram_matches("dog", "park") == 0
 
 
 class TestRougeSu:

@@ -10,6 +10,7 @@ import re
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 from vtseval import analysis, porter, summarize
 from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelection
 from vtseval.evaluator import length_adjust, score_summary, text_representation
-from vtseval.rouge import SU, UnitTable, rouge_n, rouge_su, score_bags, su_f_matrix
+from vtseval.evaluator import best_scores
+from vtseval.rouge import SU, UnitTable, match_matrix, postings, prf, rouge_n, rouge_su, su_f_matrix
 from vtseval.summarize import sentence_dp
 from vtseval.textproc import DEFAULT_STOPWORDS, STEM_CACHE_SIZE, preprocess, stem
 
 from oracles import (
+    clip_count,
     exhaustive_ordered_assignment,
+    greedy_bow_loop,
     naive_best_reference_score,
     naive_rouge_n,
     naive_rouge_su,
@@ -118,6 +122,123 @@ def test_score_summary_matches_oracle(case, table):
     assert report.score == want
 
 
+ALL_STOPWORDS = "the of a"
+
+
+@st.composite
+def text_lists(draw, vocab):
+    """0 to 4 texts; a text may be empty or hold a sentence with no units at all."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        text = draw(texts(vocab, max_sentences=3))
+        if draw(st.booleans()):
+            text.insert(draw(st.integers(0, len(text))), ALL_STOPWORDS)
+        out.append(text)
+    return out
+
+
+def oracle_units(text, kind):
+    """A text's units pooled over its sentences, built by the oracle's preprocessing."""
+    return [u for sentence in text for u in units_of(oracle_prep(sentence), kind)]
+
+
+def naive_scores(candidate, reference, kind):
+    if kind == SU:
+        return naive_rouge_su(candidate, reference, oracle_prep)
+    return naive_rouge_n(candidate, reference, kind, oracle_prep)
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([SU, 1, 2]))
+def test_match_matrix_matches_clip_count(data, kind):
+    vocab = data.draw(vocabularies)
+    candidates, references = data.draw(text_lists(vocab)), data.draw(text_lists(vocab))
+    matches, cand_units, ref_units = match_matrix(UnitTable(), kind, candidates, references)
+    assert matches.shape == (len(candidates), len(references)) and matches.dtype == np.int64
+    assert cand_units.tolist() == [len(oracle_units(c, kind)) for c in candidates]
+    assert ref_units.tolist() == [len(oracle_units(r, kind)) for r in references]
+    p, r, f = prf(matches, cand_units, ref_units)
+    for j, cand in enumerate(candidates):
+        for i, ref in enumerate(references):
+            want = clip_count(oracle_units(cand, kind), oracle_units(ref, kind))
+            assert matches[j, i] == want
+            assert (p[j, i], r[j, i], f[j, i]) == naive_scores(cand, ref, kind)
+
+
+def test_match_matrix_counts_repeats_and_empty_rows():
+    table = UnitTable()
+    candidates = [["dog dog dog park"], [], [ALL_STOPWORDS], ["dog", "the park dog"]]
+    references = [["dog dog park park lake"]]
+    matches, cand_units, ref_units = match_matrix(table, 1, candidates, references)
+    assert matches[:, 0].tolist() == [3, 0, 0, 3]
+    assert cand_units.tolist() == [4, 0, 0, 3] and ref_units.tolist() == [5]
+    # swapping candidates and references transposes the counts
+    flipped, _, _ = match_matrix(table, 1, references, candidates)
+    assert (flipped.T == matches).all()
+    p, r, f = prf(matches, cand_units, ref_units)
+    assert p[:, 0].tolist() == [0.75, 0.0, 0.0, 1.0]
+    assert r[:, 0].tolist() == [0.6, 0.0, 0.0, 0.6]
+    assert f[1, 0] == f[2, 0] == 0.0
+
+
+@SETTINGS
+@given(scoring_cases(), st.sampled_from(["rouge-su", "rouge-1", "rouge-2"]))
+def test_score_summary_per_reference_matches_oracle(case, metric):
+    video, gts, sel = case
+    kind = {"rouge-su": SU, "rouge-1": 1, "rouge-2": 2}[metric]
+    report = score_summary(sel, video, gts, metric)
+    candidate = text_representation(sel, video)
+    assert len(report.per_ground_truth) == len(gts)
+    for gt, (author, score) in zip(gts, report.per_ground_truth):
+        ref = length_adjust(gt, len(sel))
+        assert author == gt.author_id
+        assert as_tuple(score) == naive_scores(candidate, ref, kind)
+        assert score.match_count == clip_count(oracle_units(candidate, kind),
+                                               oracle_units(ref, kind))
+        assert score.candidate_units == len(oracle_units(candidate, kind))
+        assert score.reference_units == len(oracle_units(ref, kind))
+    assert report.score == max(s.f_measure for _, s in report.per_ground_truth)
+
+
+@SETTINGS
+@given(st.lists(scoring_cases(), min_size=1, max_size=3),
+       st.sampled_from(["rouge-su", "rouge-1", "rouge-2"]), st.data())
+def test_best_scores_equal_score_summary(cases, metric, data):
+    """compare_pairs' batched scores are score_summary's, summary by summary."""
+    for video, gts, _ in cases:
+        n = data.draw(st.integers(1, len(video)))
+        summaries = [SummarySelection("v", tuple(sorted(data.draw(st.lists(
+            st.integers(0, len(video) - 1), min_size=n, max_size=n, unique=True)))))
+            for _ in range(data.draw(st.integers(0, 4)))]
+        got = best_scores(summaries, video, gts, n, metric).tolist()
+        assert got == [score_summary(s, video, gts, metric).score for s in summaries]
+
+
+@SETTINGS
+@given(scoring_cases(), st.data())
+def test_greedy_bow_matches_counter_loop(case, data):
+    video, gts, _ = case
+    gt = gts[0]
+    n = data.draw(st.integers(1, len(video)))
+    annotations = [shot.annotation for shot in video.subshots]
+    want = greedy_bow_loop(annotations, length_adjust(gt, n), n, oracle_prep)
+    assert summarize.greedy_bow(video, gt, n).indices == want
+
+
+def test_greedy_bow_ties_repeats_and_uniform_fill():
+    # subshots 1, 2 and 3 tie on the first pick (gain 2) and the lowest wins;
+    # then "lake lake" gains 2 against the single "lake"'s 1; the bag is empty
+    # after two picks, so the last two slots are filled uniformly
+    video = make_video(["tree", "dog park", "lake lake", "park dog", "rock", "lake"])
+    gt = GroundTruthSummary("a", tuple(
+        GroundTruthSentence(temporal_pos=p, rank=p + 1, text=t)
+        for p, t in enumerate(["dog park", "lake lake"])))
+    n = 4
+    want = greedy_bow_loop([s.annotation for s in video.subshots], length_adjust(gt, n), n,
+                           oracle_prep)
+    assert summarize.greedy_bow(video, gt, n).indices == want == (0, 1, 2, 4)
+
+
 @SETTINGS
 @given(scoring_cases())
 def test_sentence_dp_cells_match_fresh_scores(case):
@@ -146,8 +267,11 @@ def test_reused_table_matches_fresh_tables(data):
         if kind == SU:
             assert rouge_su(cand, ref, table=shared) == rouge_su(cand, ref, table=UnitTable())
         else:
-            reused = score_bags(shared.bag(kind, cand), shared.bag(kind, ref))
-            assert reused == rouge_n(cand, ref, kind)
+            fresh = rouge_n(cand, ref, kind)
+            matches, cand_units, ref_units = match_matrix(shared, kind, [cand], [ref])
+            assert (matches[0, 0], cand_units[0], ref_units[0]) == (
+                fresh.match_count, fresh.candidate_units, fresh.reference_units)
+            assert rouge_n(cand, ref, kind, table=shared) == fresh
 
 
 @SETTINGS
@@ -205,7 +329,7 @@ def test_sentences_compile_lazily_once_per_kind(monkeypatch):
     for _ in range(3):
         rouge_su(["dog park", "lake"], ["dog park"], table=table)
     assert sorted(calls) == ["dog park", "lake"]
-    table.bag(2, ["dog park", "lake"])
+    postings(table, 2, [["dog park", "lake"]])
     assert sorted(calls) == ["dog park", "dog park", "lake", "lake"]
 
 
@@ -266,10 +390,10 @@ def test_each_token_is_stemmed_once_per_table(monkeypatch):
     calls = []
     monkeypatch.setattr(rouge, "stem", lambda token: calls.append(token) or stem(token))
     table = UnitTable()
-    table.bag(SU, ["Dogs walked the dogs", "dogs DOGS walked"])
-    table.bag(2, ["dogs walked", "the dogs"])
+    postings(table, SU, [["Dogs walked the dogs", "dogs DOGS walked"]])
+    postings(table, 2, [["dogs walked", "the dogs"]])
     assert sorted(calls) == ["dogs", "walked"]
-    UnitTable().bag(1, ["dogs"])
+    postings(UnitTable(), 1, [["dogs"]])
     assert sorted(calls) == ["dogs", "dogs", "walked"]
 
 
