@@ -8,12 +8,30 @@ also checks that the file is for that video. Non-finite numbers (NaN,
 Infinity, and literals such as 1e999 that overflow to infinity) are
 refused on read and on write. The annotation, ground-truth and feature
 loaders parse without read_json's per-float hook and check the numbers
-they keep; a file they refuse goes through read_json, so the error still
-names a non-finite literal. A feature file is read once, subshot by
-subshot, into one SubshotFeatures; ``validate_features``, the one check
-of frame values on load and on save, checks every frame in numpy and
-names the first bad subshot and frame. A file that is not UTF-8 is
-refused with a parse error naming it.
+they keep; a file they refuse is parsed again as read_json parses, so
+the error still names a non-finite literal. A feature file is read once,
+subshot by subshot, into one SubshotFeatures; ``validate_features``, the
+one check of frame values on load and on save, checks every frame in
+numpy and names the first bad subshot and frame. A file that is not
+UTF-8 is refused with a parse error naming it.
+
+Each load reads its file once, as bytes, and a refused file is parsed
+again from those bytes, never reopened. The annotation, ground-truth and
+feature loaders share one process-wide memo keyed on the loader kind and
+the file's exact bytes, not on its path or mtime: a file rewritten in
+place is a miss even at the same size and mtime. A miss runs the checked
+path above and holds the record only if every check passed; a hit
+returns the held record and runs only the checks that depend on the
+``video`` argument, so it raises what a miss would. The memo holds at
+most ``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, least recently used
+evicted, and never a larger file. The key is the bytes themselves rather
+than a digest: a dict compares them exactly, and ``hashlib`` would load
+OpenSSL, a few MB of resident memory. A one-shot CLI process loads each
+file once and gains nothing from the memo; a process that scores many
+summaries of one video, such as the benchmark's, parses its references
+once. Held feature matrices are read-only, and ``load_ground_truths``
+returns a new list on every call, so no caller can change a held record.
+Summaries, score files and human judgments are not memoized.
 
 Every file is written by one writer, ``write_canonical``. It streams the
 text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2,
@@ -31,7 +49,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
@@ -107,7 +127,9 @@ class SubshotFeatures:
     subshot order, as one C-contiguous float64 array; subshot i owns rows
     ``offsets[i]:offsets[i + 1]``, and ``subshots[i]`` is a view of them.
     The one constructor copies one 2-D array per subshot, all of one width,
-    into the matrix; ``validate_features`` checks the result.
+    into the matrix; ``validate_features`` checks the result. ``frames``,
+    ``offsets`` and every view are read-only: the loaders hand one record
+    to every load of the same file.
     """
 
     video_id: str
@@ -120,6 +142,7 @@ class SubshotFeatures:
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
         frames = np.concatenate(arrays) if arrays else np.empty((0, 3 * bins_per_channel))
         offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.intp)
+        frames.flags.writeable = offsets.flags.writeable = False  # and so every view
         bounds = offsets.tolist()
         views = tuple(frames[start:stop] for start, stop in zip(bounds, bounds[1:]))
         for name, value in (("video_id", video_id), ("bins_per_channel", bins_per_channel),
@@ -362,17 +385,28 @@ def write_canonical(path: str | Path, obj) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _read_text(path: str | Path) -> str:
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(raw: bytes, path: str | Path) -> str:
+    """raw as ``Path.read_text(encoding="utf-8")`` reads it: UTF-8, with universal newlines."""
+    try:
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def read_json(path: str | Path) -> dict:
-    text = _read_text(path)
+    return _parse_json(_decode(_read_bytes(path), path), path)
+
+
+def _parse_json(text: str, path: str | Path) -> dict:
+    """The text of the file at path as a JSON object, refusing non-finite literals by name."""
 
     def reject_non_finite(literal: str):
         raise CorpusParseError(f"{path}: non-finite number {literal} is not allowed")
@@ -396,18 +430,19 @@ def _no_constant(literal: str):
     raise ValueError(literal)
 
 
-def _load_unhooked(path: str | Path, load):
-    """load(data) on a parse of path without read_json's per-float hook.
+def _load_unhooked(path: str | Path, raw: bytes, load):
+    """load(data) on a parse of raw, the bytes of path, without read_json's per-float hook.
 
     That parse reads an overflowing literal such as 1e999 as an infinite
     float, and load refuses one in any float it keeps (``_get`` does for
     float fields). When load refuses the data, or that parse fails, load
-    runs again on read_json, which refuses non-finite literals by name; so
-    every error is the one read_json would lead to. Non-finite literals in
-    fields that load ignores are not refused.
+    runs again on read_json's parse of the same text, which refuses
+    non-finite literals by name; so every error is the one read_json would
+    lead to. Non-finite literals in fields that load ignores are not refused.
     """
+    text = _decode(raw, path)
     try:
-        data = json.loads(_read_text(path), parse_constant=_no_constant)
+        data = json.loads(text, parse_constant=_no_constant)
     except ValueError:
         data = None
     if isinstance(data, dict):
@@ -415,7 +450,93 @@ def _load_unhooked(path: str | Path, load):
             return load(data)
         except CorpusError:
             pass
-    return load(read_json(path))
+    return load(_parse_json(text, path))
+
+
+# ---------------------------------------------------------------------------
+# load memo
+
+LOAD_MEMO_BYTES = 16 << 20
+
+
+class _LoadMemo:
+    """Checked records by (loader kind, file bytes), least recently used first.
+
+    The held files' bytes total at most ``LOAD_MEMO_BYTES``, read at each
+    store; a file larger than that is never held.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._records: OrderedDict[tuple[str, bytes], object] = OrderedDict()
+        self._held = 0
+        self._hits: dict[str, int] = {}
+        self._misses: dict[str, int] = {}
+
+    def get(self, key: tuple[str, bytes]):
+        with self._lock:
+            record = self._records.get(key)
+            counts = self._misses if record is None else self._hits
+            counts[key[0]] = counts.get(key[0], 0) + 1
+            if record is not None:
+                self._records.move_to_end(key)
+            return record
+
+    def put(self, key: tuple[str, bytes], record) -> None:
+        budget = LOAD_MEMO_BYTES
+        if len(key[1]) > budget:
+            return
+        with self._lock:
+            if key not in self._records:
+                self._held += len(key[1])
+            self._records[key] = record
+            while self._held > budget:
+                (_, raw), _ = self._records.popitem(last=False)
+                self._held -= len(raw)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._records.clear()
+            self._held = 0
+            self._hits.clear()
+            self._misses.clear()
+
+    def info(self) -> dict:
+        with self._lock:
+            return {"hits": dict(self._hits), "misses": dict(self._misses),
+                    "files": len(self._records), "bytes": self._held}
+
+
+_memo = _LoadMemo()
+
+
+def clear_load_memo() -> None:
+    """Drop every record the loaders hold, and their hit and miss counts."""
+    _memo.clear()
+
+
+def load_memo_info() -> dict:
+    """The load memo's hits and misses by loader kind, and the files and bytes it holds."""
+    return _memo.info()
+
+
+def _load_memoized(kind: str, path: str | Path, load, check=None):
+    """The record of the file at path: load(data) on a miss, check(record) on a hit.
+
+    The file is read once. On a miss its bytes go through the checked
+    path, ``_load_unhooked``, and the record is held only if every check
+    passed. A hit therefore runs only ``check``, the checks that depend on
+    the loader's ``video`` argument.
+    """
+    raw = _read_bytes(path)
+    key = (kind, raw)
+    record = _memo.get(key)
+    if record is None:
+        record = _load_unhooked(path, raw, load)
+        _memo.put(key, record)
+    elif check is not None:
+        check(record)
+    return record
 
 
 def _get(data: dict, key: str, kind, context: str):
@@ -455,7 +576,7 @@ def _checked_row(raw, fields, where: str) -> list:
 
 
 def load_annotations(path: str | Path) -> VideoRecord:
-    return _load_unhooked(path, lambda data: _annotations_of(data, str(path)))
+    return _load_memoized("annotations", path, lambda data: _annotations_of(data, str(path)))
 
 
 def _annotations_of(data: dict, ctx: str) -> VideoRecord:
@@ -502,8 +623,19 @@ def save_annotations(path: str | Path, video: VideoRecord) -> None:
 def load_ground_truths(
     path: str | Path, video: VideoRecord | None = None
 ) -> list[GroundTruthSummary]:
-    """Load every author's reference summary; given the video, check they are for it."""
-    return _load_unhooked(path, lambda data: _ground_truths_of(data, str(path), video))
+    """Load every author's reference summary; given the video, check they are for it.
+
+    Each call returns a new list.
+    """
+    ctx = str(path)
+
+    def load(data: dict) -> tuple[str, tuple[GroundTruthSummary, ...]]:
+        gts = _ground_truths_of(data, ctx, video)
+        return data["video_id"], tuple(gts)  # a str, or _ground_truths_of had refused it
+
+    _, gts = _load_memoized("ground_truths", path, load,
+                            lambda entry: _check_video(ctx, entry[0], video))
+    return list(gts)
 
 
 def _ground_truths_of(data: dict, ctx: str, video: VideoRecord | None) -> list[GroundTruthSummary]:
@@ -663,7 +795,13 @@ def load_scores(path: str | Path) -> dict[str, float]:
 
 def load_features(path: str | Path, video: VideoRecord | None = None) -> SubshotFeatures:
     """Load histogram features; given the video, they must name it and cover each subshot."""
-    return _load_unhooked(path, lambda data: _features_of(data, str(path), video))
+    ctx = str(path)
+
+    def check(features: SubshotFeatures) -> None:
+        _check_video(ctx, features.video_id, video)
+        _check_coverage(ctx, len(features), video)
+
+    return _load_memoized("features", path, lambda data: _features_of(data, ctx, video), check)
 
 
 def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeatures:

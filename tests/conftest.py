@@ -7,6 +7,12 @@ from vtseval import corpus
 DATA = Path(__file__).parent / "data"
 
 
+@pytest.fixture(autouse=True)
+def _cold_load_memo():
+    """Each test starts with an empty load memo, so its first load of a file is a miss."""
+    corpus.clear_load_memo()
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -490,3 +494,230 @@ def test_span_bisection_matches_the_scan(case):
             assert str(got.value) == str(e)
         else:
             assert corpus.load_summary(path, video).indices == want
+
+
+# ---------------------------------------------------------------------------
+# the load memo: annotations, ground truths and features are parsed and
+# checked once per distinct file content, and a hit behaves like a cold load
+
+
+def _memo_outcome(load, *args):
+    """What a load gives: a comparable value, or the exception's class and message."""
+    try:
+        value = load(*args)
+    except corpus.CorpusError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, SubshotFeatures):
+        value = (value.video_id, value.bins_per_channel, value.frames.tolist(),
+                 value.offsets.tolist())
+    return "ok", value
+
+
+def _cold_outcome(load, *args):
+    """The outcome of the same load with the memo cleared first, leaving the memo as it was."""
+    with mock.patch.object(corpus, "_memo", corpus._LoadMemo()):
+        return _memo_outcome(load, *args)
+
+
+def _features_text(video_id, rows, bins=1):
+    return json.dumps({"video_id": video_id, "bins_per_channel": bins, "subshots": [
+        {"index": i, "frames": frames} for i, frames in enumerate(rows)]})
+
+
+def _gts_text(video_id, ranks=(1, 2)):
+    return json.dumps({"video_id": video_id, "summaries": [{"author_id": "a", "sentences": [
+        {"temporal_pos": i, "rank": r, "text": f"a dog {i}"} for i, r in enumerate(ranks)]}]})
+
+
+def _annotations_text(video_id, m=2, seconds=5.0):
+    return json.dumps({"video_id": video_id, "subshot_seconds": seconds, "subshots": [
+        {"index": i, "start_s": 5.0 * i, "end_s": 5.0 * i + 5.0, "text": f"shot {i}"}
+        for i in range(m)]})
+
+
+GOOD_FRAMES = [[[1.0, 0.0, 0.0]], [[0.0, 0.5, 0.5]]]
+REFUSED = {  # a file each loader refuses on read_json's path: a named non-finite literal
+    "annotations": _annotations_text("v").replace("5.0", "1e999", 1),
+    "ground_truths": _gts_text("v").replace('"rank": 1', '"rank": 1e999'),
+    "features": _features_text("v", GOOD_FRAMES).replace("0.5", "1e999", 1),
+}
+GOOD = {"annotations": _annotations_text("v"), "ground_truths": _gts_text("v"),
+        "features": _features_text("v", GOOD_FRAMES)}
+LOADERS = {"annotations": corpus.load_annotations, "ground_truths": corpus.load_ground_truths,
+           "features": corpus.load_features}
+
+
+@contextlib.contextmanager
+def counting_opens(path):
+    """Count the opens of path, through open() or pathlib."""
+    opens = []
+    real = io.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            opens.append(file)
+        return real(file, *args, **kwargs)
+
+    with mock.patch("io.open", counted), mock.patch("builtins.open", counted):
+        yield opens
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_each_load_reads_the_file_once(tmp_path, kind):
+    path = tmp_path / "f.json"
+    for text in (REFUSED[kind], GOOD[kind], GOOD[kind]):  # refused, then a miss, then a hit
+        path.write_text(text)
+        with counting_opens(path) as opens:
+            _memo_outcome(LOADERS[kind], path)
+        assert len(opens) == 1
+    assert corpus.load_memo_info()["hits"] == {kind: 1}
+    with counting_opens(path) as opens:
+        corpus.read_json(path)
+    assert len(opens) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_the_refused_file_names_its_literal_and_is_not_held(tmp_path, kind):
+    path = tmp_path / "f.json"
+    path.write_text(REFUSED[kind])
+    for _ in range(2):
+        with pytest.raises(CorpusParseError, match=f"^{path}: non-finite number 1e999 "):
+            LOADERS[kind](path)
+    assert corpus.load_memo_info() == {"hits": {}, "misses": {kind: 2}, "files": 0, "bytes": 0}
+
+
+def test_loaded_frames_are_read_only(features12):
+    for array in (features12.frames, features12.offsets, features12.subshots[3]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    built = SubshotFeatures("v", 1, [np.array([[1.0, 0.0, 0.0]])])
+    with pytest.raises(ValueError, match="read-only"):
+        built.subshots[0][0, 0] = 0.5
+
+
+def test_ground_truths_are_a_new_list_each_load(data_dir):
+    path = data_dir / "video12.gts.json"
+    first = corpus.load_ground_truths(path)
+    want = list(first)
+    first.pop()
+    first.append(first[0])
+    second = corpus.load_ground_truths(path)
+    assert second == want and second is not first
+    assert corpus.load_memo_info()["hits"] == {"ground_truths": 1}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_same_size_rewrite_with_the_old_mtime_is_reloaded(tmp_path, kind):
+    path = tmp_path / "f.json"
+    old = GOOD[kind]
+    new = old.replace('"v"', '"w"').replace("dog", "cat")  # ground truths hold no video id
+    assert len(old) == len(new)
+    path.write_text(old)
+    before = _memo_outcome(LOADERS[kind], path)
+    stat = path.stat()
+    path.write_text(new)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    after = _memo_outcome(LOADERS[kind], path)
+    assert after == _cold_outcome(LOADERS[kind], path) != before
+
+
+def test_a_file_broken_in_place_fails_then_loads_once_fixed(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(_gts_text("v"))
+    good = corpus.load_ground_truths(path)
+    path.write_text(_gts_text("v", ranks=(1, 3)))
+    with pytest.raises(CorpusValidationError) as info:
+        corpus.load_ground_truths(path)
+    assert str(info.value) == "summaries[a].sentences: ranks must be a permutation of 1..2"
+    path.write_text('{"video_id": "v", "summaries": [')
+    assert _memo_outcome(corpus.load_ground_truths, path) == (
+        "CorpusParseError", f"{path}: invalid JSON: Expecting value: line 1 column 33 (char 32)")
+    path.write_text(_gts_text("v"))
+    assert corpus.load_ground_truths(path) == good
+    assert corpus.load_memo_info()["hits"] == {"ground_truths": 1}
+
+
+@pytest.mark.parametrize("kind", ["ground_truths", "features"])
+def test_a_hit_raises_what_a_cold_load_raises(tmp_path, video12, data_dir, kind):
+    source = data_dir / f"video12.{'gts' if kind == 'ground_truths' else 'features'}.json"
+    path = tmp_path / "copy.json"  # the same bytes at another path: errors name this one
+    path.write_bytes(source.read_bytes())
+    short = VideoRecord(video12.video_id, video12.subshot_seconds, video12.subshots[:5])
+    other = VideoRecord("other", video12.subshot_seconds, video12.subshots)
+    load = LOADERS[kind]
+    for video in (None, video12, other, short):
+        cold = _cold_outcome(load, path, video)
+        for file in (source, path):
+            _memo_outcome(load, file)  # a miss the first time, then hits
+        assert _memo_outcome(load, path, video) == cold
+    assert _cold_outcome(load, path, other) == (
+        "CorpusValidationError",
+        f"video_id: {path} is for video 'video12', the annotations for 'other'")
+    if kind == "features":
+        assert _cold_outcome(load, path, short) == (
+            "CorpusValidationError", f"subshots: {path} covers 12 subshots, the video has 5")
+    assert corpus.load_memo_info()["misses"] == {kind: 1}
+
+
+def test_eviction_keeps_the_held_bytes_within_the_budget(tmp_path, monkeypatch):
+    paths = []
+    for i in range(4):
+        paths.append(tmp_path / f"a{i}.json")
+        paths[-1].write_text(_annotations_text(f"v{i}"))
+    size = paths[0].stat().st_size
+    monkeypatch.setattr(corpus, "LOAD_MEMO_BYTES", 2 * size + size // 2)
+    for path in paths:
+        corpus.load_annotations(path)
+        assert corpus.load_memo_info()["bytes"] <= corpus.LOAD_MEMO_BYTES
+    assert corpus.load_memo_info() == {"hits": {}, "misses": {"annotations": 4}, "files": 2,
+                                       "bytes": 2 * size}
+    corpus.load_annotations(paths[2])  # held: now the most recently used
+    corpus.load_annotations(paths[1])  # evicted: a miss that evicts paths[3]
+    corpus.load_annotations(paths[2])
+    assert corpus.load_memo_info()["hits"] == {"annotations": 2}
+    corpus.load_annotations(paths[3])
+    assert corpus.load_memo_info()["misses"] == {"annotations": 6}
+
+    big = tmp_path / "big.json"
+    big.write_text(_annotations_text("big", m=40))
+    monkeypatch.setattr(corpus, "LOAD_MEMO_BYTES", big.stat().st_size - 1)
+    held = corpus.load_memo_info()["files"]
+    for _ in range(2):
+        corpus.load_annotations(big)
+    info = corpus.load_memo_info()
+    assert info["misses"] == {"annotations": 8} and info["files"] == held
+    assert info["bytes"] <= corpus.LOAD_MEMO_BYTES
+
+
+MEMO_TEXTS = [GOOD["annotations"], _annotations_text("v", m=3), GOOD["ground_truths"],
+              _gts_text("w"), _gts_text("v", ranks=(2, 2)), GOOD["features"],
+              _features_text("w", GOOD_FRAMES), _features_text("v", GOOD_FRAMES + [[[0.0, 0.0, 1.0]]]),
+              _features_text("v", [[[1.0, 0.0, 0.5]]] + GOOD_FRAMES[1:]), REFUSED["features"],
+              '{"video_id": "v"', "[]"]
+MEMO_VIDEOS = [None, VideoRecord("v", 5.0, tuple(Subshot(i, 5.0 * i, 5.0 * i + 5.0, "s")
+                                                 for i in range(2))),
+               VideoRecord("w", 5.0, (Subshot(0, 0.0, 5.0, "s"),))]
+memo_steps = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, len(MEMO_TEXTS) - 1)),
+    st.tuples(st.sampled_from(sorted(LOADERS)), st.integers(0, 2),
+              st.integers(0, len(MEMO_VIDEOS) - 1))), max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_steps, st.sampled_from([1 << 24, 600]))
+def test_every_load_equals_a_cold_load(steps, budget):
+    corpus.clear_load_memo()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(corpus, "LOAD_MEMO_BYTES", budget):
+        paths = [Path(tmp) / f"f{i}.json" for i in range(3)]
+        for i, path in enumerate(paths):
+            path.write_text(MEMO_TEXTS[i])
+        for op, i, j in steps:
+            if op == "write":
+                paths[i].write_text(MEMO_TEXTS[j])
+                continue
+            load = LOADERS[op]
+            args = (paths[i],) if op == "annotations" else (paths[i], MEMO_VIDEOS[j])
+            assert _memo_outcome(load, *args) == _cold_outcome(load, *args)
+            assert corpus.load_memo_info()["bytes"] <= budget

@@ -21,8 +21,11 @@ one does not, so vtseval's own writer cannot drift from that form.
 It then runs the last command of each label again, each in a fresh
 ``python -m vtseval.cli`` process with the same arguments, and exits 1 if
 any output differs from the in-process run: state that one command leaves
-behind in a process (a cached parser, the stem memo) must not change the
-next command's output. A command that fails also exits 1.
+behind in a process (the load memo, the stem memo) must not change the
+next command's output. The in-process pass must hit ``corpus``'s load memo
+for every loader kind its commands load, or the tool exits 1: so each
+rerun compares a command that hit the memo with one that missed it. A
+command that fails also exits 1.
 """
 from __future__ import annotations
 
@@ -100,6 +103,9 @@ def main() -> int:
     os.chdir(ROOT)
     shutil.rmtree(WORK, ignore_errors=True)
     hashes, reruns, written = _run_plans(args.seeds)
+    from vtseval import corpus
+
+    memo = corpus.load_memo_info()
     text = json.dumps(hashes, indent=2, sort_keys=True) + "\n"
     if output:
         output.write_text(text, encoding="utf-8")
@@ -126,7 +132,11 @@ def main() -> int:
                      "give the same bytes in a fresh process\n")
     for line in differ:
         sys.stderr.write(f"output_hashes: differs in a fresh process: {line}\n")
-    return 1 if differ or drifted else 0
+    unhit = sorted(set(memo["misses"]) - set(memo["hits"]))
+    sys.stderr.write(f"output_hashes: load memo hits {memo['hits']}, misses {memo['misses']}\n")
+    for kind in unhit:
+        sys.stderr.write(f"output_hashes: the in-process pass never hit the load memo for {kind}\n")
+    return 1 if differ or drifted or unhit else 0
 
 
 if __name__ == "__main__":
