@@ -26,14 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    CorpusParseError,
     CorpusValidationError,
     GroundTruthSummary,
     SubshotFeatures,
     SummarySelection,
+    Verdict,
     VideoRecord,
     json_float,
-    read_json,
+    load_human_verdicts,
 )
 from .evaluator import best_scores, score_summary
 from .rng import SplitMix64, sample_indices
@@ -43,39 +43,6 @@ from .visual import pixel_summary_distance, subshot_distance_matrix, subshot_min
 TIE_TOLERANCE = 1e-9
 TEXT_ZERO = 0.0
 PIXEL_ZERO = -1.0  # similarity is -distance; chi-square tops out at 1
-
-
-class Verdict(enum.Enum):
-    BOTH_ZERO = "both_zero"
-    BOTH_EQUAL = "both_equal"
-    FIRST_CLOSER = "first_closer"
-    SECOND_CLOSER = "second_closer"
-
-
-def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, Verdict]:
-    """Human verdicts of a judgment file, keyed by the integer fields named in keys.
-
-    A key field must be an integer literal: 1.7, "3" and true are refused.
-    """
-    rows = read_json(path).get("judgments")
-    if not isinstance(rows, list):
-        raise CorpusParseError(f"{path}: missing 'judgments' list")
-    out = {}
-    for i, row in enumerate(rows):
-        try:
-            key = tuple(row[k] for k in keys)
-            for k, value in zip(keys, key):
-                if type(value) is not int:
-                    raise CorpusParseError(
-                        f"{path}: judgments[{i}].{k}: expected an integer, got {value!r}"
-                    )
-            verdict = Verdict(row["verdict"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusParseError(f"{path}: judgments[{i}]: {exc}") from exc
-        if key in out:
-            raise CorpusValidationError(f"{path}: judgments[{i}]: {key} is judged twice")
-        out[key] = verdict
-    return out
 
 
 class CaseLabel(enum.Enum):
@@ -325,8 +292,10 @@ def sample_summary_pairs(
     video_id: str = "",
 ) -> list[tuple[SummarySelection, SummarySelection]]:
     """Reproducible random pairs of n-subshot summaries of an m-subshot video."""
-    if n > m:
+    if not 0 <= n <= m:
         raise ValueError(f"cannot sample {n} distinct indices from {m}")
+    if count < 0:
+        raise ValueError(f"cannot sample {count} pairs")
     rng = SplitMix64(seed)
 
     def draw() -> SummarySelection:
@@ -392,9 +361,9 @@ def compare_pairs(
     agreement rates need a human file judging pairs by their index, each
     in 0..count-1 (CorpusValidationError otherwise).
     """
+    pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
     rows, said = _human_rows(human, ("pair",), count, lambda pair: pair) if human else (None, None)
     with_pixel = features is not None and gt_subshots is not None
-    pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
     summaries = [s for pair in pairs for s in pair]
     scores = np.zeros((count, 4))
     scores[:, 2:] = best_scores(summaries, video, gts, n, metric, table).reshape(count, 2)

@@ -4,16 +4,20 @@ All interchange files are UTF-8 JSON with sorted keys, two-space indent
 and a trailing newline; saving a loaded record reproduces the original
 bytes. Loading validates every type invariant and raises an error that
 names the offending field and index; a loader given the annotated video
-also checks that the file is for that video. Non-finite numbers (NaN,
-Infinity, and literals such as 1e999 that overflow to infinity) are
-refused on read and on write. The annotation, ground-truth and feature
-loaders parse without read_json's per-float hook and check the numbers
-they keep; a file they refuse is parsed again as read_json parses, so
-the error still names a non-finite literal. A feature file is read once,
-subshot by subshot, into one SubshotFeatures; ``validate_features``, the
-one check of frame values on load and on save, checks every frame in
-numpy and names the first bad subshot and frame. A file that is not
-UTF-8 is refused with a parse error naming it.
+also checks that the file is for that video. One reader, ``_rows``, reads
+each row of annotation subshots, ground-truth sentences, summary spans,
+scores, features and human judgments as a tuple of its fields; Subshot
+and GroundTruthSentence are NamedTuples built from those tuples. Human
+judgments are read here too, by ``load_human_verdicts``, as Verdicts.
+Non-finite numbers (NaN, Infinity, and literals such as 1e999 that
+overflow to infinity) are refused on read and on write. The annotation,
+ground-truth and feature loaders parse without read_json's per-float
+hook and check the numbers they keep; a file they refuse is parsed again
+as read_json parses, so the error still names a non-finite literal. A
+feature file is read once, subshot by subshot, into one SubshotFeatures;
+``validate_features``, the one check of frame values on load and on
+save, checks every frame in numpy and names the first bad subshot and
+frame. A file that is not UTF-8 is refused with a parse error naming it.
 
 Each load reads its file once, as bytes, and a refused file is parsed
 again from those bytes, never reopened. The annotation, ground-truth and
@@ -46,6 +50,7 @@ other's temporary file.
 """
 from __future__ import annotations
 
+import enum
 import json
 import math
 import os
@@ -54,7 +59,9 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +86,8 @@ class CorpusValidationError(CorpusError):
 # record types
 
 
-@dataclass(frozen=True)
-class Subshot:
-    index: int
+class Subshot(NamedTuple):
+    index: int  # shadows tuple.index
     start_s: float
     end_s: float
     annotation: str
@@ -106,11 +112,19 @@ class SummarySelection:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class GroundTruthSentence:
+class GroundTruthSentence(NamedTuple):
     temporal_pos: int
     rank: int
     text: str
+
+
+class Verdict(enum.Enum):
+    """A verdict on a pair of items, as human judgment files and compare records spell it."""
+
+    BOTH_ZERO = "both_zero"
+    BOTH_EQUAL = "both_equal"
+    FIRST_CLOSER = "first_closer"
+    SECOND_CLOSER = "second_closer"
 
 
 @dataclass(frozen=True)
@@ -555,20 +569,44 @@ def _get(data: dict, key: str, kind, context: str):
     return value
 
 
+def _rows(items: list, fields: tuple, where: str):
+    """The rows of the JSON list items, each as the tuple of its values of fields, in order.
+
+    fields holds two or more (name, type) pairs. When every row is an
+    object whose values have exactly the field types, floats finite, the
+    rows are taken as they are, checked all at once: one itemgetter, one
+    compare of the values' types, one sum per float field. Any other list
+    goes row by row, field by field, through ``_get``, so an int literal in
+    a float field reads as a float and each error names ``{where}[i]`` and
+    the field; its rows are read as they are consumed, so a caller's check
+    of row i comes before any fault of row i + 1.
+    """
+    get = itemgetter(*(name for name, _ in fields))
+    types = [kind for _, kind in fields]
+    try:
+        rows = list(map(get, items))
+    except (KeyError, TypeError):
+        rows = None
+    # a sum of finite floats that overflows only sends the list the checked way
+    if (rows is not None and list(map(type, chain.from_iterable(rows))) == types * len(rows)
+            and all(math.isfinite(sum(row[j] for row in rows))
+                    for j, kind in enumerate(types) if kind is float)):
+        return rows
+    return _checked_rows(items, fields, where)
+
+
+def _checked_rows(items: list, fields: tuple, where: str):
+    for i, row in enumerate(items):
+        if not isinstance(row, dict):
+            raise CorpusParseError(f"{where}[{i}] must be an object")
+        yield tuple(_get(row, name, kind, f"{where}[{i}]") for name, kind in fields)
+
+
 _SUBSHOT_FIELDS = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
 _SENTENCE_FIELDS = (("temporal_pos", int), ("rank", int), ("text", str))
-
-
-def _checked_row(raw, fields, where: str) -> list:
-    """A row's fields, each through ``_get``: the path that words a row's error.
-
-    The loaders read a row whose values have exactly the field types
-    without it; every other row comes here, so an int literal in a float
-    field still loads as a float and every error names the row and field.
-    """
-    if not isinstance(raw, dict):
-        raise CorpusParseError(f"{where} must be an object")
-    return [_get(raw, key, kind, where) for key, kind in fields]
+_SPAN_FIELDS = (("start_s", float), ("end_s", float))
+_SCORE_FIELDS = (("item_id", str), ("score", float))
+_FEATURE_FIELDS = (("index", int), ("frames", list))
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +618,12 @@ def load_annotations(path: str | Path) -> VideoRecord:
 
 
 def _annotations_of(data: dict, ctx: str) -> VideoRecord:
-    shots = []
-    for i, raw in enumerate(_get(data, "subshots", list, ctx)):
-        try:
-            index, start_s, end_s, text = raw["index"], raw["start_s"], raw["end_s"], raw["text"]
-        except (KeyError, TypeError):
-            index = None
-        if not (type(index) is int and type(start_s) is float and type(end_s) is float
-                and type(text) is str and math.isfinite(start_s) and math.isfinite(end_s)):
-            index, start_s, end_s, text = _checked_row(
-                raw, _SUBSHOT_FIELDS, f"{ctx}: subshots[{i}]"
-            )
-        shots.append(Subshot(index, start_s, end_s, text))
+    rows = _rows(_get(data, "subshots", list, ctx), _SUBSHOT_FIELDS, f"{ctx}: subshots")
+    shots = tuple(map(Subshot._make, rows))
     video = VideoRecord(
         video_id=_get(data, "video_id", str, ctx),
         subshot_seconds=_get(data, "subshot_seconds", float, ctx),
-        subshots=tuple(shots),
+        subshots=shots,
     )
     validate_video(video)
     return video
@@ -642,23 +670,13 @@ def _ground_truths_of(data: dict, ctx: str, video: VideoRecord | None) -> list[G
     _check_video(ctx, _get(data, "video_id", str, ctx), video)
     result = []
     for i, raw in enumerate(_get(data, "summaries", list, ctx)):
+        where = f"{ctx}: summaries[{i}]"
         if not isinstance(raw, dict):
-            raise CorpusParseError(f"{ctx}: summaries[{i}] must be an object")
-        sentences = []
-        for j, s in enumerate(_get(raw, "sentences", list, f"{ctx}: summaries[{i}]")):
-            try:
-                pos, rank, text = s["temporal_pos"], s["rank"], s["text"]
-            except (KeyError, TypeError):
-                pos = None
-            if not (type(pos) is int and type(rank) is int and type(text) is str):
-                pos, rank, text = _checked_row(
-                    s, _SENTENCE_FIELDS, f"{ctx}: summaries[{i}].sentences[{j}]"
-                )
-            sentences.append(GroundTruthSentence(pos, rank, text))
-        gt = GroundTruthSummary(
-            author_id=_get(raw, "author_id", str, f"{ctx}: summaries[{i}]"),
-            sentences=tuple(sentences),
-        )
+            raise CorpusParseError(f"{where} must be an object")
+        # an entry is not read through _rows: its sentence rows are checked before its author_id
+        rows = _rows(_get(raw, "sentences", list, where), _SENTENCE_FIELDS, f"{where}.sentences")
+        sentences = tuple(map(GroundTruthSentence._make, rows))
+        gt = GroundTruthSummary(author_id=_get(raw, "author_id", str, where), sentences=sentences)
         validate_ground_truth(gt)
         result.append(gt)
     if not result:
@@ -744,11 +762,8 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
         starts = [shot.start_s for shot in shots]
         reach = list(accumulate((shot.end_s for shot in shots), max))
         seen = set()
-        for i, raw in enumerate(_get(data, "spans", list, ctx)):
-            if not isinstance(raw, dict):
-                raise CorpusParseError(f"{ctx}: spans[{i}] must be an object")
-            start = _get(raw, "start_s", float, f"{ctx}: spans[{i}]")
-            end = _get(raw, "end_s", float, f"{ctx}: spans[{i}]")
+        spans = _rows(_get(data, "spans", list, ctx), _SPAN_FIELDS, f"{ctx}: spans")
+        for i, (start, end) in enumerate(spans):
             if not end > start:
                 raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
             for j in range(bisect_right(reach, start), bisect_left(starts, end)):
@@ -767,9 +782,7 @@ def save_summary(path: str | Path, summary: SummarySelection) -> None:
 
 
 # ---------------------------------------------------------------------------
-# score files
-
-_SCORE_FIELDS = (("item_id", str), ("score", float))
+# score files and human judgments
 
 
 def load_scores(path: str | Path) -> dict[str, float]:
@@ -780,12 +793,33 @@ def load_scores(path: str | Path) -> dict[str, float]:
     """
     ctx = str(path)
     out = {}
-    for i, row in enumerate(_get(read_json(path), "scores", list, ctx)):
-        where = f"{ctx}: scores[{i}]"
-        item_id, score = _checked_row(row, _SCORE_FIELDS, where)
+    rows = _rows(_get(read_json(path), "scores", list, ctx), _SCORE_FIELDS, f"{ctx}: scores")
+    for i, (item_id, score) in enumerate(rows):
         if item_id in out:
-            raise CorpusValidationError(f"{where}.item_id: {item_id!r} is scored twice")
+            raise CorpusValidationError(f"{ctx}: scores[{i}].item_id: {item_id!r} is scored twice")
         out[item_id] = score
+    return out
+
+
+def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, Verdict]:
+    """Human verdicts of a ``{"judgments": [...]}`` file, keyed by the int fields named in keys.
+
+    Rows are read as in every other file, so 1.7, "3" and true are refused
+    as keys; ``verdict`` must be a Verdict's value, and each key is judged once.
+    """
+    ctx = str(path)
+    fields = tuple((key, int) for key in keys) + (("verdict", str),)
+    out = {}
+    rows = _rows(_get(read_json(path), "judgments", list, ctx), fields, f"{ctx}: judgments")
+    for i, row in enumerate(rows):
+        key = row[:-1]
+        try:
+            verdict = Verdict(row[-1])
+        except ValueError as exc:
+            raise CorpusParseError(f"{ctx}: judgments[{i}].verdict: {exc}") from None
+        if key in out:
+            raise CorpusValidationError(f"{ctx}: judgments[{i}]: {key} is judged twice")
+        out[key] = verdict
     return out
 
 
@@ -809,13 +843,11 @@ def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeat
     _check_video(ctx, video_id, video)
     bins = _get(data, "bins_per_channel", int, ctx)
     subshots = []
-    for i, raw in enumerate(_get(data, "subshots", list, ctx)):
+    rows = _rows(_get(data, "subshots", list, ctx), _FEATURE_FIELDS, f"{ctx}: subshots")
+    for i, (index, frames) in enumerate(rows):
         where = f"{ctx}: subshots[{i}]"
-        if not isinstance(raw, dict):
-            raise CorpusParseError(f"{where} must be an object")
-        if _get(raw, "index", int, where) != i:
+        if index != i:
             raise CorpusValidationError(f"{where}.index: expected {i}")
-        frames = _get(raw, "frames", list, where)
         # every entry a JSON number, not a bool: numpy would read "0.5" as 0.5
         entries = chain.from_iterable(f for f in frames if isinstance(f, list))
         numeric = set(map(type, entries)) <= {int, float}

@@ -74,7 +74,7 @@ class SplitMix64:
 
 def sample_indices(m: int, n: int, rng: SplitMix64) -> list[int]:
     """n distinct indices from range(m), drawn by shuffle, returned ascending."""
-    if n > m:
+    if not 0 <= n <= m:
         raise ValueError(f"cannot draw {n} distinct indices from {m}")
     pool = list(range(m))
     rng.shuffle(pool)

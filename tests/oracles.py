@@ -273,14 +273,14 @@ def span_indices_scan(data, video, ctx) -> tuple[int, ...]:
 
     The errors are corpus.load_summary's, in its order.
     """
-    from vtseval.corpus import CorpusParseError, CorpusValidationError, _get
+    from vtseval.corpus import CorpusParseError, CorpusValidationError
 
     seen = set()
-    for i, raw in enumerate(_get(data, "spans", list, ctx)):
+    for i, raw in enumerate(get_field(data, "spans", list, ctx)):
         if not isinstance(raw, dict):
             raise CorpusParseError(f"{ctx}: spans[{i}] must be an object")
-        start = _get(raw, "start_s", float, f"{ctx}: spans[{i}]")
-        end = _get(raw, "end_s", float, f"{ctx}: spans[{i}]")
+        start = get_field(raw, "start_s", float, f"{ctx}: spans[{i}]")
+        end = get_field(raw, "end_s", float, f"{ctx}: spans[{i}]")
         if not end > start:
             raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
         for shot in video.subshots:
@@ -358,3 +358,210 @@ SAFE_VOCAB = [
     "star", "rock", "sand", "wind", "rain", "snow", "fire", "door", "wall",
     "roof", "road",
 ]
+
+
+# ---------------------------------------------------------------------------
+# input files, row by row: one hand-written reader per kind, the reference
+# for corpus's one row reader. Each takes read_json's parse of a file and
+# the loader's path text, reads every row and field on its own through
+# get_field, and raises what the loader raises, in its order, except where
+# tests/test_row_reader.py documents a departure. The record types, the
+# validators and the frame check (frame_fault) are the only shared parts.
+
+
+def get_field(data, key, kind, context):
+    """data[key] as kind: an int literal reads as a float where kind is float, a bool never."""
+    from vtseval.corpus import CorpusParseError
+
+    if key not in data:
+        raise CorpusParseError(f"{context}: missing field {key!r}")
+    value = data[key]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise CorpusParseError(f"{context}.{key}: number out of float range") from None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CorpusParseError(f"{context}.{key}: expected {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise CorpusParseError(f"{context}.{key}: must be finite")
+    return value
+
+
+def checked_row(raw, fields, where):
+    from vtseval.corpus import CorpusParseError
+
+    if not isinstance(raw, dict):
+        raise CorpusParseError(f"{where} must be an object")
+    return [get_field(raw, key, kind, where) for key, kind in fields]
+
+
+def check_video(ctx, video_id, video):
+    from vtseval.corpus import CorpusValidationError
+
+    if video is not None and video_id != video.video_id:
+        raise CorpusValidationError(
+            f"video_id: {ctx} is for video {video_id!r}, the annotations for {video.video_id!r}"
+        )
+
+
+def annotations_of(data, ctx):
+    from vtseval.corpus import Subshot, VideoRecord, validate_video
+
+    fields = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
+    shots = []
+    for i, raw in enumerate(get_field(data, "subshots", list, ctx)):
+        index, start_s, end_s, text = checked_row(raw, fields, f"{ctx}: subshots[{i}]")
+        shots.append(Subshot(index, start_s, end_s, text))
+    video = VideoRecord(
+        video_id=get_field(data, "video_id", str, ctx),
+        subshot_seconds=get_field(data, "subshot_seconds", float, ctx),
+        subshots=tuple(shots),
+    )
+    validate_video(video)
+    return video
+
+
+def ground_truths_of(data, ctx, video=None):
+    from vtseval.corpus import (
+        CorpusParseError, CorpusValidationError, GroundTruthSentence, GroundTruthSummary,
+        validate_ground_truth,
+    )
+
+    fields = (("temporal_pos", int), ("rank", int), ("text", str))
+    check_video(ctx, get_field(data, "video_id", str, ctx), video)
+    result = []
+    for i, raw in enumerate(get_field(data, "summaries", list, ctx)):
+        if not isinstance(raw, dict):
+            raise CorpusParseError(f"{ctx}: summaries[{i}] must be an object")
+        sentences = []
+        for j, s in enumerate(get_field(raw, "sentences", list, f"{ctx}: summaries[{i}]")):
+            pos, rank, text = checked_row(s, fields, f"{ctx}: summaries[{i}].sentences[{j}]")
+            sentences.append(GroundTruthSentence(pos, rank, text))
+        gt = GroundTruthSummary(
+            author_id=get_field(raw, "author_id", str, f"{ctx}: summaries[{i}]"),
+            sentences=tuple(sentences),
+        )
+        validate_ground_truth(gt)
+        result.append(gt)
+    if not result:
+        raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
+    return result
+
+
+def summary_of(data, ctx, video=None):
+    """A summary file in any of its three forms; spans through span_indices_scan."""
+    from vtseval.corpus import (
+        CorpusParseError, CorpusValidationError, SummarySelection, validate_selection,
+    )
+
+    forms = ("indices", "keyframe_times_s", "spans")
+    video_id = get_field(data, "video_id", str, ctx)
+    check_video(ctx, video_id, video)
+    present = [k for k in forms if k in data]
+    if len(present) != 1:
+        raise CorpusParseError(
+            f"{ctx}: exactly one of {', '.join(forms)} required, found {present or 'none'}"
+        )
+    if present[0] == "indices":
+        raw = get_field(data, "indices", list, ctx)
+        for i, idx in enumerate(raw):
+            if not isinstance(idx, int) or isinstance(idx, bool):
+                raise CorpusParseError(f"{ctx}: indices[{i}] must be an integer")
+        indices = tuple(raw)
+    elif present[0] == "keyframe_times_s":
+        if video is None:
+            raise CorpusParseError(f"{ctx}: keyframe summaries need the video record to resolve")
+        seen = set()
+        for i, t in enumerate(get_field(data, "keyframe_times_s", list, ctx)):
+            if not isinstance(t, (int, float)) or isinstance(t, bool):
+                raise CorpusParseError(f"{ctx}: keyframe_times_s[{i}] must be a number")
+            if t < 0:
+                raise CorpusValidationError(f"{ctx}: keyframe_times_s[{i}]: negative time {t}")
+            try:
+                seen.add(int(float(t) // video.subshot_seconds))
+            except OverflowError:
+                where = f"{ctx}: keyframe_times_s[{i}]"
+                raise CorpusParseError(f"{where}: number out of float range") from None
+        indices = tuple(sorted(seen))
+    else:
+        if video is None:
+            raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
+        indices = span_indices_scan(data, video, ctx)
+    summary = SummarySelection(video_id=video_id, indices=indices)
+    validate_selection(summary, video)
+    return summary
+
+
+def scores_of(data, ctx):
+    from vtseval.corpus import CorpusValidationError
+
+    out = {}
+    for i, row in enumerate(get_field(data, "scores", list, ctx)):
+        where = f"{ctx}: scores[{i}]"
+        item_id, score = checked_row(row, (("item_id", str), ("score", float)), where)
+        if item_id in out:
+            raise CorpusValidationError(f"{where}.item_id: {item_id!r} is scored twice")
+        out[item_id] = score
+    return out
+
+
+def features_of(data, ctx, video=None):
+    """A feature file row by row, and its frames subshot by subshot and frame by frame."""
+    import numpy as np
+    from vtseval.corpus import CorpusParseError, CorpusValidationError, SubshotFeatures
+
+    video_id = get_field(data, "video_id", str, ctx)
+    check_video(ctx, video_id, video)
+    bins = get_field(data, "bins_per_channel", int, ctx)
+    subshots = []
+    for i, raw in enumerate(get_field(data, "subshots", list, ctx)):
+        where = f"{ctx}: subshots[{i}]"
+        if not isinstance(raw, dict):
+            raise CorpusParseError(f"{where} must be an object")
+        if get_field(raw, "index", int, where) != i:
+            raise CorpusValidationError(f"{where}.index: expected {i}")
+        frames = get_field(raw, "frames", list, where)
+        entries = [x for frame in frames if isinstance(frame, list) for x in frame]
+        try:
+            arr = np.asarray(frames, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or any(type(x) not in (int, float) for x in entries):
+            raise CorpusParseError(f"{where}.frames: ragged or non-numeric")
+        if arr.ndim != 2:
+            raise CorpusParseError(f"{where}.frames: expected a list of histograms")
+        subshots.append(arr)
+    if video is not None and len(subshots) != len(video):
+        raise CorpusValidationError(
+            f"subshots: {ctx} covers {len(subshots)} subshots, the video has {len(video)}"
+        )
+    fault = frame_fault(bins, subshots)
+    if fault is not None:
+        raise CorpusValidationError(fault)
+    return SubshotFeatures(video_id, bins, subshots)
+
+
+def human_verdicts_of(data, ctx, keys):
+    """Human verdicts by key, in the wording of the judgment reader of its own."""
+    from vtseval.corpus import CorpusParseError, CorpusValidationError, Verdict
+
+    rows = data.get("judgments")
+    if not isinstance(rows, list):
+        raise CorpusParseError(f"{ctx}: missing 'judgments' list")
+    out = {}
+    for i, row in enumerate(rows):
+        try:
+            key = tuple(row[k] for k in keys)
+            for k, value in zip(keys, key):
+                if type(value) is not int:
+                    raise CorpusParseError(
+                        f"{ctx}: judgments[{i}].{k}: expected an integer, got {value!r}"
+                    )
+            verdict = Verdict(row["verdict"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusParseError(f"{ctx}: judgments[{i}]: {exc}") from exc
+        if key in out:
+            raise CorpusValidationError(f"{ctx}: judgments[{i}]: {key} is judged twice")
+        out[key] = verdict
+    return out

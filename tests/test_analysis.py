@@ -291,6 +291,19 @@ class TestSampleSummaryPairs:
         with pytest.raises(ValueError):
             sample_summary_pairs(3, 4, 1, seed=0)
 
+    @pytest.mark.parametrize("n,count,message", [
+        (-3, 2, "cannot sample -3 distinct indices from 12"),
+        (4, -1, "cannot sample -1 pairs"),
+    ], ids=["negative_n", "negative_count"])
+    def test_rejects_a_negative_size_naming_it(self, n, count, message):
+        with pytest.raises(ValueError) as info:
+            sample_summary_pairs(12, n, count, seed=0)
+        assert str(info.value) == message
+
+    def test_zero_sizes_are_valid(self):
+        assert sample_summary_pairs(12, 4, 0, seed=0) == []
+        assert all(a.indices == b.indices == () for a, b in sample_summary_pairs(12, 0, 3, seed=0))
+
     def test_reproduces_golden_fixture(self, data_dir):
         golden = json.loads((data_dir / "golden_pairs_seed0.json").read_text())
         pairs = sample_summary_pairs(golden["m"], golden["n"], golden["count"], golden["seed"])

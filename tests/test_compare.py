@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtseval import analysis, visual
+from vtseval import analysis, corpus, visual
 from vtseval.corpus import (
     CorpusValidationError,
     SubshotFeatures,
@@ -260,7 +260,7 @@ class TestHumanVerdicts:
             {"ref": 0, "x": 1, "y": 2, "verdict": "first_closer"},
             {"ref": 1, "x": 0, "y": 2, "verdict": "both_zero"},
         ])
-        assert analysis.load_human_verdicts(path, ("ref", "x", "y")) == {
+        assert corpus.load_human_verdicts(path, ("ref", "x", "y")) == {
             (0, 1, 2): analysis.Verdict.FIRST_CLOSER,
             (1, 0, 2): analysis.Verdict.BOTH_ZERO,
         }
@@ -272,7 +272,7 @@ class TestHumanVerdicts:
             {"pair": 0, "verdict": "second_closer"},
         ])
         with pytest.raises(CorpusValidationError, match=r"judgments\[2\]"):
-            analysis.load_human_verdicts(path, ("pair",))
+            corpus.load_human_verdicts(path, ("pair",))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,18 @@ def test_sample_indices_sorted_distinct():
     out = sample_indices(50, 10, rng)
     assert len(out) == len(set(out)) == 10
     assert out == sorted(out)
+
+
+@pytest.mark.parametrize("m,n", [(12, -3), (12, -1), (3, 4)])
+def test_sample_indices_refuses_a_size_outside_0_to_m(m, n):
+    with pytest.raises(ValueError) as info:
+        sample_indices(m, n, SplitMix64(0))
+    assert str(info.value) == f"cannot draw {n} distinct indices from {m}"
+
+
+def test_sample_indices_of_size_0_and_m():
+    assert sample_indices(12, 0, SplitMix64(0)) == []
+    assert sample_indices(12, 12, SplitMix64(0)) == list(range(12))
 
 
 SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2**20, 2**64 - 1))

@@ -3,12 +3,13 @@
 load_features, load_annotations and load_ground_truths parse without
 read_json's per-float finiteness hook and check the values they keep in
 bulk. On every file, good or perturbed, they must give what the checked
-path gives: read_json's parse followed by the field-by-field loop, with
-the features' frame checks done one subshot and one frame at a time by
-``oracles.frame_fault``. That is the same arrays and records, or the same
-exception class and message. ``validate_features`` is pinned to the same
-per-frame loop on features built directly, which the loader cannot
-produce (subshots without frames, a width that differs from the bins).
+path gives: read_json's parse followed by the field-by-field reader of
+that kind in ``oracles``, with the features' frame checks done one
+subshot and one frame at a time by ``oracles.frame_fault``. That is the
+same arrays and records, or the same exception class and message.
+``validate_features`` is pinned to the same per-frame loop on features
+built directly, which the loader cannot produce (subshots without
+frames, a width that differs from the bins).
 """
 import json
 from unittest import mock
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from vtseval import corpus
 
+import oracles
 from oracles import frame_fault
 
 # a finite value the tests write into a file and then turn into a literal
@@ -29,33 +31,7 @@ MARK = 12345.5
 
 def checked_features(path, video=None):
     """The features loader as a reference: read_json's parse, then row by row and frame by frame."""
-    data, ctx = corpus.read_json(path), str(path)
-    video_id = corpus._get(data, "video_id", str, ctx)
-    corpus._check_video(ctx, video_id, video)
-    bins = corpus._get(data, "bins_per_channel", int, ctx)
-    subshots = []
-    for i, raw in enumerate(corpus._get(data, "subshots", list, ctx)):
-        where = f"{ctx}: subshots[{i}]"
-        if not isinstance(raw, dict):
-            raise corpus.CorpusParseError(f"{where} must be an object")
-        if corpus._get(raw, "index", int, where) != i:
-            raise corpus.CorpusValidationError(f"{where}.index: expected {i}")
-        frames = corpus._get(raw, "frames", list, where)
-        entries = [x for frame in frames if isinstance(frame, list) for x in frame]
-        try:
-            arr = np.asarray(frames, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if arr is None or any(type(x) not in (int, float) for x in entries):
-            raise corpus.CorpusParseError(f"{where}.frames: ragged or non-numeric")
-        if arr.ndim != 2:
-            raise corpus.CorpusParseError(f"{where}.frames: expected a list of histograms")
-        subshots.append(arr)
-    corpus._check_coverage(ctx, len(subshots), video)
-    fault = frame_fault(bins, subshots)
-    if fault is not None:
-        raise corpus.CorpusValidationError(fault)
-    return corpus.SubshotFeatures(video_id, bins, subshots)
+    return oracles.features_of(corpus.read_json(path), str(path), video)
 
 
 def outcome(load, path):
@@ -331,11 +307,11 @@ def test_features_matrix_holds_every_frame_in_subshot_order(features12):
 
 
 def checked_annotations(path):
-    return corpus._annotations_of(corpus.read_json(path), str(path))
+    return oracles.annotations_of(corpus.read_json(path), str(path))
 
 
 def checked_ground_truths(path):
-    return corpus._ground_truths_of(corpus.read_json(path), str(path), None)
+    return oracles.ground_truths_of(corpus.read_json(path), str(path))
 
 
 ANNOTATION_VALUES = ["5.0", "5", "1e999", "-1e999", "NaN", "true", '"5"', "1e308"]
