@@ -33,20 +33,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    return dict(sorted(vars(args).items()))
-
-
 def _table(args) -> UnitTable:
     """The command's one unit table, under --stopwords or the bundled list."""
-    if not args.stopwords:
-        return UnitTable()
-    try:
-        return UnitTable(load_stopwords(args.stopwords))
-    except OSError as exc:
-        raise corpus.CorpusIOError(f"cannot read {args.stopwords}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise corpus.CorpusParseError(f"{args.stopwords}: not UTF-8 text: {exc}") from exc
+    return UnitTable(load_stopwords(args.stopwords)) if args.stopwords else UnitTable()
+
+
+def _write_report(args: argparse.Namespace, report: dict) -> None:
+    """Write report to --output with the tool version and the command line's settings."""
+    report = {**report, "tool_version": __version__, "config": vars(args)}
+    corpus.write_canonical(args.output, report)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -70,10 +65,7 @@ def _cmd_evaluate(args) -> int:
         summary_id=Path(args.summary).stem,
         table=_table(args),
     )
-    corpus.write_canonical(
-        args.output,
-        {**report.to_dict(), "tool_version": __version__, "config": _config_dict(args)},
-    )
+    _write_report(args, report.to_dict())
     print(f"{report.summary_id}: score {report.score:.6f} (best author {report.best_author})")
     return 0
 
@@ -164,15 +156,7 @@ def _cmd_correlate(args) -> int:
         raise corpus.CorpusValidationError(str(exc)) from exc
     print(f"spearman {rho:.6f} over {len(ids)} items")
     if args.output:
-        corpus.write_canonical(
-            args.output,
-            {
-                "spearman": rho,
-                "n": len(ids),
-                "tool_version": __version__,
-                "config": _config_dict(args),
-            },
-        )
+        _write_report(args, {"spearman": rho, "n": len(ids)})
     return 0
 
 
@@ -211,9 +195,7 @@ def _cmd_compare(args) -> int:
         payload = analysis.compare_triples(
             video, features, human=args.human, table=_table(args)
         )
-    payload["tool_version"] = __version__
-    payload["config"] = _config_dict(args)
-    corpus.write_canonical(args.output, payload)
+    _write_report(args, payload)
     return 0
 
 

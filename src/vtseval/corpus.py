@@ -17,7 +17,10 @@ as read_json parses, so the error still names a non-finite literal. A
 feature file is read once, subshot by subshot, into one SubshotFeatures;
 ``validate_features``, the one check of frame values on load and on
 save, checks every frame in numpy and names the first bad subshot and
-frame. A file that is not UTF-8 is refused with a parse error naming it.
+frame. Every input file, the stopword lists of ``textproc.load_stopwords``
+and the frames of ``visual.load_ppm`` included, is read by ``read_bytes``
+(or ``read_text``, its UTF-8 text): a file that cannot be read raises
+CorpusIOError and one that is not UTF-8 CorpusParseError, naming the path.
 
 Each load reads its file once, as bytes, and a refused file is parsed
 again from those bytes, never reopened. The annotation, ground-truth and
@@ -133,7 +136,7 @@ class GroundTruthSummary:
     sentences: tuple[GroundTruthSentence, ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SubshotFeatures:
     """A video's frame histograms as one matrix.
 
@@ -143,7 +146,7 @@ class SubshotFeatures:
     The one constructor copies one 2-D array per subshot, all of one width,
     into the matrix; ``validate_features`` checks the result. ``frames``,
     ``offsets`` and every view are read-only: the loaders hand one record
-    to every load of the same file.
+    to every load of the same file. Records compare and hash by identity.
     """
 
     video_id: str
@@ -399,7 +402,8 @@ def write_canonical(path: str | Path, obj) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _read_bytes(path: str | Path) -> bytes:
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of the file at path; CorpusIOError naming it if it cannot be read."""
     try:
         return Path(path).read_bytes()
     except OSError as exc:
@@ -415,8 +419,13 @@ def _decode(raw: bytes, path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def read_text(path: str | Path) -> str:
+    """The file at path as UTF-8 text with universal newlines; CorpusParseError if not UTF-8."""
+    return _decode(read_bytes(path), path)
+
+
 def read_json(path: str | Path) -> dict:
-    return _parse_json(_decode(_read_bytes(path), path), path)
+    return _parse_json(read_text(path), path)
 
 
 def _parse_json(text: str, path: str | Path) -> dict:
@@ -542,7 +551,7 @@ def _load_memoized(kind: str, path: str | Path, load, check=None):
     passed. A hit therefore runs only ``check``, the checks that depend on
     the loader's ``video`` argument.
     """
-    raw = _read_bytes(path)
+    raw = read_bytes(path)
     key = (kind, raw)
     record = _memo.get(key)
     if record is None:
@@ -602,6 +611,12 @@ def _checked_rows(items: list, fields: tuple, where: str):
         yield tuple(_get(row, name, kind, f"{where}[{i}]") for name, kind in fields)
 
 
+def _row_dicts(rows, fields: tuple) -> list[dict]:
+    """Tuples of the values of fields as JSON objects, the layout ``_rows`` reads back."""
+    names = [name for name, _ in fields]
+    return [dict(zip(names, row)) for row in rows]
+
+
 _SUBSHOT_FIELDS = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
 _SENTENCE_FIELDS = (("temporal_pos", int), ("rank", int), ("text", str))
 _SPAN_FIELDS = (("start_s", float), ("end_s", float))
@@ -636,10 +651,7 @@ def save_annotations(path: str | Path, video: VideoRecord) -> None:
         {
             "video_id": video.video_id,
             "subshot_seconds": video.subshot_seconds,
-            "subshots": [
-                {"index": s.index, "start_s": s.start_s, "end_s": s.end_s, "text": s.annotation}
-                for s in video.subshots
-            ],
+            "subshots": _row_dicts(video.subshots, _SUBSHOT_FIELDS),
         },
     )
 
@@ -692,13 +704,7 @@ def save_ground_truths(path: str | Path, gts: list[GroundTruthSummary], video_id
         {
             "video_id": video_id,
             "summaries": [
-                {
-                    "author_id": gt.author_id,
-                    "sentences": [
-                        {"temporal_pos": s.temporal_pos, "rank": s.rank, "text": s.text}
-                        for s in gt.sentences
-                    ],
-                }
+                {"author_id": gt.author_id, "sentences": _row_dicts(gt.sentences, _SENTENCE_FIELDS)}
                 for gt in gts
             ],
         },

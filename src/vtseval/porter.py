@@ -66,16 +66,20 @@ def _ends_cvc(stem: str) -> bool:
 
 
 def _apply_longest(word: str, rules) -> str:
-    """Pick the longest matching suffix, then test its m-condition."""
+    """Pick the longest matching suffix, then test its m-condition.
+
+    A rule is (suffix, replacement, min_m), or (suffix, replacement, min_m,
+    endings) when the stem must also end in one of endings.
+    """
     best = None
-    for suffix, repl, min_m in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, repl, min_m)
+    for rule in rules:
+        if word.endswith(rule[0]) and (best is None or len(rule[0]) > len(best[0])):
+            best = rule
     if best is None:
         return word
-    suffix, repl, min_m = best
+    suffix, repl, min_m, *endings = best
     stem = word[: -len(suffix)]
-    if _measure(stem) > min_m:
+    if _measure(stem) > min_m and (not endings or stem.endswith(endings[0])):
         return stem + repl
     return word
 
@@ -95,12 +99,12 @@ _STEP3 = [
     ("iciti", "ic", 0), ("ical", "ic", 0), ("ful", "", 0), ("ness", "", 0),
 ]
 
-_STEP4_PLAIN = [
+_STEP4 = [
     ("al", "", 1), ("ance", "", 1), ("ence", "", 1), ("er", "", 1),
     ("ic", "", 1), ("able", "", 1), ("ible", "", 1), ("ant", "", 1),
-    ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ou", "", 1),
-    ("ism", "", 1), ("ate", "", 1), ("iti", "", 1), ("ous", "", 1),
-    ("ive", "", 1), ("ize", "", 1),
+    ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ion", "", 1, ("s", "t")),
+    ("ou", "", 1), ("ism", "", 1), ("ate", "", 1), ("iti", "", 1),
+    ("ous", "", 1), ("ive", "", 1), ("ize", "", 1),
 ]
 
 
@@ -146,22 +150,6 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _step4(word: str) -> str:
-    best = None
-    for suffix, _, _ in _STEP4_PLAIN:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-            best = suffix
-    if word.endswith("ion") and (best is None or 3 > len(best)):
-        stem = word[:-3]
-        if _measure(stem) > 1 and stem[-1:] in ("s", "t"):
-            return stem
-        return word
-    if best is None:
-        return word
-    stem = word[: -len(best)]
-    return stem if _measure(stem) > 1 else word
-
-
 def _step5a(word: str) -> str:
     if not word.endswith("e"):
         return word
@@ -187,7 +175,7 @@ def stem(word: str) -> str:
     word = _step1c(word)
     word = _apply_longest(word, _STEP2)
     word = _apply_longest(word, _STEP3)
-    word = _step4(word)
+    word = _apply_longest(word, _STEP4)
     word = _step5a(word)
     word = _step5b(word)
     return word

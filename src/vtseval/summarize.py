@@ -18,7 +18,7 @@ from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, Video
 from .evaluator import length_adjust
 from .rng import SplitMix64
 from .rouge import UnitTable, find, postings, su_f_matrix
-from .visual import chi_square_matrix, pairwise_chi_square
+from .visual import chi_square_matrix, left_sum, pairwise_chi_square
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,6 @@ def uniform_sample(video: VideoRecord, n: int) -> SummarySelection:
 
 # ---------------------------------------------------------------------------
 # frame helpers
-
-
-def _left_sum(values) -> float:
-    """Sum in index order. From Python 3.12, sum() compensates float
-    rounding, so its bits would depend on the Python version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _fill_uniform(chosen: set[int], m: int, n: int) -> list[int]:
@@ -129,14 +120,14 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
         return labels, per_frame
 
     assignments, per_frame = assign(centroids)
-    objectives = [_left_sum(per_frame)]
+    objectives = [left_sum(per_frame)]
     for _ in range(100):
         for c in range(n):
             members = [i for i in range(f) if assignments[i] == c]
             if members:  # reseeding may have stolen a singleton's frame
                 centroids[c] = frames[members].mean(axis=0)
         new_assignments, per_frame = assign(centroids)
-        objectives.append(_left_sum(per_frame))
+        objectives.append(left_sum(per_frame))
         if new_assignments == assignments:
             break
         assignments = new_assignments

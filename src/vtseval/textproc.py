@@ -5,7 +5,9 @@ produce identical stems: lowercase, split on anything outside [a-z0-9],
 drop stopwords, stem. A sentence is the unit of input; nothing here
 splits text into sentences, and nothing here builds counting units:
 ``rouge.UnitTable`` is the one place where text turns into units, and
-its stopword set is the one stopword choice of a score.
+its stopword set is the one stopword choice of a score. A stopword file
+is read by ``corpus.read_text``, the reader of every input file, so it
+is refused with the corpus errors (CorpusIOError, CorpusParseError).
 
 ``stem`` is memoized: it is a pure token -> stem map, so its cache is
 shared by the whole process. The cache is bounded (``STEM_CACHE_SIZE``
@@ -21,6 +23,7 @@ import re
 from pathlib import Path
 
 from . import porter
+from .corpus import read_text
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _DIGIT_RE = re.compile(r"[0-9]")
@@ -32,14 +35,8 @@ STEM_CACHE_SIZE = 1 << 16
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' lines are comments."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.add(line.lower())
-    return frozenset(words)
+    lines = (line.strip() for line in read_text(path).split("\n"))
+    return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
 
 
 DEFAULT_STOPWORDS = load_stopwords(_DEFAULT_STOPWORDS_PATH)

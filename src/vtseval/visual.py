@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import CorpusIOError, CorpusParseError, SubshotFeatures, SummarySelection
+from .corpus import CorpusParseError, SubshotFeatures, SummarySelection, read_bytes
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,7 @@ class Frame:
 
 def load_ppm(path: str | Path) -> Frame:
     """Parse a binary PPM (magic P6, maxval 255)."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise CorpusIOError(f"cannot read {path}: {exc}") from exc
-
+    blob = read_bytes(path)
     pos = 0
 
     def next_token() -> bytes:
@@ -210,7 +206,13 @@ def pixel_summary_distance(
     chosen = [features.subshots[s] for s in summary.indices]
     starts = np.cumsum([0] + [len(frames) for frames in chosen[:-1]])
     nearest = chi_square_matrix(np.vstack(chosen), gt).min(axis=1)
+    return left_sum(np.minimum.reduceat(nearest, starts).tolist()) / len(summary)
+
+
+def left_sum(values) -> float:
+    """Sum in index order. From Python 3.12, sum() compensates float
+    rounding, so its bits would depend on the Python version."""
     total = 0.0
-    for d in np.minimum.reduceat(nearest, starts).tolist():
-        total += d
-    return total / len(summary)
+    for v in values:
+        total += v
+    return total

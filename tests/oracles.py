@@ -565,3 +565,51 @@ def human_verdicts_of(data, ctx, keys):
             raise CorpusValidationError(f"{ctx}: judgments[{i}]: {key} is judged twice")
         out[key] = verdict
     return out
+
+
+# ---------------------------------------------------------------------------
+# Porter's step 4 and spearman's average ranks, written out as loops: the
+# package states the first as a row of its suffix table and the second
+# with np.unique, and the tests require the same stems and the same bits.
+
+STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
+    "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+)
+
+
+def porter_step4(word: str) -> str:
+    """Porter's step 4: strip the longest suffix if m > 1; (s|t)ion strips
+    only "ion", only after s or t, and only when longer than every other match."""
+    from vtseval.porter import _measure
+
+    best = None
+    for suffix in STEP4_SUFFIXES:
+        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
+            best = suffix
+    if word.endswith("ion") and (best is None or 3 > len(best)):
+        stem = word[:-3]
+        if _measure(stem) > 1 and stem[-1:] in ("s", "t"):
+            return stem
+        return word
+    if best is None:
+        return word
+    stem = word[: -len(best)]
+    return stem if _measure(stem) > 1 else word
+
+
+def average_ranks_loop(values):
+    """1-based ranks, each run of equal values in stable sorted order sharing its mean rank."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(len(arr), dtype=np.float64)
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -5,7 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vtseval import analysis
 from vtseval.analysis import (
     CaseLabel,
     PairJudgment,
@@ -26,6 +29,7 @@ from vtseval.corpus import (
 )
 from vtseval.evaluator import score_summary
 
+import oracles
 from oracles import spearman_closed_form
 
 
@@ -58,6 +62,13 @@ class TestSpearman:
 
     def test_closed_form_example(self):
         assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_is_refused_naming_side_and_index(self, side):
+        values = ([1.0, math.nan, 3.0, 2.0], [1.0, 2.0, 3.0, 4.0])
+        args = values if side == 0 else values[::-1]
+        with pytest.raises(ValueError, match=rf"^{('xs', 'ys')[side]}\[1\]: NaN"):
+            spearman(*args)
 
     def test_ties_average_ranks(self):
         # ranks of x: [1, 2.5, 2.5, 4]
@@ -93,6 +104,18 @@ class TestSpearman:
             spearman([1], [1])
         with pytest.raises(ValueError):
             spearman([2, 2, 2], [1, 2, 3])
+
+
+# a small pool, so most draws hold ties; -0.0 ties 0.0 and each infinity ties itself
+POOL = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.5, 1e300, math.inf, -math.inf])
+RANKED = st.lists(st.one_of(POOL, st.floats(allow_nan=False)), max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(RANKED)
+def test_average_ranks_match_the_loop_bit_for_bit(values):
+    got = analysis._average_ranks(values)
+    assert got.tobytes() == oracles.average_ranks_loop(values).tobytes()
 
 
 class TestPairJudgment:
@@ -240,6 +263,7 @@ class TestClassifyCase:
         for v, p in itertools.product(Verdict, Verdict):
             label = classify_case(self.make(v), self.make(p))
             assert isinstance(label, CaseLabel)
+            assert label.value == oracles.case(v.value, p.value)
 
     def test_zero_and_equal_follow_vset(self):
         for p in Verdict:

@@ -196,6 +196,12 @@ class TestGroundTruths:
 
 
 class TestFeatures:
+    def test_records_compare_and_hash_by_identity(self):
+        """Array fields have no single truth value of equality: records compare as objects."""
+        a, b = (SubshotFeatures("v", 1, [[[1.0, 0.0, 0.0]]]) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_loads_fixture(self, features12):
         assert len(features12) == 12
         assert features12.bins_per_channel == 16

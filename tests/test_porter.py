@@ -1,8 +1,11 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
-from vtseval.porter import stem
+from vtseval.porter import _STEP4, _apply_longest, stem
+
+import oracles
 
 SAMPLE = Path(__file__).parent / "data" / "porter_sample.txt"
 
@@ -51,3 +54,17 @@ def test_longest_suffix_blocks_shorter_rules():
     assert stem("feed") == "feed"
     # "rational" matches ational (condition fails) so tional must not fire
     assert stem("rational") == "ration"
+
+
+def test_step4_table_matches_the_written_out_rule():
+    """Step 4's table row for (s|t)ion picks and strips as the loop in oracles does.
+
+    Every base, a sample word, its stem or a short letter string, takes every
+    step-4 suffix and also "sion" and "tion".
+    """
+    bases = {w for pair in load_sample() for w in pair}
+    for k in (1, 2, 3):
+        bases.update(map("".join, itertools.product("abcilnorstuy", repeat=k)))
+    suffixes = oracles.STEP4_SUFFIXES + ("ion", "sion", "tion")
+    words = [base + suffix for base in sorted(bases) for suffix in suffixes]
+    assert [_apply_longest(w, _STEP4) for w in words] == list(map(oracles.porter_step4, words))

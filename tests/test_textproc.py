@@ -1,6 +1,9 @@
 import random
 from collections import Counter
 
+import pytest
+
+from vtseval.corpus import CorpusIOError, CorpusParseError
 from vtseval.rouge import SU, UnitTable
 from vtseval.textproc import (
     DEFAULT_STOPWORDS,
@@ -59,6 +62,17 @@ class TestStopwords:
         assert stops == frozenset({"dog", "park"})
         assert preprocess("dog walked park", stops) == ["walk"]
         assert decoded_row(UnitTable(stops), 1, "dog walked park") == ["walk"]
+
+    def test_unreadable_and_non_utf8_files_raise_corpus_errors_naming_them(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(CorpusIOError) as exc:
+            load_stopwords(missing)
+        assert str(exc.value).startswith(f"cannot read {missing}: ")
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_bytes(b"dog\n\xff\xfe\n")
+        with pytest.raises(CorpusParseError) as exc:
+            load_stopwords(garbage)
+        assert str(exc.value).startswith(f"{garbage}: not UTF-8 text: ")
 
     def test_bundled_list_loaded(self):
         assert "the" in DEFAULT_STOPWORDS

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from vtseval.corpus import CorpusParseError, SubshotFeatures, SummarySelection
+from vtseval.corpus import CorpusIOError, CorpusParseError, SubshotFeatures, SummarySelection
 from vtseval.visual import (
     Frame,
     chi_square,
@@ -57,6 +57,17 @@ class TestLoadPpm:
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
         with pytest.raises(CorpusParseError, match="truncated"):
             load_ppm(path)
+
+    def test_unreadable_and_non_utf8_files_are_refused_by_path(self, tmp_path):
+        missing = tmp_path / "missing.ppm"
+        with pytest.raises(CorpusIOError) as exc:
+            load_ppm(missing)
+        assert str(exc.value).startswith(f"cannot read {missing}: ")
+        garbage = tmp_path / "garbage.ppm"
+        garbage.write_bytes(b"\xff\xfe")
+        with pytest.raises(CorpusParseError) as exc:
+            load_ppm(garbage)
+        assert str(exc.value).startswith(f"{garbage}: ")
 
 
 class TestComputeHistogram:
