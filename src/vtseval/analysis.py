@@ -13,14 +13,13 @@ compare_pairs and compare_triples judge a whole video alike: scores go
 into one k x 4 array, verdict_codes and the case table that classify_case
 reads judge every row at once, and human verdicts are looked up by
 record row. Triples come back as one columnar TripleRecords, which
-reads like a list of record dicts and renders itself as canonical JSON.
+renders itself as canonical JSON.
 """
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -206,19 +205,13 @@ _RECORD = (
 _BLOCK = 512  # records rendered per piece of canonical()
 
 
-def _record(case, pb_first, pb_second, pb, ref, vset_first, vset_second, vset, x, y) -> dict:
-    return {"ref": ref, "x": x, "y": y, "vset": _judgment(vset, vset_first, vset_second),
-            "pb": _judgment(pb, pb_first, pb_second), "case": case}
-
-
-class TripleRecords(Sequence):
+class TripleRecords:
     """The records of compare_triples as three arrays, one row per triple.
 
     ``triples`` holds (ref, x, y); ``scores`` the pixel scores of x and y
     against ref, then their text scores; ``codes`` is what _judge gives.
-    Indexing and iteration give each record as a dict ``{"ref", "x", "y",
-    "vset", "pb", "case"}``; ``canonical`` writes them all as canonical
-    JSON, which is how corpus.write_canonical writes them.
+    ``canonical`` writes the records as canonical JSON, as corpus.write_canonical
+    does; json.loads(corpus.canonical_dumps(records)) gives them as dicts.
     """
 
     __slots__ = ("triples", "scores", "codes")
@@ -238,20 +231,6 @@ class TripleRecords(Sequence):
         verdict_of = _VERDICT_NAMES.__getitem__
         return zip(map(_CASE_NAMES.__getitem__, case), pb_first, pb_second, map(verdict_of, pb),
                    ref, vset_first, vset_second, map(verdict_of, vset), x, y)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # IndexError and negative indices as for a list
-        return _record(*next(self._rows(i, i + 1)))
-
-    def __iter__(self):
-        return starmap(_record, self._rows())
-
-    def __eq__(self, other):
-        if isinstance(other, (list, TripleRecords)):
-            return list(self) == list(other)
-        return NotImplemented
 
     def canonical(self, indent: str):
         """Yield the canonical JSON text of the records as a list, in pieces of _BLOCK records.
@@ -349,13 +328,16 @@ def compare_pairs(
 ) -> dict:
     """Judge count sampled pairs of n-subshot summaries; the compare output of pairs mode.
 
-    Pixel judgments and case counts need both features and gt_subshots;
-    agreement rates need a human file judging pairs by their index, each
-    in 0..count-1 (CorpusValidationError otherwise).
+    Pixel judgments and case counts need both features and gt_subshots (one
+    alone is a ValueError); agreement rates need a human file judging pairs
+    by their index, each in 0..count-1 (CorpusValidationError otherwise).
     """
+    if (features is None) != (gt_subshots is None):
+        missing = "gt_subshots" if gt_subshots is None else "features"
+        raise ValueError(f"pixel judgments also need {missing}")
     pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
     rows, said = _human_rows(human, ("pair",), count, lambda pair: pair) if human else (None, None)
-    with_pixel = features is not None and gt_subshots is not None
+    with_pixel = features is not None
     summaries = [s for pair in pairs for s in pair]
     scores = np.zeros((count, 4))
     scores[:, 2:] = best_scores(summaries, video, gts, n, metric, table).reshape(count, 2)

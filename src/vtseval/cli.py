@@ -44,11 +44,6 @@ def _write_report(args: argparse.Namespace, report: dict) -> None:
     corpus.write_canonical(args.output, report)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (splitmix64)")
-    parser.add_argument("--stopwords", help="override the bundled stopword list")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", required=True)
     p.add_argument("--metric", choices=list(evaluator.METRICS), default="rouge-su")
     p.add_argument("--output", required=True)
-    _add_common(p)
+    p.add_argument("--stopwords", help="override the bundled stopword list")
 
     p = sub.add_parser("summarize", help="produce a baseline summary")
     p.add_argument("--method", choices=["uniform", "cluster", "mmr", "bow", "dp"], required=True)
@@ -225,20 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lambda_", type=float, default=0.5)
     p.add_argument("--output", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (splitmix64)")
+    p.add_argument("--stopwords", help="override the bundled stopword list")
 
     p = sub.add_parser("features", help="build a histogram feature file from PPM frames")
     p.add_argument("--frames-dir", required=True)
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--video-id", required=True)
     p.add_argument("--output", required=True)
-    _add_common(p)
 
     p = sub.add_parser("correlate", help="rank correlation of two score files")
     p.add_argument("--scores-a", required=True)
     p.add_argument("--scores-b", required=True)
     p.add_argument("--output")
-    _add_common(p)
 
     p = sub.add_parser("compare", help="pairwise judgments over sampled pairs or all triples")
     p.add_argument("--mode", choices=["pairs", "triples"], required=True)
@@ -251,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--human", help="human judgment file for agreement rates")
     p.add_argument("--output", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (splitmix64)")
+    p.add_argument("--stopwords", help="override the bundled stopword list")
 
     return parser
 

@@ -84,6 +84,9 @@ def _apply_longest(word: str, rules) -> str:
     return word
 
 
+# m > -1 always holds: step 1a's rules have no condition
+_STEP1A = [("sses", "ss", -1), ("ies", "i", -1), ("ss", "ss", -1), ("s", "", -1)]
+
 _STEP2 = [
     ("ational", "ate", 0), ("tional", "tion", 0), ("enci", "ence", 0),
     ("anci", "ance", 0), ("izer", "ize", 0), ("abli", "able", 0),
@@ -106,18 +109,6 @@ _STEP4 = [
     ("ou", "", 1), ("ism", "", 1), ("ate", "", 1), ("iti", "", 1),
     ("ous", "", 1), ("ive", "", 1), ("ize", "", 1),
 ]
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
 
 
 def _step1b(word: str) -> str:
@@ -170,7 +161,7 @@ def stem(word: str) -> str:
     """Stem one lowercase alphabetic word."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
+    word = _apply_longest(word, _STEP1A)
     word = _step1b(word)
     word = _step1c(word)
     word = _apply_longest(word, _STEP2)

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .textproc import DEFAULT_STOPWORDS, stem, tokenize
+from .textproc import default_stopwords, stem, tokenize
 
 SU = "su"
 """Unit kind of ROUGE-SU: unigrams plus skip-bigrams. Kinds 1 and 2 are contiguous n-grams."""
@@ -74,7 +74,7 @@ class UnitTable:
     """
 
     def __init__(self, stopwords: frozenset[str] | None = None):
-        self.stopwords = DEFAULT_STOPWORDS if stopwords is None else stopwords
+        self.stopwords = default_stopwords() if stopwords is None else stopwords
         self._stem_ids: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
         self._rows: dict[tuple, array] = {}

@@ -149,13 +149,15 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
         raise ValueError(f"fewer frames ({hists.shape[0]}) than clusters ({n})")
     result = lloyd_cluster(hists, n, seed)
 
+    labels = np.asarray(result.assignments)
     chosen: set[int] = set()
     for c in range(n):
-        members = [i for i in range(len(owners)) if result.assignments[i] == c]
-        if not members:
+        members = np.flatnonzero(labels == c)
+        if not len(members):
             continue
         dists = chi_square_matrix(hists[members], result.centroids[c : c + 1])[:, 0]
-        for pos in sorted(range(len(members)), key=lambda p: (dists[p], members[p])):
+        # a stable sort keeps equally near members in frame order
+        for pos in np.argsort(dists, kind="stable"):
             subshot = owners[members[pos]]
             if subshot not in chosen:
                 chosen.add(subshot)
@@ -186,35 +188,29 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
     dist = pairwise_chi_square(features.frames)
 
     selected: list[int] = []
-    remaining = np.arange(f)
+    keep = np.ones(f, dtype=bool)  # the unselected frames
     # min distance from each frame to the selected frames
     nearest = np.full(f, np.inf)
     covered: set[int] = set()
-    sums = np.empty(f)
     while len(covered) < params.n:
+        remaining = np.flatnonzero(keep)
         r = remaining.size
         if r == 0:
             raise ValueError(f"ran out of frames before reaching {params.n} distinct subshots")
-        if r > 1:
-            # Adding the remaining rows in index order makes sums[i] a
-            # strict left fold down column i. dist is exactly symmetric, so
-            # that is the left fold along row i over the remaining frames,
-            # and the zero diagonal cell adds nothing: each mean has the bits
-            # of the plain left-fold sum over the others.
-            sums[:] = 0.0
-            for j in remaining.tolist():
-                sums += dist[j]
-            mean_d = sums[remaining] / (r - 1)
-        else:
-            mean_d = np.zeros(1)
-        score = params.lambda_ * mean_d
+        # The masked reduction adds the unselected rows in index order, a
+        # strict left fold down each column. dist is exactly symmetric, so
+        # that is the left fold along row i over the unselected frames, and
+        # the zero diagonal cell adds nothing: each mean has the bits of the
+        # plain left-fold sum over the others (a last frame's sum is 0.0).
+        sums = np.add.reduce(dist, axis=0, where=keep[:, None], initial=0.0)
+        score = params.lambda_ * (sums[remaining] / max(r - 1, 1))
         if selected:
             score -= (1.0 - params.lambda_) * nearest[remaining]
         # argmin takes the first minimum: ties go to the lowest frame index
         pos = int(np.argmin(score))
         best_idx = int(remaining[pos])
         selected.append(best_idx)
-        remaining = np.delete(remaining, pos)
+        keep[best_idx] = False
         nearest = np.minimum(nearest, dist[best_idx])
         covered.add(owners[best_idx])
     return selected

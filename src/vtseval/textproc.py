@@ -39,7 +39,10 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
 
 
-DEFAULT_STOPWORDS = load_stopwords(_DEFAULT_STOPWORDS_PATH)
+@functools.cache
+def default_stopwords() -> frozenset[str]:
+    """The bundled stopword list, read on the first call rather than on import."""
+    return load_stopwords(_DEFAULT_STOPWORDS_PATH)
 
 
 def tokenize(text: str) -> list[str]:
@@ -58,5 +61,5 @@ def stem(token: str) -> str:
 def preprocess(sentence: str, stopwords: frozenset[str] | None = None) -> list[str]:
     """tokenize -> drop stopwords -> stem, order preserved."""
     if stopwords is None:
-        stopwords = DEFAULT_STOPWORDS
+        stopwords = default_stopwords()
     return [stem(t) for t in tokenize(sentence) if t not in stopwords]

@@ -12,6 +12,7 @@ minimum, and pixel_summary_distance a mean of block minima.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +31,11 @@ class Frame:
     pixels: bytes
 
 
+# whitespace and '#' comments, each ending before a line break, then one
+# header token; in a bytes pattern \s is exactly the bytes that isspace() accepts
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)")
+
+
 def load_ppm(path: str | Path) -> Frame:
     """Parse a binary PPM (magic P6, maxval 255)."""
     blob = read_bytes(path)
@@ -37,20 +43,11 @@ def load_ppm(path: str | Path) -> Frame:
 
     def next_token() -> bytes:
         nonlocal pos
-        while pos < len(blob):
-            if blob[pos : pos + 1].isspace():
-                pos += 1
-            elif blob[pos : pos + 1] == b"#":
-                while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PPM_TOKEN.match(blob, pos)
+        pos = match.end()
+        if not match[1]:
             raise CorpusParseError(f"{path}: truncated PPM header")
-        return blob[start:pos]
+        return match[1]
 
     magic = next_token()
     if magic != b"P6":
@@ -87,12 +84,9 @@ def compute_histogram(frame: Frame, bins_per_channel: int) -> np.ndarray:
     if not frame.pixels:
         raise ValueError("cannot compute a histogram of a zero-pixel frame")
     data = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
-    shift = 256 // b
-    hist = np.zeros(3 * b, dtype=np.float64)
-    for c in range(3):
-        counts = np.bincount(data[:, c] // shift, minlength=b)
-        hist[c * b : (c + 1) * b] = counts
-    return hist / (3 * data.shape[0])
+    # binned in a wide integer type, as v * B does not fit in uint8
+    bins = data.astype(np.intp) * b // 256 + np.arange(0, 3 * b, b)
+    return np.bincount(bins.ravel(), minlength=3 * b) / (3 * data.shape[0])
 
 
 def chi_square(a: np.ndarray, b: np.ndarray) -> float:

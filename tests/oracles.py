@@ -613,3 +613,158 @@ def average_ranks_loop(values):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# Rules the package states as one call or table, written out as the loops
+# they replaced: the PPM header tokenizer (a regex), Porter's step 1a (a
+# suffix table), the per-channel histogram (one bincount), MMR's column
+# sums (a masked reduction), the medoid order (a stable argsort) and the
+# record dicts of TripleRecords (its canonical JSON). The tests require
+# the same frames, errors, stems, bits and picks.
+
+
+def ppm_frame(blob: bytes, path):
+    """load_ppm of a file holding blob, its header read one byte at a time."""
+    from vtseval.corpus import CorpusParseError
+    from vtseval.visual import Frame
+
+    pos = 0
+
+    def next_token() -> bytes:
+        nonlocal pos
+        while pos < len(blob):
+            if blob[pos : pos + 1].isspace():
+                pos += 1
+            elif blob[pos : pos + 1] == b"#":
+                while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b"\r"):
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(blob) and not blob[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise CorpusParseError(f"{path}: truncated PPM header")
+        return blob[start:pos]
+
+    magic = next_token()
+    if magic != b"P6":
+        raise CorpusParseError(f"{path}: unsupported format {magic!r}, expected binary P6")
+    try:
+        width = int(next_token())
+        height = int(next_token())
+        maxval = int(next_token())
+    except ValueError as exc:
+        raise CorpusParseError(f"{path}: malformed PPM header") from exc
+    if width <= 0 or height <= 0:
+        raise CorpusParseError(f"{path}: invalid dimensions {width}x{height}")
+    if maxval != 255:
+        raise CorpusParseError(f"{path}: unsupported maxval {maxval}, expected 255")
+    pos += 1
+    expected = 3 * width * height
+    payload = blob[pos : pos + expected]
+    if len(payload) < expected:
+        raise CorpusParseError(
+            f"{path}: truncated payload, expected {expected} bytes, got {len(payload)}"
+        )
+    return Frame(width=width, height=height, pixels=payload)
+
+
+def porter_step1a(word: str) -> str:
+    """Porter's step 1a: sses -> ss, ies -> i, ss stays, s goes."""
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def channel_histogram(pixels: bytes, b: int):
+    """compute_histogram counted one channel at a time into a float buffer."""
+    import numpy as np
+
+    data = np.frombuffer(pixels, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+    hist = np.zeros(3 * b, dtype=np.float64)
+    for c in range(3):
+        hist[c * b : (c + 1) * b] = np.bincount(data[:, c] // (256 // b), minlength=b)
+    return hist / (3 * data.shape[0])
+
+
+def column_sums_loop(dist, keep):
+    """The rows of dist that keep marks, added one after another in index order."""
+    import numpy as np
+
+    sums = np.zeros(dist.shape[1])
+    for j in np.flatnonzero(keep).tolist():
+        sums += dist[j]
+    return sums
+
+
+def mmr_picks_loop(dist, owners, n, lam) -> list[int]:
+    """mmr_keyframes over the frame distance matrix dist, its sums kept by column_sums_loop."""
+    import numpy as np
+
+    f = len(owners)
+    selected, covered = [], set()
+    remaining = np.arange(f)
+    nearest = np.full(f, np.inf)
+    while len(covered) < n:
+        r = remaining.size
+        if r == 0:
+            raise ValueError(f"ran out of frames before reaching {n} distinct subshots")
+        keep = np.zeros(f, dtype=bool)
+        keep[remaining] = True
+        mean_d = column_sums_loop(dist, keep)[remaining] / (r - 1) if r > 1 else np.zeros(1)
+        score = lam * mean_d
+        if selected:
+            score -= (1.0 - lam) * nearest[remaining]
+        pos = int(np.argmin(score))
+        best = int(remaining[pos])
+        selected.append(best)
+        remaining = np.delete(remaining, pos)
+        nearest = np.minimum(nearest, dist[best])
+        covered.add(owners[best])
+    return selected
+
+
+def cluster_subshots(features, n, seed) -> tuple[int, ...]:
+    """histogram_cluster's subshots: each cluster's members sorted by (distance, frame)."""
+    from vtseval.summarize import _fill_uniform, lloyd_cluster
+    from vtseval.visual import chi_square_matrix
+
+    hists, owners = features.frames, features.owners()
+    result = lloyd_cluster(hists, n, seed)
+    chosen = set()
+    for c in range(n):
+        members = [i for i in range(len(owners)) if result.assignments[i] == c]
+        if not members:
+            continue
+        dists = chi_square_matrix(hists[members], result.centroids[c : c + 1])[:, 0]
+        for pos in sorted(range(len(members)), key=lambda p: (dists[p], members[p])):
+            if owners[members[pos]] not in chosen:
+                chosen.add(owners[members[pos]])
+                break
+    return tuple(_fill_uniform(chosen, len(features), n))
+
+
+def triple_records(records) -> list[dict]:
+    """The record dicts of an analysis.TripleRecords, built from its columns row by row."""
+    from vtseval.analysis import CaseLabel
+    from vtseval.corpus import Verdict
+
+    verdicts, cases = [v.value for v in Verdict], [c.value for c in CaseLabel]
+    out = []
+    for (ref, x, y), (pb1, pb2, v1, v2), (vset, pb, case_) in zip(
+            records.triples.tolist(), records.scores.tolist(), records.codes.tolist()):
+        out.append({
+            "ref": ref, "x": x, "y": y,
+            "vset": {"verdict": verdicts[vset], "first_score": v1, "second_score": v2},
+            "pb": {"verdict": verdicts[pb], "first_score": pb1, "second_score": pb2},
+            "case": cases[case_],
+        })
+    return out

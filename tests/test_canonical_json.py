@@ -4,7 +4,8 @@ Every output file is canonical JSON: ``json.dumps(obj, ensure_ascii=False,
 sort_keys=True, indent=2, allow_nan=False)`` plus a newline. vtseval
 writes it with its own encoder, so these tests hold that encoder to the
 stdlib's text and exception classes on arbitrary JSON trees, and hold
-analysis.TripleRecords' own rendering to the text of its record dicts.
+analysis.TripleRecords' own rendering to the text of its record dicts
+(oracles.triple_records).
 """
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from vtseval import analysis, corpus
 from vtseval.corpus import CorpusValidationError, canonical_dumps
 
+import oracles
 from test_compare import videos
 
 
@@ -85,7 +87,7 @@ def test_triple_records_render_as_their_dicts(inputs, other):
     video, features = inputs
     out = analysis.compare_triples(video, features)
     records = out["triples"]
-    as_dicts = {**out, "triples": list(records)}
+    as_dicts = {**out, "triples": oracles.triple_records(records)}
     assert canonical_dumps(out) == stdlib(as_dicts)
     nested = {"deeper": [other, {"triples": records}], "top": records}
     assert canonical_dumps(nested) == stdlib({"deeper": [other, {"triples": as_dicts["triples"]}],
@@ -111,7 +113,7 @@ def test_triple_records_refuse_a_non_finite_score(video12, features12, value):
     with pytest.raises(ValueError) as got:
         canonical_dumps({"triples": records})
     with pytest.raises(ValueError) as want:
-        stdlib({"triples": list(records)})
+        stdlib({"triples": oracles.triple_records(records)})
     assert str(got.value) == str(want.value)
 
 

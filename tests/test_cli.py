@@ -193,6 +193,15 @@ class TestFeatures:
         assert len(features) == 2
         assert features.subshots[0].shape == (2, 48)
 
+    def test_one_bin_per_channel_counts_every_sample_in_its_channel(self, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_ppm(frames / "frame_0_0.ppm", 2, 1, [(255, 0, 7), (0, 255, 128)])
+        out = tmp_path / "features.json"
+        assert main(["features", "--frames-dir", str(frames), "--bins", "1",
+                     "--video-id", "clip", "--output", str(out)]) == 0
+        assert corpus.load_features(out).subshots[0].tolist() == [[1 / 3, 1 / 3, 1 / 3]]
+
     def test_gap_in_subshot_indices_exits_2(self, tmp_path):
         frames = tmp_path / "frames"
         frames.mkdir()
@@ -488,6 +497,26 @@ class TestCompare:
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, required", [
+    ("evaluate", ["--annotations", "a", "--ground-truth", "g", "--summary", "s"]),
+    ("features", ["--frames-dir", "d", "--video-id", "v"]),
+    ("correlate", ["--scores-a", "a", "--scores-b", "b"]),
+])
+@pytest.mark.parametrize("option", ["--seed", "--stopwords"])
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, command, required, option):
+    """evaluate reads no seed, and features and correlate neither a seed nor stopwords."""
+    out = tmp_path / "out.json"
+    argv = [command, *required, option, "1", "--output", str(out)]
+    if command == "evaluate" and option == "--stopwords":
+        assert main(argv) == 2  # accepted, then refused for the missing input files
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCompareOptionsFitTheMode:

@@ -70,7 +70,7 @@ def bits(judgment: dict) -> tuple:
 def test_triples_equal_judge_subshot_pair_bit_for_bit(inputs):
     video, features = inputs
     m = len(video)
-    out = analysis.compare_triples(video, features)
+    out = json.loads(canonical_dumps(analysis.compare_triples(video, features)))
     records = out["triples"]
     assert [(r["ref"], r["x"], r["y"]) for r in records] == [
         (ref, x, y)
@@ -170,7 +170,7 @@ def test_triples_equal_the_per_triple_loop(tmp_path_factory, inputs):
     annotations = [shot.annotation for shot in video.subshots]
     expected = oracles.triple_loop(su_f_matrix(UnitTable(), annotations, annotations),
                                    (-visual.subshot_distance_matrix(features)).tolist(), human)
-    assert out == expected
+    assert {**out, "triples": oracles.triple_records(out["triples"])} == expected
     assert canonical_dumps(out) == json.dumps(expected, ensure_ascii=False, sort_keys=True,
                                               indent=2, allow_nan=False) + "\n"
 
@@ -187,17 +187,18 @@ def test_triple_rows_index_every_record(m):
     assert [row >= 0 for row in rows.tolist()] == [tuple(k) in has_record for k in keys.tolist()]
 
 
-def test_triple_records_are_a_sequence_of_the_record_dicts(video12, features12):
+def test_triple_records_render_the_record_dicts_of_their_columns(video12, features12):
     records = analysis.compare_triples(video12, features12)["triples"]
-    as_list = list(records)
-    assert len(records) == len(as_list) == 660
-    assert records[0] == as_list[0] and records[-1] == as_list[-1]
-    assert records[5:9] == as_list[5:9] and records[::-97] == as_list[::-97]
-    assert records == as_list and records != as_list[:-1]
-    with pytest.raises(IndexError):
-        records[660]
+    as_list = oracles.triple_records(records)
+    parsed = json.loads(canonical_dumps(records))
+    assert len(records) == len(as_list) == len(parsed) == 660
+    assert parsed[0] == as_list[0] and parsed[-1] == as_list[-1]
+    assert parsed[5:9] == as_list[5:9] and parsed[::-97] == as_list[::-97]
+    assert parsed == as_list and parsed != as_list[:-1]
     two = SubshotFeatures("v", features12.bins_per_channel, features12.subshots[:2])
-    assert analysis.compare_triples(make_video(["dog", "park"]), two)["triples"] == []
+    none = analysis.compare_triples(make_video(["dog", "park"]), two)["triples"]
+    assert len(none) == 0 and oracles.triple_records(none) == []
+    assert json.loads(canonical_dumps(none)) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,6 +253,16 @@ class TestComparePairs:
         )
         judged = analysis.compare_pairs(video, gts, 2, 3, 1, human=human)
         assert judged["agreement"] == {"vset": 1.0, "n": 1}
+
+
+    @pytest.mark.parametrize("given_, missing", [("features", "gt_subshots"),
+                                                 ("gt_subshots", "features")])
+    def test_half_of_the_pixel_inputs_is_refused(self, video12, gts12, features12, data_dir,
+                                                  given_, missing):
+        half = {"features": features12,
+                "gt_subshots": load_summary(data_dir / "video12.summary_a.json", video12)}
+        with pytest.raises(ValueError, match=f"pixel judgments also need {missing}$"):
+            analysis.compare_pairs(video12, gts12, 4, 3, 1, **{given_: half[given_]})
 
 
 class TestHumanVerdicts:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vtseval.porter import _STEP4, _apply_longest, stem
+from vtseval.porter import _STEP1A, _STEP4, _apply_longest, stem
 
 import oracles
 
@@ -56,15 +56,23 @@ def test_longest_suffix_blocks_shorter_rules():
     assert stem("rational") == "ration"
 
 
-def test_step4_table_matches_the_written_out_rule():
-    """Step 4's table row for (s|t)ion picks and strips as the loop in oracles does.
-
-    Every base, a sample word, its stem or a short letter string, takes every
-    step-4 suffix and also "sion" and "tion".
-    """
+def suffixed_words(suffixes):
+    """Every base, a sample word, its stem or a short letter string, with each suffix."""
     bases = {w for pair in load_sample() for w in pair}
     for k in (1, 2, 3):
         bases.update(map("".join, itertools.product("abcilnorstuy", repeat=k)))
-    suffixes = oracles.STEP4_SUFFIXES + ("ion", "sion", "tion")
-    words = [base + suffix for base in sorted(bases) for suffix in suffixes]
+    return [base + suffix for base in sorted(bases) for suffix in suffixes]
+
+
+def test_step4_table_matches_the_written_out_rule():
+    """Step 4's table row for (s|t)ion picks and strips as the loop in oracles does.
+
+    Every base takes every step-4 suffix and also "sion" and "tion".
+    """
+    words = suffixed_words(oracles.STEP4_SUFFIXES + ("ion", "sion", "tion"))
     assert [_apply_longest(w, _STEP4) for w in words] == list(map(oracles.porter_step4, words))
+
+
+def test_step1a_table_matches_the_if_chain():
+    words = suffixed_words(("", "s", "ss", "sses", "ies", "es", "is", "us", "sss"))
+    assert [_apply_longest(w, _STEP1A) for w in words] == list(map(oracles.porter_step1a, words))

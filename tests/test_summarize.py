@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from vtseval import summarize
 from vtseval.corpus import (
     GroundTruthSentence,
     GroundTruthSummary,
@@ -26,6 +27,7 @@ from vtseval.summarize import (
     video_mmr,
 )
 
+import oracles
 from oracles import (
     SAFE_VOCAB,
     chi_square_ref,
@@ -172,6 +174,68 @@ class TestHistogramCluster:
             sel = histogram_cluster(features, n, seed=rng.randrange(1000))
             assert len(sel.indices) == n
             assert all(a < b for a, b in zip(sel.indices, sel.indices[1:]))
+
+
+def pooled_features(rng, m, pool=4, dim=6):
+    """m subshots of 1-3 frames drawn from a pool of a few histograms, so frames repeat."""
+    hists = random_features(rng, pool, frames_per_subshot=1, dim=dim).frames
+    subshots = [hists[[rng.randrange(pool) for _ in range(rng.randint(1, 3))]] for _ in range(m)]
+    return SubshotFeatures(video_id="v", bins_per_channel=dim // 3, subshots=tuple(subshots))
+
+
+def test_medoids_are_those_of_the_sort_key():
+    """Members sorted stably by distance pick what the (distance, frame) key picks, ties too."""
+    rng = random.Random(53)
+    for _ in range(40):
+        m = rng.randint(2, 8)
+        features = pooled_features(rng, m) if rng.random() < 0.5 else random_features(rng, m)
+        n, seed = rng.randint(1, m), rng.randrange(1000)
+        assert histogram_cluster(features, n, seed).indices == oracles.cluster_subshots(
+            features, n, seed)
+
+
+def symmetric_distances(rng, f):
+    """An exactly symmetric f x f matrix with a zero diagonal; some have ties or zero rows.
+
+    Tied means come from a few decimal values, whose sums round differently
+    in different orders, so a pick among them depends on the order of the fold.
+    """
+    cells = rng.random((f, f))
+    if rng.random() < 0.5:
+        cells = rng.choice([0.1, 0.2, 0.3, 0.7], (f, f))
+    cells *= 10.0 ** rng.uniform(-8, 8)
+    dist = np.triu(cells, 1)
+    dist += dist.T
+    for z in rng.integers(0, f, rng.integers(0, 3)):
+        dist[z] = 0.0
+        dist[:, z] = 0.0
+    return dist
+
+
+def test_masked_column_sums_are_the_fold_loop():
+    """The reduction mmr_keyframes makes adds the kept rows one after another, bit for bit."""
+    rng = np.random.default_rng(59)
+    for _ in range(80):
+        f = int(rng.integers(1, 300))
+        dist = symmetric_distances(rng, f)
+        keep = rng.random(f) < rng.uniform(0.0, 1.0)
+        got = np.add.reduce(dist, axis=0, where=keep[:, None], initial=0.0)
+        assert got.tobytes() == oracles.column_sums_loop(dist, keep).tobytes()
+
+
+def test_mmr_picks_are_the_fold_loop_s(monkeypatch):
+    """On random distance matrices, mmr_keyframes picks what the loop over sums picks."""
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        m = int(rng.integers(1, 10))
+        sizes = rng.integers(1, 5, m)
+        f = int(sizes.sum())
+        dist = symmetric_distances(rng, f)
+        features = SubshotFeatures("v", 1, tuple(np.full((k, 3), 1 / 3) for k in sizes))
+        monkeypatch.setattr(summarize, "pairwise_chi_square", lambda frames: dist)
+        lam, n = float(rng.choice([0.0, 0.3, 0.5, 1.0])), int(rng.integers(1, m + 1))
+        want = oracles.mmr_picks_loop(dist, features.owners(), n, lam)
+        assert mmr_keyframes(features, MmrParams(lambda_=lam, n=n)) == want
 
 
 class TestVideoMmr:

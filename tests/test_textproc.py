@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import vtseval
 from vtseval.corpus import CorpusIOError, CorpusParseError
 from vtseval.rouge import SU, UnitTable
 from vtseval.textproc import (
-    DEFAULT_STOPWORDS,
+    default_stopwords,
     load_stopwords,
     preprocess,
     stem,
@@ -75,9 +80,27 @@ class TestStopwords:
         assert str(exc.value).startswith(f"{garbage}: not UTF-8 text: ")
 
     def test_bundled_list_loaded(self):
-        assert "the" in DEFAULT_STOPWORDS
-        assert "went" in DEFAULT_STOPWORDS
-        assert "dog" not in DEFAULT_STOPWORDS
+        assert "the" in default_stopwords()
+        assert "went" in default_stopwords()
+        assert "dog" not in default_stopwords()
+
+
+def test_importing_the_package_reads_no_stopword_file():
+    """The bundled list is read on first use: an import opens no stopwords.txt."""
+    code = (
+        "import sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(str(args[0])))\n"
+        "import vtseval, vtseval.cli\n"
+        "print([p for p in opened if p.endswith('stopwords.txt')])\n"
+        "from vtseval.textproc import preprocess\n"
+        "preprocess('the dog')\n"
+        "print(sum(p.endswith('stopwords.txt') for p in opened))\n"
+    )
+    src = str(Path(vtseval.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.split("\n") == ["[]", "1", ""]
 
 
 class TestStem:

@@ -6,6 +6,7 @@ oracles count units with their own loops; their tokens come from
 ``oracle_prep`` below, which calls the Porter stemmer directly, so neither
 the stem memo nor the unit table is on the oracle side.
 """
+import json
 import re
 from collections import Counter
 from itertools import combinations
@@ -16,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtseval import analysis, porter, summarize
-from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelection
+from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelection, canonical_dumps
 from vtseval.evaluator import length_adjust, score_summary, text_representation
 from vtseval.evaluator import best_scores
 from vtseval.rouge import SU, UnitTable, match_matrix, postings, prf, rouge_n, rouge_su, su_f_matrix
 from vtseval.summarize import sentence_dp
-from vtseval.textproc import DEFAULT_STOPWORDS, STEM_CACHE_SIZE, preprocess, stem
+from vtseval.textproc import STEM_CACHE_SIZE, default_stopwords, preprocess, stem
 
 from oracles import (
     clip_count,
@@ -41,7 +42,7 @@ def oracle_prep(sentence):
     return [
         t if re.search(r"[0-9]", t) else porter.stem(t)
         for t in tokens
-        if t not in DEFAULT_STOPWORDS
+        if t not in default_stopwords()
     ]
 
 
@@ -292,7 +293,7 @@ def test_reused_table_in_score_summary(cases, metric):
 @given(text_pairs(), st.sets(words, min_size=1, max_size=4))
 def test_stopword_sets_never_share_a_table(pair, extra):
     cand, ref = pair
-    custom = frozenset(DEFAULT_STOPWORDS | {w.lower() for w in extra})
+    custom = frozenset(default_stopwords() | {w.lower() for w in extra})
     default_table, custom_table = UnitTable(), UnitTable(custom)
     # interleave both tables over the same sentences
     for _ in range(2):
@@ -304,7 +305,7 @@ def test_unit_table_accepts_its_own_stopwords():
     stops = frozenset({"dog"})
     table = UnitTable(stops)
     assert table.stopwords is stops
-    assert UnitTable().stopwords is DEFAULT_STOPWORDS
+    assert UnitTable().stopwords is default_stopwords()
     # a score goes through the caller's table, so the table's stopwords hold
     assert rouge_su(["dog park"], ["dog park"], table).match_count == 1
     assert rouge_su(["dog park"], ["dog park"]).match_count == 3
@@ -358,7 +359,7 @@ def stopword_cases(draw):
     vocab = draw(vocabularies) + family + [w.upper() for w in family]
     lowered = sorted({w.lower() for w in vocab})
     stops = frozenset(draw(st.lists(st.sampled_from(lowered), max_size=4)))
-    stops |= draw(st.sampled_from([frozenset(), DEFAULT_STOPWORDS]))
+    stops |= draw(st.sampled_from([frozenset(), default_stopwords()]))
     return draw(texts(vocab, min_sentences=1, max_sentences=4)), stops
 
 
@@ -421,7 +422,8 @@ ENTRY_POINTS = {
     "greedy_bow": lambda v, g, f, **kw: summarize.greedy_bow(v, g[1], 4, **kw),
     "sentence_dp": lambda v, g, f, **kw: summarize.sentence_dp(v, g[1], 4, **kw),
     "compare_pairs": lambda v, g, f, **kw: analysis.compare_pairs(v, g, 4, 3, 1, **kw),
-    "compare_triples": lambda v, g, f, **kw: analysis.compare_triples(v, f, **kw),
+    "compare_triples": lambda v, g, f, **kw: json.loads(
+        canonical_dumps(analysis.compare_triples(v, f, **kw))),
 }
 
 

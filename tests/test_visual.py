@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtseval.corpus import CorpusIOError, CorpusParseError, SubshotFeatures, SummarySelection
 from vtseval.visual import (
@@ -13,6 +15,7 @@ from vtseval.visual import (
     subshot_min_distance,
 )
 
+import oracles
 from oracles import chi_square_ref, naive_pixel_distance
 
 
@@ -24,6 +27,51 @@ def write_ppm(path, width, height, pixels, magic=b"P6", maxval=255):
 def random_histogram(rng, dim):
     v = np.array([rng.random() for _ in range(dim)])
     return v / v.sum()
+
+
+# every byte that bytes.isspace() accepts, and header tokens that are valid,
+# malformed, hold a '#' or bytes at or above 0x80 (0x85 and 0xa0 are Unicode
+# whitespace but not bytes whitespace; 0x1c is neither)
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+JUNK = [b"P3", b"P5", b"-1", b"0", b"+2", b"1_0", b"02", b"65535", b"1#2", b"#", b"P6#",
+        b"\x80\xff", b"2\x85", b"\xa0", b"\x1c", b"1\x00"]
+comments = st.builds(
+    lambda body, end: b"#" + body + end,
+    st.binary(max_size=5).map(lambda body: body.replace(b"\n", b"").replace(b"\r", b"")),
+    st.sampled_from([b"\n", b"\r", b"\n", b"\r", b""]),  # b"": it runs on into what follows
+)
+runs = st.lists(st.sampled_from(WHITESPACE) | comments, max_size=2).map(b"".join)
+# mostly a whitespace byte first; otherwise a '#' or the next token may join the last token
+spaced = st.builds(bytes.__add__, st.sampled_from(WHITESPACE), runs)
+gaps = st.integers(0, 3).flatmap(lambda k: spaced if k else runs)
+
+
+def token(*valid: bytes):
+    """Mostly one of the valid tokens, otherwise a malformed or random one."""
+    junk = st.sampled_from(JUNK) | st.binary(min_size=1, max_size=3)
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(valid) if k else junk)
+
+
+headers = st.tuples(token(b"P6"), token(b"1", b"2", b"3"), token(b"1", b"2"), token(b"255"))
+
+
+def outcome(call):
+    """What a loader gives: its frame, or the class and message of its refusal."""
+    try:
+        return call()
+    except CorpusParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(gaps, min_size=5, max_size=5), headers, st.binary(max_size=20),
+       st.integers(0, 2).flatmap(lambda k: st.integers(0, 40) if k == 0 else st.none()))
+def test_ppm_header_regex_reads_as_the_byte_loop(tmp_path_factory, seps, tokens, payload, cut):
+    """Random headers, whole or truncated, give the loop's frame or its exact error."""
+    blob = (b"".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[4] + payload)[:cut]
+    path = tmp_path_factory.getbasetemp() / "header.ppm"
+    path.write_bytes(blob)
+    assert outcome(lambda: load_ppm(path)) == outcome(lambda: oracles.ppm_frame(blob, path))
 
 
 class TestLoadPpm:
@@ -111,6 +159,17 @@ class TestComputeHistogram:
             assert hist.shape == (48,)
             assert np.all(hist >= 0)
             assert abs(hist.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("bins", [1, 2, 4, 8, 16, 32, 64, 128, 256])
+    def test_one_bincount_is_the_channel_loop_bit_for_bit(self, bins):
+        rng = np.random.default_rng(bins)
+        for n in (1, 2, 7, 300):
+            pixels = rng.integers(0, 256, 3 * n, dtype=np.uint8)
+            pixels[:3] = (0, 255, 128)  # both ends of the range and a bin edge
+            got = compute_histogram(Frame(n, 1, pixels.tobytes()), bins)
+            want = oracles.channel_histogram(pixels.tobytes(), bins)
+            assert got.dtype == np.float64 and got.shape == (3 * bins,)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestChiSquare:
