@@ -9,36 +9,37 @@ each row of annotation subshots, ground-truth sentences, summary spans,
 scores, features and human judgments as a tuple of its fields; Subshot
 and GroundTruthSentence are NamedTuples built from those tuples. Human
 judgments are read here too, by ``load_human_verdicts``, as Verdicts.
-Non-finite numbers (NaN, Infinity, and literals such as 1e999 that
-overflow to infinity) are refused on read and on write. The annotation,
-ground-truth and feature loaders parse without read_json's per-float
-hook and check the numbers they keep; a file they refuse is parsed again
-as read_json parses, so the error still names a non-finite literal. A
-feature file is read once, subshot by subshot, into one SubshotFeatures;
+Non-finite numbers are refused on read and on write. Each load parses
+its file once, in ``_parse_json``, which refuses the literals NaN and
+Infinity by name; a literal that overflows, such as 1e999, reads as an
+infinite float, and the field that reads it refuses it by name. A field
+that no loader reads goes unchecked, in every loader alike. A feature
+file is read once, subshot by subshot, into one SubshotFeatures;
 ``validate_features``, the one check of frame values on load and on
 save, checks every frame in numpy and names the first bad subshot and
-frame. Every input file, the stopword lists of ``textproc.load_stopwords``
-and the frames of ``visual.load_ppm`` included, is read by ``read_bytes``
-(or ``read_text``, its UTF-8 text): a file that cannot be read raises
-CorpusIOError and one that is not UTF-8 CorpusParseError, naming the path.
+frame. Every input file, the stopword lists of
+``textproc.load_stopwords`` and the frames of ``visual.load_ppm``
+included, is read by ``read_bytes`` (or ``read_text``, its UTF-8 text):
+a file that cannot be read raises CorpusIOError and one that is not
+UTF-8 CorpusParseError, naming the path.
 
-Each load reads its file once, as bytes, and a refused file is parsed
-again from those bytes, never reopened. The annotation, ground-truth and
-feature loaders share one process-wide memo keyed on the loader kind and
-the file's exact bytes, not on its path or mtime: a file rewritten in
-place is a miss even at the same size and mtime. A miss runs the checked
-path above and holds the record only if every check passed; a hit
-returns the held record and runs only the checks that depend on the
-``video`` argument, so it raises what a miss would. The memo holds at
-most ``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, least recently used
-evicted, and never a larger file. The key is the bytes themselves rather
-than a digest: a dict compares them exactly, and ``hashlib`` would load
-OpenSSL, a few MB of resident memory. A one-shot CLI process loads each
-file once and gains nothing from the memo; a process that scores many
-summaries of one video, such as the benchmark's, parses its references
-once. Held feature matrices are read-only, and ``load_ground_truths``
-returns a new list on every call, so no caller can change a held record.
-Summaries, score files and human judgments are not memoized.
+Each load reads its file once, as bytes, and parses those bytes once.
+The annotation, ground-truth and feature loaders share one process-wide
+memo keyed on the loader kind and the file's exact bytes, not on its
+path or mtime: a file rewritten in place is a miss even at the same size
+and mtime. A miss parses the file and runs every check, and holds the
+record only if every check passed; a hit returns the held record and
+runs only the checks that depend on the ``video`` argument, so it raises
+what a miss would. The memo holds at most ``LOAD_MEMO_BYTES`` (16 MiB)
+of file bytes, least recently used evicted, and never a larger file. The
+key is the bytes themselves rather than a digest: a dict compares them
+exactly, and ``hashlib`` would load OpenSSL, a few MB of resident
+memory. A one-shot CLI process loads each file once and gains nothing
+from the memo; a process that scores many summaries of one video, such
+as the benchmark's, parses its references once. Held feature matrices
+are read-only, and ``load_ground_truths`` returns a new list on every
+call, so no caller can change a held record. Summaries, score files and
+human judgments are not memoized.
 
 Every file is written by one writer, ``write_canonical``. It streams the
 text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2,
@@ -425,55 +426,26 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path) -> dict:
-    return _parse_json(read_text(path), path)
+    return _parse_json(read_bytes(path), path)
 
 
-def _parse_json(text: str, path: str | Path) -> dict:
-    """The text of the file at path as a JSON object, refusing non-finite literals by name."""
+def _parse_json(raw: bytes, path: str | Path) -> dict:
+    """raw, the bytes of the file at path, as a JSON object; NaN and Infinity refused by name.
 
-    def reject_non_finite(literal: str):
+    A literal that overflows, such as 1e999, reads as an infinite float:
+    the field that reads it refuses it by name.
+    """
+
+    def refuse(literal: str):
         raise CorpusParseError(f"{path}: non-finite number {literal} is not allowed")
 
-    def finite_float(literal: str) -> float:
-        value = float(literal)
-        if not math.isfinite(value):
-            reject_non_finite(literal)
-        return value
-
     try:
-        data = json.loads(text, parse_float=finite_float, parse_constant=reject_non_finite)
+        data = json.loads(_decode(raw, path), parse_constant=refuse)
     except ValueError as exc:
         raise CorpusParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CorpusParseError(f"{path}: top-level value must be an object")
     return data
-
-
-def _no_constant(literal: str):
-    raise ValueError(literal)
-
-
-def _load_unhooked(path: str | Path, raw: bytes, load):
-    """load(data) on a parse of raw, the bytes of path, without read_json's per-float hook.
-
-    That parse reads an overflowing literal such as 1e999 as an infinite
-    float, and load refuses one in any float it keeps (``_get`` does for
-    float fields). When load refuses the data, or that parse fails, load
-    runs again on read_json's parse of the same text, which refuses
-    non-finite literals by name; so every error is the one read_json would
-    lead to. Non-finite literals in fields that load ignores are not refused.
-    """
-    text = _decode(raw, path)
-    try:
-        data = json.loads(text, parse_constant=_no_constant)
-    except ValueError:
-        data = None
-    if isinstance(data, dict):
-        try:
-            return load(data)
-        except CorpusError:
-            pass
-    return load(_parse_json(text, path))
 
 
 # ---------------------------------------------------------------------------
@@ -546,16 +518,16 @@ def load_memo_info() -> dict:
 def _load_memoized(kind: str, path: str | Path, load, check=None):
     """The record of the file at path: load(data) on a miss, check(record) on a hit.
 
-    The file is read once. On a miss its bytes go through the checked
-    path, ``_load_unhooked``, and the record is held only if every check
-    passed. A hit therefore runs only ``check``, the checks that depend on
-    the loader's ``video`` argument.
+    The file is read once. On a miss its bytes are parsed once and load
+    runs every check; the record is held only if every check passed. A hit
+    therefore runs only ``check``, the checks that depend on the loader's
+    ``video`` argument.
     """
     raw = read_bytes(path)
     key = (kind, raw)
     record = _memo.get(key)
     if record is None:
-        record = _load_unhooked(path, raw, load)
+        record = load(_parse_json(raw, path))
         _memo.put(key, record)
     elif check is not None:
         check(record)
@@ -747,14 +719,16 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
         times = _get(data, "keyframe_times_s", list, ctx)
         seen = set()
         for i, t in enumerate(times):
+            where = f"{ctx}: keyframe_times_s[{i}]"
             if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise CorpusParseError(f"{ctx}: keyframe_times_s[{i}] must be a number")
+                raise CorpusParseError(f"{where} must be a number")
+            if isinstance(t, float) and not math.isfinite(t):
+                raise CorpusParseError(f"{where}: must be finite")
             if t < 0:
-                raise CorpusValidationError(f"{ctx}: keyframe_times_s[{i}]: negative time {t}")
+                raise CorpusValidationError(f"{where}: negative time {t}")
             try:
                 seen.add(int(float(t) // video.subshot_seconds))
             except OverflowError:
-                where = f"{ctx}: keyframe_times_s[{i}]"
                 raise CorpusParseError(f"{where}: number out of float range") from None
         indices = tuple(sorted(seen))
     else:

@@ -474,14 +474,16 @@ def summary_of(data, ctx, video=None):
             raise CorpusParseError(f"{ctx}: keyframe summaries need the video record to resolve")
         seen = set()
         for i, t in enumerate(get_field(data, "keyframe_times_s", list, ctx)):
+            where = f"{ctx}: keyframe_times_s[{i}]"
             if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise CorpusParseError(f"{ctx}: keyframe_times_s[{i}] must be a number")
+                raise CorpusParseError(f"{where} must be a number")
+            if isinstance(t, float) and not math.isfinite(t):
+                raise CorpusParseError(f"{where}: must be finite")
             if t < 0:
-                raise CorpusValidationError(f"{ctx}: keyframe_times_s[{i}]: negative time {t}")
+                raise CorpusValidationError(f"{where}: negative time {t}")
             try:
                 seen.add(int(float(t) // video.subshot_seconds))
             except OverflowError:
-                where = f"{ctx}: keyframe_times_s[{i}]"
                 raise CorpusParseError(f"{where}: number out of float range") from None
         indices = tuple(sorted(seen))
     else:

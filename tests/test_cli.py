@@ -343,6 +343,19 @@ class TestBadNumbers:
         }
         assert not (tmp_path / "r.json").exists()
 
+    def test_keyframe_time_that_overflows_exits_2_naming_it(self, paths, tmp_path, capsys):
+        summary = tmp_path / "k.json"
+        summary.write_text('{"video_id": "video12", "keyframe_times_s": [12.5, 1e999]}')
+        code = main(["evaluate", "--annotations", paths["annotations"],
+                     "--ground-truth", paths["ground_truth"], "--summary", str(summary),
+                     "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CorpusParseError",
+            "message": f"{summary}: keyframe_times_s[1]: must be finite",
+        }
+        assert not (tmp_path / "r.json").exists()
+
 
 def test_unreadable_stopwords_file_exits_2_naming_it(paths, tmp_path, capsys):
     missing = tmp_path / "nope.txt"

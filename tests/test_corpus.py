@@ -327,10 +327,21 @@ def test_concurrent_writers_leave_one_valid_file(tmp_path):
 class TestNonFinite:
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
     def test_read_rejects_non_finite_literals(self, tmp_path, literal):
+        """NaN and Infinity are refused at parse by name; 1e999 parses as infinite and
+        is refused by the field that reads it."""
         path = tmp_path / "s.json"
-        path.write_text('{"video_id": "v", "subshot_seconds": %s}' % literal)
-        with pytest.raises(CorpusParseError, match=f"{path}.*{literal}"):
-            corpus.read_json(path)
+        path.write_text(_annotations_text("v").replace("5.0", literal, 1))  # subshot_seconds
+        if "e999" in literal:
+            assert corpus.read_json(path)["subshot_seconds"] == float(literal)
+            message = f"{path}.subshot_seconds: must be finite"
+        else:
+            message = f"{path}: non-finite number {literal} is not allowed"
+            with pytest.raises(CorpusParseError) as info:
+                corpus.read_json(path)
+            assert str(info.value) == message
+        with pytest.raises(CorpusParseError) as info:
+            corpus.load_annotations(path)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_write_refuses_non_finite(self, tmp_path, value):
@@ -461,6 +472,14 @@ class TestRowErrors:
             f"{path}: keyframe_times_s[1]: number out of float range"
         )
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_keyframe_time_that_overflows_is_named(self, tmp_path, video12, literal):
+        path = tmp_path / "s.json"
+        path.write_text('{"video_id": "video12", "keyframe_times_s": [0, %s]}' % literal)
+        assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
+            f"{path}: keyframe_times_s[1]: must be finite"
+        )
+
     def test_span_beyond_float_range_is_named(self, tmp_path, video12):
         path = tmp_path / "s.json"
         path.write_text('{"video_id": "video12", "spans": [{"start_s": 0.0, "end_s": 1%s}]}'
@@ -542,10 +561,16 @@ def _annotations_text(video_id, m=2, seconds=5.0):
 
 
 GOOD_FRAMES = [[[1.0, 0.0, 0.0]], [[0.0, 0.5, 0.5]]]
-REFUSED = {  # a file each loader refuses on read_json's path: a named non-finite literal
+REFUSED = {  # a file each loader refuses: 1e999 in a field it reads
     "annotations": _annotations_text("v").replace("5.0", "1e999", 1),
     "ground_truths": _gts_text("v").replace('"rank": 1', '"rank": 1e999'),
     "features": _features_text("v", GOOD_FRAMES).replace("0.5", "1e999", 1),
+}
+# the error each refusal raises, the path written as {}: the field is named
+REFUSAL = {
+    "annotations": (CorpusParseError, "{}.subshot_seconds: must be finite"),
+    "ground_truths": (CorpusParseError, "{}: summaries[0].sentences[0].rank: expected int"),
+    "features": (CorpusValidationError, "subshots[1].frames[0]: histogram sums to inf, expected 1"),
 }
 GOOD = {"annotations": _annotations_text("v"), "ground_truths": _gts_text("v"),
         "features": _features_text("v", GOOD_FRAMES)}
@@ -583,12 +608,14 @@ def test_each_load_reads_the_file_once(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
-def test_the_refused_file_names_its_literal_and_is_not_held(tmp_path, kind):
+def test_the_refused_file_names_its_field_and_is_not_held(tmp_path, kind):
     path = tmp_path / "f.json"
     path.write_text(REFUSED[kind])
+    error, message = REFUSAL[kind]
     for _ in range(2):
-        with pytest.raises(CorpusParseError, match=f"^{path}: non-finite number 1e999 "):
+        with pytest.raises(corpus.CorpusError) as info:
             LOADERS[kind](path)
+        assert (type(info.value), str(info.value)) == (error, message.format(path))
     assert corpus.load_memo_info() == {"hits": {}, "misses": {kind: 2}, "files": 0, "bytes": 0}
 
 

@@ -4,10 +4,10 @@ corpus reads the rows of every input file through one reader, ``_rows``.
 Each test here draws a valid file of one kind, puts up to three faults
 into it (a field dropped or given a value of another type, a bool, an int
 literal in a float field, a row that is not an object, a non-finite
-literal) and loads it both ways: through corpus, and through the
-field-by-field reader in ``oracles`` on read_json's parse. The two must
-give an equal record, or the same exception class and message. Two
-departures are documented, and asserted as documented:
+literal in place of a number) and loads it both ways: through corpus,
+and through the field-by-field reader in ``oracles`` on read_json's
+parse. The two must give an equal record, or the same exception class
+and message. Two departures are documented, and asserted as documented:
 
 - a feature row with a wrong ``index`` and a missing or non-list
   ``frames`` names ``frames`` (CorpusParseError) where the reference
@@ -29,7 +29,8 @@ from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, Subshot, Vid
 
 import oracles
 
-# a float that a fault writes into a file and then turns into a literal such as 1e999
+# a float that a fault writes into a file, in place of a number, and then turns
+# into a literal such as 1e999
 MARK = 12345.5
 # what a faulty field or list entry becomes: ints where floats belong and the
 # reverse, bools, other JSON types, an int beyond float range, and values
@@ -51,8 +52,8 @@ def nodes(tree):
 
 
 @st.composite
-def faulty_text(draw, doc):
-    """doc as JSON text after up to three drawn faults, each at a drawn place."""
+def faulty_text(draw, doc, faults=FAULTS):
+    """doc as JSON text after up to three faults drawn from faults, each at a drawn place."""
     literals = []
     for _ in range(draw(st.integers(0, 3))):
         places = list(nodes(doc))
@@ -60,17 +61,17 @@ def faulty_text(draw, doc):
             break
         node = draw(st.sampled_from(places))
         key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
-        fault, value = draw(st.sampled_from(FAULTS)), node[key]
+        fault, value = draw(st.sampled_from(faults)), node[key]
         if fault == "drop" and isinstance(node, dict):
             del node[key]
         elif fault == "not_object" and isinstance(value, dict):
             node[key] = copy.deepcopy(draw(st.sampled_from(NOT_OBJECTS)))
         elif fault == "int_literal" and isinstance(value, float) and value.is_integer():
             node[key] = int(value)
-        elif fault == "non_finite" and isinstance(value, float):
+        elif fault == "non_finite" and type(value) in (int, float):
             node[key] = MARK
             literals.append(draw(st.sampled_from(["1e999", "-1e999", "NaN", "Infinity"])))
-        else:
+        elif "value" in faults:  # a fault that does not apply to the place becomes a value
             node[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
     text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
     for literal in literals:
@@ -283,6 +284,52 @@ def test_human_file_refusals_take_the_shared_wording(tmp_path):
     path.write_text(json.dumps({"judgments": {}}))
     assert outcome(lambda p: corpus.load_human_verdicts(p, ("pair",)), path) == (
         "CorpusParseError", f"{path}.judgments: expected list")
+
+
+# every loader on a file of its kind; summaries in each of their three forms
+NON_FINITE_CASES = {
+    "annotations": (lambda: annotation_doc(2), corpus.load_annotations),
+    "ground_truths": (lambda: ground_truth_doc(0), lambda p: corpus.load_ground_truths(p, VIDEO)),
+    **{form: (lambda form=form: summary_doc([form]), lambda p: corpus.load_summary(p, VIDEO))
+       for form in SUMMARY_FORMS},
+    "scores": (lambda: scores_doc(0), corpus.load_scores),
+    "features": (lambda: features_doc(2), corpus.load_features),
+    **{" ".join(keys): (lambda keys=keys: human_doc(keys),
+                        lambda p, keys=keys: corpus.load_human_verdicts(p, keys))
+       for keys in HUMAN_KEYS},
+}
+# a field as a message names it: ".end_s: must be finite", "indices[1] must be an integer"
+FIELD = re.compile(r"(\.[a-z_]+|\[\d+\])(:| must)")
+
+
+@st.composite
+def non_finite_files(draw):
+    make, load = NON_FINITE_CASES[draw(st.sampled_from(sorted(NON_FINITE_CASES)))]
+    return load, draw(faulty_text(make(), faults=["non_finite"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(non_finite_files())
+def test_a_non_finite_number_is_refused_by_name(tmp_path_factory, case):
+    """NaN and Infinity are refused by name, and 1e999 by the field that reads it.
+
+    No other exception than a CorpusError escapes. Every message names the
+    path, except a frame check's: validate_features words those alone.
+    """
+    load, text = case
+    path = write(tmp_path_factory, text)
+    corpus.clear_load_memo()
+    try:
+        load(path)
+        return
+    except corpus.CorpusError as exc:
+        message = str(exc)
+    if re.match(r"subshots\[\d+\]\.frames\[\d+\]: ", message):
+        return
+    assert message.startswith(str(path)), message
+    rest = message.removeprefix(str(path))
+    assert (re.fullmatch(r": non-finite number -?(NaN|Infinity) is not allowed", rest)
+            or FIELD.search(rest)), message
 
 
 def test_rows_build_by_keyword_and_survive_a_round_trip(tmp_path):

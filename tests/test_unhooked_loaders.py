@@ -1,15 +1,19 @@
-"""The feature path and the hook-free loaders against their references.
+"""The feature path and the memoized loaders against their references.
 
-load_features, load_annotations and load_ground_truths parse without
-read_json's per-float finiteness hook and check the values they keep in
-bulk. On every file, good or perturbed, they must give what the checked
-path gives: read_json's parse followed by the field-by-field reader of
-that kind in ``oracles``, with the features' frame checks done one
-subshot and one frame at a time by ``oracles.frame_fault``. That is the
-same arrays and records, or the same exception class and message.
-``validate_features`` is pinned to the same per-frame loop on features
-built directly, which the loader cannot produce (subshots without
-frames, a width that differs from the bins).
+load_features, load_annotations and load_ground_truths parse each file
+once and check the values they keep in bulk. As every loader's, that
+parse refuses the literals NaN and Infinity by name; a literal that
+overflows, such as 1e999, reads as an infinite float, and the field that
+reads it refuses it by name. A field that no loader reads goes
+unchecked, in every loader alike. On every file, good or perturbed, the
+loaders must give what the checked path gives: read_json's parse
+followed by the field-by-field reader of that kind in ``oracles``, with
+the features' frame checks done one subshot and one frame at a time by
+``oracles.frame_fault``. That is the same arrays and records, or the
+same exception class and message. ``validate_features`` is pinned to
+the same per-frame loop on features built directly, which the loader
+cannot produce (subshots without frames, a width that differs from the
+bins).
 """
 import json
 from unittest import mock
@@ -262,11 +266,14 @@ def test_load_and_save_check_frames_through_validate_features(tmp_path):
 
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
 def test_features_non_finite_literal_is_named(tmp_path, literal):
+    """An overflowing entry reads as infinite, and the frame check names its frame."""
     path = tmp_path / "f.json"
     path.write_text('{"video_id": "v", "bins_per_channel": 1, "subshots": '
                     '[{"index": 0, "frames": [[0.5, 0.5, %s]]}]}' % literal)
-    with pytest.raises(corpus.CorpusParseError, match=f"non-finite number {literal} "):
+    fault = "negative histogram entry" if literal[0] == "-" else "histogram sums to inf, expected 1"
+    with pytest.raises(corpus.CorpusValidationError) as info:
         corpus.load_features(path)
+    assert str(info.value) == f"subshots[0].frames[0]: {fault}"
 
 
 @pytest.mark.parametrize("entry", ['"0.5"', '{"a": 1}', "true", "null", "[0.5]", "1" + "0" * 400],
@@ -302,8 +309,8 @@ def test_features_matrix_holds_every_frame_in_subshot_order(features12):
         assert view.tobytes() == features12.frames[2 * i : 2 * i + 2].tobytes()
 
 
-# annotations and ground truths: the fast parse reads 1e999 as inf, and the
-# loader must still name the literal, wherever a row fails
+# annotations and ground truths: the parse reads 1e999 as inf, and the loader
+# must name the field that holds it, wherever a row fails
 
 
 def checked_annotations(path):
@@ -353,8 +360,10 @@ def test_ground_truths_load_equals_the_checked_path(tmp_path_factory, values):
 
 
 def test_annotations_non_finite_literal_is_named(tmp_path):
+    """An overflowing time reads as infinite, and the row reader names its field."""
     path = tmp_path / "a.json"
     path.write_text('{"video_id": "v", "subshot_seconds": 5.0, "subshots": '
                     '[{"index": 0, "start_s": 0.0, "end_s": 1e999, "text": "a"}]}')
-    with pytest.raises(corpus.CorpusParseError, match=f"{path}: non-finite number 1e999 "):
+    with pytest.raises(corpus.CorpusParseError) as info:
         corpus.load_annotations(path)
+    assert str(info.value) == f"{path}: subshots[0].end_s: must be finite"
