@@ -7,7 +7,7 @@ similarity wins. Text scores are F-measures whose zero point is an exact
 integer match count of zero; pixel scores are negated chi-square
 distances whose zero point is the maximal distance of 1. verdict_codes
 is the only copy of this rule; PairJudgment and the judge_* functions
-judge one item at a time.
+judge one item at a time, with the text scorers of compare_*.
 
 compare_pairs and compare_triples judge a whole video alike: scores go
 into one k x 4 array, verdict_codes and the case table that classify_case
@@ -34,9 +34,9 @@ from .corpus import (
     json_float,
     load_human_verdicts,
 )
-from .evaluator import best_scores, score_summary
+from .evaluator import best_scores
 from .rng import SplitMix64, sample_indices
-from .rouge import UnitTable, rouge_su, su_f_matrix
+from .rouge import UnitTable, su_f_matrix
 from .visual import pixel_summary_distance, subshot_distance_matrix, subshot_min_distance
 
 TIE_TOLERANCE = 1e-9
@@ -120,10 +120,10 @@ def judge_summary_pair(
 ) -> PairJudgment:
     """Which of two equal-size summaries is closer to the ground truth.
 
-    Text metrics score via the evaluator, both summaries through one unit
-    table (the caller's, to share it across judgments); the "pixel" metric
-    scores by negated mean frame distance and needs features plus a
-    ground-truth subshot selection.
+    Text metrics score both summaries in one ``evaluator.best_scores`` call,
+    through one unit table (the caller's, to share it across judgments);
+    the "pixel" metric scores by negated mean frame distance and needs
+    features plus a ground-truth subshot selection.
     """
     if len(a) != len(b):
         raise ValueError(f"summaries must have equal size, got {len(a)} and {len(b)}")
@@ -132,8 +132,7 @@ def judge_summary_pair(
             raise ValueError("pixel judgments need features and a ground-truth subshot selection")
         sa, sb = (-pixel_summary_distance(s, gt_subshots, features) for s in (a, b))
         return PairJudgment.from_scores(sa, sb, zero_threshold=PIXEL_ZERO)
-    table = table or UnitTable()
-    sa, sb = (score_summary(s, video, gts, metric, table=table).score for s in (a, b))
+    sa, sb = best_scores([a, b], video, gts, len(a), metric, table).tolist()
     return PairJudgment.from_scores(sa, sb, zero_threshold=TEXT_ZERO)
 
 
@@ -146,7 +145,7 @@ def judge_subshot_pair(
     features: SubshotFeatures | None = None,
     table: UnitTable | None = None,
 ) -> PairJudgment:
-    """Which of subshots x, y is closer to reference subshot ref."""
+    """Which of subshots x, y is closer to ref; text scores are one ``su_f_matrix`` column."""
     if len({x, y, ref}) != 3:
         raise ValueError(f"subshot indices must be distinct, got ({x}, {y}, {ref})")
     if metric == "pixel" and features is None:
@@ -158,10 +157,8 @@ def judge_subshot_pair(
         frames = features.subshots
         sx, sy = (-subshot_min_distance(frames[i], frames[ref]) for i in (x, y))
         return PairJudgment.from_scores(sx, sy, zero_threshold=PIXEL_ZERO)
-    table = table or UnitTable()
-    ref_text = [video.subshots[ref].annotation]
-    sx, sy = (rouge_su([video.subshots[i].annotation], ref_text, table=table).f_measure
-              for i in (x, y))
+    texts = [video.subshots[i].annotation for i in (x, y, ref)]
+    sx, sy = su_f_matrix(table or UnitTable(), texts[:2], texts[2:])[:, 0].tolist()
     return PairJudgment.from_scores(sx, sy, zero_threshold=TEXT_ZERO)
 
 

@@ -3,9 +3,9 @@
 All interchange files are UTF-8 JSON with sorted keys, two-space indent
 and a trailing newline; saving a loaded record reproduces the original
 bytes. Loading validates every type invariant and raises an error that
-names the offending field and index; a loader given the annotated video
-also checks that the file is for that video. One reader, ``_rows``, reads
-each row of annotation subshots, ground-truth sentences, summary spans,
+names the path, then the offending field and index; given the annotated
+video, a loader also checks that the file is for it. One reader, ``_rows``,
+reads each row of annotation subshots, ground-truth sentences, summary spans,
 scores, features and human judgments as a tuple of its fields; Subshot
 and GroundTruthSentence are NamedTuples built from those tuples. Human
 judgments are read here too, by ``load_human_verdicts``, as Verdicts.
@@ -27,10 +27,10 @@ Each load reads its file once, as bytes, and parses those bytes once.
 The annotation, ground-truth and feature loaders share one process-wide
 memo keyed on the loader kind and the file's exact bytes, not on its
 path or mtime: a file rewritten in place is a miss even at the same size
-and mtime. A miss parses the file and runs every check, and holds the
-record only if every check passed; a hit returns the held record and
-runs only the checks that depend on the ``video`` argument, so it raises
-what a miss would. The memo holds at most ``LOAD_MEMO_BYTES`` (16 MiB)
+and mtime. A miss parses the file and runs the checks of the file alone,
+and holds the record only if all passed; the checks against the ``video``
+argument run after every load, hit or miss, so a file refused only for
+its video is still held. The memo holds at most ``LOAD_MEMO_BYTES`` (16 MiB)
 of file bytes, least recently used evicted, and never a larger file. The
 key is the bytes themselves rather than a digest: a dict compares them
 exactly, and ``hashlib`` would load OpenSSL, a few MB of resident
@@ -59,10 +59,9 @@ import json
 import math
 import os
 import threading
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -268,6 +267,14 @@ def validate_features(features: SubshotFeatures) -> None:
         if np.any(frames[bad[0]] < 0):
             raise CorpusValidationError(f"{where}: negative histogram entry")
         raise CorpusValidationError(f"{where}: histogram sums to {float(sums[bad[0]])!r}, expected 1")
+
+
+def _on_load(ctx: str, check, *args) -> None:
+    """check(*args) on a load of the file at ctx: its CorpusValidationError names the path."""
+    try:
+        check(*args)
+    except CorpusValidationError as exc:
+        raise CorpusValidationError(f"{ctx}: {exc}") from None
 
 
 def _check_video(ctx: str, video_id: str, video: VideoRecord | None) -> None:
@@ -515,13 +522,12 @@ def load_memo_info() -> dict:
     return _memo.info()
 
 
-def _load_memoized(kind: str, path: str | Path, load, check=None):
-    """The record of the file at path: load(data) on a miss, check(record) on a hit.
+def _load_memoized(kind: str, path: str | Path, load):
+    """The record of the file at path, load(data) of its parse on a miss.
 
     The file is read once. On a miss its bytes are parsed once and load
-    runs every check; the record is held only if every check passed. A hit
-    therefore runs only ``check``, the checks that depend on the loader's
-    ``video`` argument.
+    runs every check of the file alone; the record is held only if every
+    check passed.
     """
     raw = read_bytes(path)
     key = (kind, raw)
@@ -529,8 +535,6 @@ def _load_memoized(kind: str, path: str | Path, load, check=None):
     if record is None:
         record = load(_parse_json(raw, path))
         _memo.put(key, record)
-    elif check is not None:
-        check(record)
     return record
 
 
@@ -612,7 +616,7 @@ def _annotations_of(data: dict, ctx: str) -> VideoRecord:
         subshot_seconds=_get(data, "subshot_seconds", float, ctx),
         subshots=shots,
     )
-    validate_video(video)
+    _on_load(ctx, validate_video, video)
     return video
 
 
@@ -640,18 +644,13 @@ def load_ground_truths(
     Each call returns a new list.
     """
     ctx = str(path)
-
-    def load(data: dict) -> tuple[str, tuple[GroundTruthSummary, ...]]:
-        gts = _ground_truths_of(data, ctx, video)
-        return data["video_id"], tuple(gts)  # a str, or _ground_truths_of had refused it
-
-    _, gts = _load_memoized("ground_truths", path, load,
-                            lambda entry: _check_video(ctx, entry[0], video))
+    video_id, gts = _load_memoized("ground_truths", path, lambda data: _ground_truths_of(data, ctx))
+    _check_video(ctx, video_id, video)
     return list(gts)
 
 
-def _ground_truths_of(data: dict, ctx: str, video: VideoRecord | None) -> list[GroundTruthSummary]:
-    _check_video(ctx, _get(data, "video_id", str, ctx), video)
+def _ground_truths_of(data: dict, ctx: str) -> tuple[str, tuple[GroundTruthSummary, ...]]:
+    video_id = _get(data, "video_id", str, ctx)
     result = []
     for i, raw in enumerate(_get(data, "summaries", list, ctx)):
         where = f"{ctx}: summaries[{i}]"
@@ -661,11 +660,11 @@ def _ground_truths_of(data: dict, ctx: str, video: VideoRecord | None) -> list[G
         rows = _rows(_get(raw, "sentences", list, where), _SENTENCE_FIELDS, f"{where}.sentences")
         sentences = tuple(map(GroundTruthSentence._make, rows))
         gt = GroundTruthSummary(author_id=_get(raw, "author_id", str, where), sentences=sentences)
-        validate_ground_truth(gt)
+        _on_load(ctx, validate_ground_truth, gt)
         result.append(gt)
     if not result:
         raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
-    return result
+    return video_id, tuple(result)
 
 
 def save_ground_truths(path: str | Path, gts: list[GroundTruthSummary], video_id: str) -> None:
@@ -693,9 +692,8 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
     """Load a summary given as indices, keyframe times, or time spans.
 
     Keyframe and span files need the video record: keyframe times map to
-    floor(time / subshot_seconds), spans map to every overlapped subshot,
-    found by bisection on the start times (sorted, as ``validate_video``
-    requires). Given the video, the summary must be for it.
+    floor(time / subshot_seconds), spans map to every subshot they overlap.
+    Given the video, the summary must be for it.
     """
     data = read_json(path)
     ctx = str(path)
@@ -734,25 +732,17 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
     else:
         if video is None:
             raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
-        # Subshots are sorted by start time, but may overlap, so their end
-        # times are not sorted: the subshots a span can reach lie between
-        # the first whose running maximum end time passes the span's start
-        # and the first that starts at or after the span's end.
-        shots = video.subshots
-        starts = [shot.start_s for shot in shots]
-        reach = list(accumulate((shot.end_s for shot in shots), max))
-        seen = set()
+        starts, ends = np.array([(shot.start_s, shot.end_s) for shot in video.subshots]).T
+        hit = np.zeros(len(video), dtype=bool)
         spans = _rows(_get(data, "spans", list, ctx), _SPAN_FIELDS, f"{ctx}: spans")
         for i, (start, end) in enumerate(spans):
             if not end > start:
                 raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
-            for j in range(bisect_right(reach, start), bisect_left(starts, end)):
-                if start < shots[j].end_s:
-                    seen.add(shots[j].index)
-        indices = tuple(sorted(seen))
+            hit |= (starts < end) & (start < ends)
+        indices = tuple(np.flatnonzero(hit).tolist())  # a subshot's index is its position
 
     summary = SummarySelection(video_id=video_id, indices=indices)
-    validate_selection(summary, video)
+    _on_load(ctx, validate_selection, summary, video)
     return summary
 
 
@@ -810,17 +800,14 @@ def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, 
 def load_features(path: str | Path, video: VideoRecord | None = None) -> SubshotFeatures:
     """Load histogram features; given the video, they must name it and cover each subshot."""
     ctx = str(path)
-
-    def check(features: SubshotFeatures) -> None:
-        _check_video(ctx, features.video_id, video)
-        _check_coverage(ctx, len(features), video)
-
-    return _load_memoized("features", path, lambda data: _features_of(data, ctx, video), check)
+    features = _load_memoized("features", path, lambda data: _features_of(data, ctx))
+    _check_video(ctx, features.video_id, video)
+    _check_coverage(ctx, len(features), video)
+    return features
 
 
-def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeatures:
+def _features_of(data: dict, ctx: str) -> SubshotFeatures:
     video_id = _get(data, "video_id", str, ctx)
-    _check_video(ctx, video_id, video)
     bins = _get(data, "bins_per_channel", int, ctx)
     subshots = []
     rows = _rows(_get(data, "subshots", list, ctx), _FEATURE_FIELDS, f"{ctx}: subshots")
@@ -840,15 +827,14 @@ def _features_of(data: dict, ctx: str, video: VideoRecord | None) -> SubshotFeat
         if arr.ndim != 2:
             raise CorpusParseError(f"{where}.frames: expected a list of histograms")
         subshots.append(arr)
-    _check_coverage(ctx, len(subshots), video)
     # only frames of one width stack: validate the subshots before the first
     # other width (subshots[0] alone if it is that one), then name that width
     dim = 3 * bins
     wide = next((i for i, a in enumerate(subshots) if a.shape[1] != dim), len(subshots))
     features = SubshotFeatures(video_id, bins, subshots[:wide] or subshots[:1])
-    validate_features(features)
+    _on_load(ctx, validate_features, features)
     if wide < len(subshots):
-        _check_shape(wide, subshots[wide], dim)
+        _on_load(ctx, _check_shape, wide, subshots[wide], dim)
     return features
 
 

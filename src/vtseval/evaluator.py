@@ -89,12 +89,10 @@ def score_summary(
     The reported score is the maximum F-measure; ties on the best author
     go to the earliest ground truth in the list.
     """
-    if not gts:
-        raise ValueError("at least one ground-truth summary is required")
+    kind = _unit_kind(metric, gts)
     if len(summary) == 0:
         raise ValueError("cannot score an empty summary")
     candidate = text_representation(summary, video)
-    kind = _unit_kind(metric, gts)
     n = len(summary)
     scores = scores_against(table or UnitTable(), kind, candidate,
                             [length_adjust(gt, n) for gt in gts])

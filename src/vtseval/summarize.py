@@ -85,7 +85,7 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
     non-increasing (one m=400 input went from 80.56273 to 80.56539).
     """
     f = frames.shape[0]
-    if f < n:
+    if not 1 <= n <= f:
         raise ValueError(f"cannot form {n} clusters from {f} frames")
     rng = SplitMix64(seed)
 
@@ -107,31 +107,32 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
         nearest = np.minimum(nearest, column(idx))
     centroids = frames[centers].copy()
 
-    def assign(cents: np.ndarray) -> tuple[list[int], list[float]]:
+    def assign(cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dists = chi_square_matrix(frames, cents)
-        labels = [int(i) for i in np.argmin(dists, axis=1)]
-        per_frame = [float(dists[i, labels[i]]) for i in range(f)]
+        labels = np.argmin(dists, axis=1)
+        per_frame = dists[np.arange(f), labels]
+        # in cluster order: a reseed can empty a later cluster
         for c in range(n):
-            if c not in labels:
-                far = max(range(f), key=lambda i: (per_frame[i], -i))
+            if not np.any(labels == c):
+                far = int(np.argmax(per_frame))  # the first maximum: the lowest index
                 cents[c] = frames[far]
                 labels[far] = c
                 per_frame[far] = 0.0
         return labels, per_frame
 
     assignments, per_frame = assign(centroids)
-    objectives = [left_sum(per_frame)]
+    objectives = [left_sum(per_frame.tolist())]
     for _ in range(100):
         for c in range(n):
-            members = [i for i in range(f) if assignments[i] == c]
-            if members:  # reseeding may have stolen a singleton's frame
+            members = assignments == c
+            if members.any():  # reseeding may have stolen a singleton's frame
                 centroids[c] = frames[members].mean(axis=0)
         new_assignments, per_frame = assign(centroids)
-        objectives.append(left_sum(per_frame))
-        if new_assignments == assignments:
+        objectives.append(left_sum(per_frame.tolist()))
+        if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    return ClusterResult(assignments=assignments, centroids=centroids, objectives=objectives)
+    return ClusterResult(assignments.tolist(), centroids, objectives)
 
 
 def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySelection:
@@ -143,7 +144,7 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
     """
     hists, owners = features.frames, features.owners()
     m = len(features)
-    if n > m:
+    if not 1 <= n <= m:
         raise ValueError(f"cannot select {n} distinct subshots from {m}")
     if hists.shape[0] < n:
         raise ValueError(f"fewer frames ({hists.shape[0]}) than clusters ({n})")

@@ -396,6 +396,16 @@ def checked_row(raw, fields, where):
     return [get_field(raw, key, kind, where) for key, kind in fields]
 
 
+def validated(ctx, check, *args):
+    """check(*args), a shared validator, its refusal worded as a loader's: after the path."""
+    from vtseval.corpus import CorpusValidationError
+
+    try:
+        check(*args)
+    except CorpusValidationError as exc:
+        raise CorpusValidationError(f"{ctx}: {exc}") from None
+
+
 def check_video(ctx, video_id, video):
     from vtseval.corpus import CorpusValidationError
 
@@ -418,7 +428,7 @@ def annotations_of(data, ctx):
         subshot_seconds=get_field(data, "subshot_seconds", float, ctx),
         subshots=tuple(shots),
     )
-    validate_video(video)
+    validated(ctx, validate_video, video)
     return video
 
 
@@ -429,7 +439,7 @@ def ground_truths_of(data, ctx, video=None):
     )
 
     fields = (("temporal_pos", int), ("rank", int), ("text", str))
-    check_video(ctx, get_field(data, "video_id", str, ctx), video)
+    video_id = get_field(data, "video_id", str, ctx)
     result = []
     for i, raw in enumerate(get_field(data, "summaries", list, ctx)):
         if not isinstance(raw, dict):
@@ -442,10 +452,11 @@ def ground_truths_of(data, ctx, video=None):
             author_id=get_field(raw, "author_id", str, f"{ctx}: summaries[{i}]"),
             sentences=tuple(sentences),
         )
-        validate_ground_truth(gt)
+        validated(ctx, validate_ground_truth, gt)
         result.append(gt)
     if not result:
         raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
+    check_video(ctx, video_id, video)  # last: the file's own faults come first
     return result
 
 
@@ -491,7 +502,7 @@ def summary_of(data, ctx, video=None):
             raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
         indices = span_indices_scan(data, video, ctx)
     summary = SummarySelection(video_id=video_id, indices=indices)
-    validate_selection(summary, video)
+    validated(ctx, validate_selection, summary, video)
     return summary
 
 
@@ -514,7 +525,6 @@ def features_of(data, ctx, video=None):
     from vtseval.corpus import CorpusParseError, CorpusValidationError, SubshotFeatures
 
     video_id = get_field(data, "video_id", str, ctx)
-    check_video(ctx, video_id, video)
     bins = get_field(data, "bins_per_channel", int, ctx)
     subshots = []
     for i, raw in enumerate(get_field(data, "subshots", list, ctx)):
@@ -534,13 +544,15 @@ def features_of(data, ctx, video=None):
         if arr.ndim != 2:
             raise CorpusParseError(f"{where}.frames: expected a list of histograms")
         subshots.append(arr)
+    fault = frame_fault(bins, subshots)
+    if fault is not None:
+        raise CorpusValidationError(f"{ctx}: {fault}")
+    # last, the video: the file's own faults come first
+    check_video(ctx, video_id, video)
     if video is not None and len(subshots) != len(video):
         raise CorpusValidationError(
             f"subshots: {ctx} covers {len(subshots)} subshots, the video has {len(video)}"
         )
-    fault = frame_fault(bins, subshots)
-    if fault is not None:
-        raise CorpusValidationError(fault)
     return SubshotFeatures(video_id, bins, subshots)
 
 
@@ -770,3 +782,65 @@ def triple_records(records) -> list[dict]:
             "case": cases[case_],
         })
     return out
+
+
+def lloyd_loop(frames, n, seed):
+    """lloyd_cluster with its passes as Python lists, and how many clusters it reseeded.
+
+    Labels and distances are lists; an empty cluster is found by
+    ``c not in labels`` and reseeded to the frame of the largest distance,
+    the lowest index among equals, by ``max`` over (distance, -index).
+    """
+    import numpy as np
+    from vtseval.rng import SplitMix64
+    from vtseval.summarize import ClusterResult
+    from vtseval.visual import chi_square_matrix, left_sum
+
+    f = frames.shape[0]
+    rng = SplitMix64(seed)
+
+    def column(i):
+        return chi_square_matrix(frames, frames[i : i + 1])[:, 0]
+
+    centers = [rng.next_below(f)]
+    nearest = column(centers[0])
+    while len(centers) < n:
+        d2 = nearest**2
+        total = float(d2.sum())
+        if total > 0.0:
+            r = rng.next_float() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), f - 1)
+        else:
+            idx = min(i for i in range(f) if i not in centers)
+        centers.append(idx)
+        nearest = np.minimum(nearest, column(idx))
+    centroids = frames[centers].copy()
+    reseeds = 0
+
+    def assign(cents):
+        nonlocal reseeds
+        dists = chi_square_matrix(frames, cents)
+        labels = [int(i) for i in np.argmin(dists, axis=1)]
+        per_frame = [float(dists[i, labels[i]]) for i in range(f)]
+        for c in range(n):
+            if c not in labels:
+                far = max(range(f), key=lambda i: (per_frame[i], -i))
+                cents[c] = frames[far]
+                labels[far] = c
+                per_frame[far] = 0.0
+                reseeds += 1
+        return labels, per_frame
+
+    assignments, per_frame = assign(centroids)
+    objectives = [left_sum(per_frame)]
+    for _ in range(100):
+        for c in range(n):
+            members = [i for i in range(f) if assignments[i] == c]
+            if members:
+                centroids[c] = frames[members].mean(axis=0)
+        new_assignments, per_frame = assign(centroids)
+        objectives.append(left_sum(per_frame))
+        if new_assignments == assignments:
+            break
+        assignments = new_assignments
+    return ClusterResult(assignments, centroids, objectives), reseeds

@@ -27,7 +27,8 @@ from vtseval.corpus import (
     SummarySelection,
     VideoRecord,
 )
-from vtseval.evaluator import score_summary
+from vtseval.evaluator import METRICS, score_summary
+from vtseval.rouge import UnitTable, rouge_su
 
 import oracles
 from oracles import spearman_closed_form
@@ -205,6 +206,49 @@ class TestJudgeSummaryPair:
         assert j.verdict is Verdict.FIRST_CLOSER
         with pytest.raises(ValueError):
             judge_summary_pair(a, b, video12, gts12, "pixel")
+
+
+# words that stem, stop and repeat, so units are shared, clipped, or none at all
+TEXTS = st.lists(st.sampled_from(["dog", "dogs", "the", "a", "park", "running", "runs", "lake"]),
+                 min_size=1, max_size=6).map(" ".join)
+
+
+@st.composite
+def judged_videos(draw):
+    """A video, its ground truths, two equal-size summaries, a metric and a subshot triple."""
+    m = draw(st.integers(3, 8))
+    video = make_video(draw(st.lists(TEXTS, min_size=m, max_size=m)))
+    gts = []
+    for author in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 4))
+        ranks = draw(st.permutations(range(1, k + 1)))
+        gts.append(make_gt([(p, r, draw(TEXTS)) for p, r in enumerate(ranks)], str(author)))
+    n = draw(st.integers(1, m))
+    a, b = (SummarySelection("v", tuple(sorted(draw(st.sets(st.integers(0, m - 1),
+                                                            min_size=n, max_size=n)))))
+            for _ in range(2))
+    triple = draw(st.permutations(range(m)))[:3]
+    return video, gts, a, b, draw(st.sampled_from(METRICS)), triple
+
+
+def bits(*scores):
+    assert all(type(s) is float for s in scores)
+    return np.array(scores).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(judged_videos(), st.booleans())
+def test_judgments_score_as_the_single_scorers(case, shared):
+    """Both judges give the bits of score_summary(...).score and rouge_su(...).f_measure."""
+    video, gts, a, b, metric, (x, y, ref) = case
+    table = UnitTable() if shared else None
+    got = judge_summary_pair(a, b, video, gts, metric, table=table)
+    want = (score_summary(s, video, gts, metric).score for s in (a, b))
+    assert bits(got.first_score, got.second_score) == bits(*want)
+    got = judge_subshot_pair(x, y, ref, video, table=table)
+    ref_text = [video.subshots[ref].annotation]
+    want = (rouge_su([video.subshots[i].annotation], ref_text).f_measure for i in (x, y))
+    assert bits(got.first_score, got.second_score) == bits(*want)
 
 
 class TestJudgeSubshotPair:

@@ -174,6 +174,18 @@ class TestSummarize:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_cluster_n_below_one_exits_2(self, paths, tmp_path, capsys, n):
+        code = main(
+            ["summarize", "--method", "cluster",
+             "--annotations", paths["annotations"], "--features", paths["features"],
+             "--n", n, "--output", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"cannot select {n} distinct subshots from 12"}
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestFeatures:
     def test_builds_feature_file(self, tmp_path):
@@ -316,6 +328,21 @@ class TestBadNumbers:
                 f"{features}: subshots[3].frames: ragged or non-numeric"
             )
             assert not (tmp_path / "s.json").exists()
+
+    def test_frame_that_overflows_exits_2_naming_the_features_file(self, paths, tmp_path, capsys):
+        doc = json.loads(Path(paths["features"]).read_text())
+        doc["subshots"][3]["frames"][1][0] = 12345.5
+        features = tmp_path / "f.json"
+        features.write_text(json.dumps(doc).replace("12345.5", "1e999"))
+        code = main(["summarize", "--method", "mmr", "--annotations", paths["annotations"],
+                     "--features", str(features), "--n", "4",
+                     "--output", str(tmp_path / "s.json")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CorpusValidationError",
+            "message": f"{features}: subshots[3].frames[1]: histogram sums to inf, expected 1",
+        }
+        assert not (tmp_path / "s.json").exists()
 
     def test_int_beyond_float_range_exits_2_naming_the_field(self, paths, tmp_path, capsys):
         text = Path(paths["annotations"]).read_text()

@@ -507,6 +507,7 @@ def span_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(span_cases())
 def test_span_bisection_matches_the_scan(case):
+    """load_summary's overlap mask picks the subshots that a scan of each subshot picks."""
     video, spans = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
@@ -570,7 +571,8 @@ REFUSED = {  # a file each loader refuses: 1e999 in a field it reads
 REFUSAL = {
     "annotations": (CorpusParseError, "{}.subshot_seconds: must be finite"),
     "ground_truths": (CorpusParseError, "{}: summaries[0].sentences[0].rank: expected int"),
-    "features": (CorpusValidationError, "subshots[1].frames[0]: histogram sums to inf, expected 1"),
+    "features": (CorpusValidationError,
+                 "{}: subshots[1].frames[0]: histogram sums to inf, expected 1"),
 }
 GOOD = {"annotations": _annotations_text("v"), "ground_truths": _gts_text("v"),
         "features": _features_text("v", GOOD_FRAMES)}
@@ -662,7 +664,7 @@ def test_a_file_broken_in_place_fails_then_loads_once_fixed(tmp_path):
     path.write_text(_gts_text("v", ranks=(1, 3)))
     with pytest.raises(CorpusValidationError) as info:
         corpus.load_ground_truths(path)
-    assert str(info.value) == "summaries[a].sentences: ranks must be a permutation of 1..2"
+    assert str(info.value) == f"{path}: summaries[a].sentences: ranks must be a permutation of 1..2"
     path.write_text('{"video_id": "v", "summaries": [')
     assert _memo_outcome(corpus.load_ground_truths, path) == (
         "CorpusParseError", f"{path}: invalid JSON: Expecting value: line 1 column 33 (char 32)")
@@ -691,6 +693,30 @@ def test_a_hit_raises_what_a_cold_load_raises(tmp_path, video12, data_dir, kind)
         assert _cold_outcome(load, path, short) == (
             "CorpusValidationError", f"subshots: {path} covers 12 subshots, the video has 5")
     assert corpus.load_memo_info()["misses"] == {kind: 1}
+
+
+OTHER_VIDEO = VideoRecord("w", 5.0, (Subshot(0, 0.0, 5.0, "s"), Subshot(1, 5.0, 10.0, "s")))
+
+
+@pytest.mark.parametrize("kind", ["ground_truths", "features"])
+def test_a_file_for_another_video_names_its_own_fault(tmp_path, video12, kind):
+    path = tmp_path / "f.json"
+    path.write_text(REFUSED[kind].replace('"video_id": "v"', '"video_id": "w"'))
+    error, message = REFUSAL[kind]
+    for video in (video12, OTHER_VIDEO):
+        assert _memo_outcome(LOADERS[kind], path, video) == (error.__name__, message.format(path))
+
+
+@pytest.mark.parametrize("kind", ["ground_truths", "features"])
+def test_a_file_refused_only_for_its_video_is_held(tmp_path, video12, kind):
+    path = tmp_path / "f.json"
+    path.write_text(GOOD[kind].replace('"video_id": "v"', '"video_id": "w"'))
+    assert _memo_outcome(LOADERS[kind], path, video12) == (
+        "CorpusValidationError",
+        f"video_id: {path} is for video 'w', the annotations for 'video12'")
+    assert _memo_outcome(LOADERS[kind], path, OTHER_VIDEO)[0] == "ok"
+    assert corpus.load_memo_info() == {"hits": {kind: 1}, "misses": {kind: 1}, "files": 1,
+                                       "bytes": path.stat().st_size}
 
 
 def test_eviction_keeps_the_held_bytes_within_the_budget(tmp_path, monkeypatch):

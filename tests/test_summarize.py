@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from vtseval import summarize
 from vtseval.corpus import (
@@ -165,6 +167,14 @@ class TestHistogramCluster:
         with pytest.raises(ValueError):
             histogram_cluster(features, 2, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_cluster(self, n):
+        features = make_features([[[1.0, 0, 0]], [[0, 1.0, 0]]])
+        with pytest.raises(ValueError, match=f"cannot select {n} distinct subshots from 2"):
+            histogram_cluster(features, n, seed=0)
+        with pytest.raises(ValueError, match=f"cannot form {n} clusters from 2 frames"):
+            lloyd_cluster(features.frames, n, seed=0)
+
     def test_exact_count_and_validity(self):
         rng = random.Random(41)
         for _ in range(10):
@@ -174,6 +184,41 @@ class TestHistogramCluster:
             sel = histogram_cluster(features, n, seed=rng.randrange(1000))
             assert len(sel.indices) == n
             assert all(a < b for a, b in zip(sel.indices, sel.indices[1:]))
+
+
+@st.composite
+def duplicated_frames(draw):
+    """Frames drawn with repeats from a few histograms, a cluster count and a seed.
+
+    Equal frames make equal centers, so clusters often come out of an
+    assignment pass empty and are reseeded.
+    """
+    counts = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+    pool = np.array(draw(st.lists(counts, min_size=1, max_size=4)), dtype=np.float64)
+    pool /= pool.sum(axis=1, keepdims=True)
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return pool[rows], draw(st.integers(1, len(rows))), draw(st.integers(0, 2**16))
+
+
+def test_lloyd_passes_are_the_list_loop_s():
+    """Assignments, objectives and centroids have the bits of the list passes, reseeds too."""
+    reseeded = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(duplicated_frames())
+    def check(case):
+        frames, n, seed = case
+        want, reseeds = oracles.lloyd_loop(frames, n, seed)
+        got = lloyd_cluster(frames, n, seed)
+        reseeded.append(reseeds > 0)
+        event("reseeded" if reseeds else "no reseed")
+        assert got.assignments == want.assignments
+        assert all(type(label) is int for label in got.assignments)
+        assert np.array(got.objectives).tobytes() == np.array(want.objectives).tobytes()
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+
+    check()
+    assert any(reseeded), "no drawn case reached the reseed branch"
 
 
 def pooled_features(rng, m, pool=4, dim=6):

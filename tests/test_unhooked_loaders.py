@@ -273,7 +273,7 @@ def test_features_non_finite_literal_is_named(tmp_path, literal):
     fault = "negative histogram entry" if literal[0] == "-" else "histogram sums to inf, expected 1"
     with pytest.raises(corpus.CorpusValidationError) as info:
         corpus.load_features(path)
-    assert str(info.value) == f"subshots[0].frames[0]: {fault}"
+    assert str(info.value) == f"{path}: subshots[0].frames[0]: {fault}"
 
 
 @pytest.mark.parametrize("entry", ['"0.5"', '{"a": 1}', "true", "null", "[0.5]", "1" + "0" * 400],
