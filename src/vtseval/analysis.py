@@ -37,7 +37,7 @@ from .corpus import (
 from .evaluator import best_scores
 from .rng import SplitMix64, sample_indices
 from .rouge import UnitTable, su_f_matrix
-from .visual import pixel_summary_distance, subshot_distance_matrix, subshot_min_distance
+from .visual import left_sum, pixel_summary_distance, subshot_distances, subshot_min_distance
 
 TIE_TOLERANCE = 1e-9
 TEXT_ZERO = 0.0
@@ -325,22 +325,29 @@ def compare_pairs(
 ) -> dict:
     """Judge count sampled pairs of n-subshot summaries; the compare output of pairs mode.
 
-    Pixel judgments and case counts need both features and gt_subshots (one
-    alone is a ValueError); agreement rates need a human file judging pairs
-    by their index, each in 0..count-1 (CorpusValidationError otherwise).
+    Pixel judgments and case counts need features covering the video and a
+    non-empty gt_subshots (ValueError otherwise, at any count), and come from
+    one visual.subshot_distances call; agreement rates need a human file
+    judging pairs by their index in 0..count-1 (CorpusValidationError otherwise).
     """
     if (features is None) != (gt_subshots is None):
         missing = "gt_subshots" if gt_subshots is None else "features"
         raise ValueError(f"pixel judgments also need {missing}")
+    _check_covers(features, len(video))
+    if gt_subshots is not None and len(gt_subshots) == 0:
+        raise ValueError("ground-truth selection is empty")
     pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
     rows, said = _human_rows(human, ("pair",), count, lambda pair: pair) if human else (None, None)
     with_pixel = features is not None
     summaries = [s for pair in pairs for s in pair]
     scores = np.zeros((count, 4))
     scores[:, 2:] = best_scores(summaries, video, gts, n, metric, table).reshape(count, 2)
-    if with_pixel:
-        scores[:, :2] = np.reshape(
-            [-pixel_summary_distance(s, gt_subshots, features) for s in summaries], (count, 2))
+    if with_pixel and count:
+        picks = np.array([s.indices for s in summaries])
+        used = np.flatnonzero(np.bincount(picks.ravel()))
+        nearest = subshot_distances(features, used, gt_subshots.indices).min(axis=1)
+        # row i of the gather is summary i: folding its columns folds every summary at once
+        scores[:, :2] = (-left_sum(nearest[np.searchsorted(used, picks)].T) / n).reshape(count, 2)
     codes = _judge(scores)
     records = []
     for i, ((a, b), (pb1, pb2, v1, v2), (vset, pb, case)) in enumerate(
@@ -368,18 +375,17 @@ def compare_triples(
     """Judge every triple (ref, x < y) of distinct subshots; the compare output of triples mode.
 
     Text scores come from rouge.su_f_matrix, with subshot x's annotation as
-    the candidate and ref's as the reference, pixel scores from
-    visual.subshot_distance_matrix; the records are one TripleRecords. A
+    the candidate and ref's as the reference, pixel scores from one
+    visual.subshot_distances call; the records are one TripleRecords. A
     human file must judge only such triples (CorpusValidationError otherwise).
     """
     m = len(video)
-    if len(features) != m:
-        raise ValueError(f"features cover {len(features)} subshots, the video has {m}")
+    _check_covers(features, m)
     rows, said = (_human_rows(human, ("ref", "x", "y"), m, lambda *key: _triple_rows(m, *key))
                   if human else (None, None))
     annotations = [shot.annotation for shot in video.subshots]
     text = su_f_matrix(table or UnitTable(), annotations, annotations)
-    pixel = -subshot_distance_matrix(features)
+    pixel = -subshot_distances(features, range(m), range(m))
     ref, x, y = _triples(m)
     scores = np.stack([pixel[x, ref], pixel[y, ref], text[x, ref], text[y, ref]], axis=1)
     codes = _judge(scores)
@@ -388,6 +394,11 @@ def compare_triples(
     if human:
         payload["agreement"] = _agreement(codes[rows, :2], said)
     return payload
+
+
+def _check_covers(features: SubshotFeatures | None, m: int) -> None:
+    if features is not None and len(features) != m:
+        raise ValueError(f"features cover {len(features)} subshots, the video has {m}")
 
 
 def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

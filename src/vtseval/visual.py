@@ -6,9 +6,9 @@ needed; precomputed histogram files are the alternative ingestion path
 concatenated R,G,B and jointly L1-normalized, so the chi-square distance
 between two of them lands in [0, 1]. Every distance comes from one
 row-blocked kernel, chi_square_matrix, and its symmetric form
-pairwise_chi_square: chi_square is one cell, subshot_min_distance the
-minimum of a block, subshot_distance_matrix every subshot pair's block
-minimum, and pixel_summary_distance a mean of block minima.
+pairwise_chi_square (read by MMR): chi_square is one cell, subshot_min_distance
+the minimum of a block, subshot_distances every block minimum of chosen
+subshot pairs, and pixel_summary_distance a mean of its row minima.
 """
 from __future__ import annotations
 
@@ -169,11 +169,17 @@ def subshot_min_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> fl
     return float(chi_square_matrix(np.asarray(a, np.float64), np.asarray(b, np.float64)).min())
 
 
-def subshot_distance_matrix(features: SubshotFeatures) -> np.ndarray:
-    """m x m matrix whose cell (i, j) is subshot_min_distance of subshots i and j."""
-    starts = features.offsets[:-1]
-    frames = pairwise_chi_square(features.frames)
-    return np.minimum.reduceat(np.minimum.reduceat(frames, starts, axis=1), starts, axis=0)
+def subshot_distances(features: SubshotFeatures, rows, cols) -> np.ndarray:
+    """Cell (i, j) is the least chi-square between frames of subshots rows[i] and cols[j], all
+    from one chi_square_matrix call; indices may repeat, in any order; neither side may be empty."""
+    m = len(features)
+    for idx in (*rows, *cols):
+        if not 0 <= idx < m:
+            raise ValueError(f"subshot index {idx} not covered by features ({m} subshots)")
+    sides = [[features.subshots[i] for i in side] for side in (rows, cols)]
+    starts = [np.cumsum([0] + [len(frames) for frames in chosen[:-1]]) for chosen in sides]
+    out = chi_square_matrix(*map(np.vstack, sides))
+    return np.minimum.reduceat(np.minimum.reduceat(out, starts[1], axis=1), starts[0], axis=0)
 
 
 def pixel_summary_distance(
@@ -184,28 +190,20 @@ def pixel_summary_distance(
     """Mean over summary subshots of the distance to the nearest ground-truth subshot.
 
     Lower means more visually similar; rankings built on this metric sort
-    ascending. One kernel call covers every summary frame; each subshot's
-    distance is the minimum over its rows, and the mean is a left fold in
-    summary order.
+    ascending. Each subshot's distance is its row minimum of one
+    subshot_distances call, and the mean is a left fold in summary order.
     """
     if len(summary) == 0:
         raise ValueError("summary selection is empty")
     if len(gt_subshots) == 0:
         raise ValueError("ground-truth selection is empty")
-    m = len(features)
-    for idx in (*summary.indices, *gt_subshots.indices):
-        if idx >= m:
-            raise ValueError(f"subshot index {idx} not covered by features ({m} subshots)")
-    gt = np.vstack([features.subshots[g] for g in gt_subshots.indices])
-    chosen = [features.subshots[s] for s in summary.indices]
-    starts = np.cumsum([0] + [len(frames) for frames in chosen[:-1]])
-    nearest = chi_square_matrix(np.vstack(chosen), gt).min(axis=1)
-    return left_sum(np.minimum.reduceat(nearest, starts).tolist()) / len(summary)
+    nearest = subshot_distances(features, summary.indices, gt_subshots.indices).min(axis=1)
+    return left_sum(nearest.tolist()) / len(summary)
 
 
-def left_sum(values) -> float:
-    """Sum in index order. From Python 3.12, sum() compensates float
-    rounding, so its bits would depend on the Python version."""
+def left_sum(values):
+    """Sum in index order, elementwise for arrays. From Python 3.12, sum()
+    compensates float rounding, so its bits would depend on the Python version."""
     total = 0.0
     for v in values:
         total += v

@@ -511,6 +511,20 @@ class TestCompare:
         assert agreement["vset"] == 1.0
         assert agreement["n"] == 20
 
+    @pytest.mark.parametrize("count", ["0", "2"])
+    def test_pairs_empty_gt_subshots_exits_2_whatever_the_count(self, paths, tmp_path, capsys,
+                                                                 count):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"video_id": "video12", "indices": []}')
+        out = tmp_path / "o.json"
+        code = main(["compare", "--mode", "pairs", "--annotations", paths["annotations"],
+                     "--ground-truth", paths["ground_truth"], "--features", paths["features"],
+                     "--gt-subshots", str(empty), "--count", count, "--output", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": "ground-truth selection is empty"}
+        assert not out.exists()
+
     def test_pairs_missing_ground_truth_exits_2(self, paths, tmp_path):
         code = main(
             ["compare", "--mode", "pairs",

@@ -11,6 +11,7 @@ oracles.triple_loop and oracles.pair_loop.
 """
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from vtseval.rouge import UnitTable, su_f_matrix
 
 import oracles
 from test_analysis import make_gt, make_video
-from test_chi_square_kernel import histograms
+from test_chi_square_kernel import blocks_of, histograms
 
 
 @st.composite
@@ -168,8 +169,10 @@ def test_triples_equal_the_per_triple_loop(tmp_path_factory, inputs):
         {"ref": r, "x": x, "y": y, "verdict": v} for (r, x, y), v in human.items()])
     out = analysis.compare_triples(video, features, human=path)
     annotations = [shot.annotation for shot in video.subshots]
+    every = range(len(video))
+    pixel = -visual.subshot_distances(features, every, every)
     expected = oracles.triple_loop(su_f_matrix(UnitTable(), annotations, annotations),
-                                   (-visual.subshot_distance_matrix(features)).tolist(), human)
+                                   pixel.tolist(), human)
     assert {**out, "triples": oracles.triple_records(out["triples"])} == expected
     assert canonical_dumps(out) == json.dumps(expected, ensure_ascii=False, sort_keys=True,
                                               indent=2, allow_nan=False) + "\n"
@@ -201,16 +204,49 @@ def test_triple_records_render_the_record_dicts_of_their_columns(video12, featur
     assert json.loads(canonical_dumps(none)) == []
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 8).flatmap(features_of))
-def test_subshot_distance_matrix_is_the_block_minima(features):
-    got = visual.subshot_distance_matrix(features)
-    m = len(features)
-    assert got.shape == (m, m)
-    for i, a in enumerate(features.subshots):
-        for j, b in enumerate(features.subshots):
+@st.composite
+def distance_cases(draw):
+    """Features of 1-8 subshots, row and column indices and a kernel block size in rows.
+
+    The indices are every subshot on both sides (as compare_triples asks),
+    or two lists in any order, with repeats and of different lengths.
+    """
+    m = draw(st.integers(1, 8))
+    features = draw(features_of(m))
+    if draw(st.booleans()):
+        rows = cols = range(m)
+    else:
+        rows, cols = (draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+                      for _ in range(2))
+    return features, rows, cols, draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(distance_cases())
+def test_subshot_distances_are_the_block_minima(case):
+    features, rows, cols, block = case
+    kernel = visual.chi_square_matrix
+    calls = []
+    col_frames = sum(len(features.subshots[j]) for j in cols)
+    with blocks_of(block, col_frames, features.frames.shape[1]), mock.patch.object(
+        visual, "chi_square_matrix", lambda a, b: calls.append(a.shape) or kernel(a, b)
+    ):
+        got = visual.subshot_distances(features, rows, cols)
+    assert len(calls) == 1
+    assert got.shape == (len(rows), len(cols))
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            a, b = features.subshots[r], features.subshots[c]
             assert got[i, j].hex() == visual.subshot_min_distance(a, b).hex()
             assert abs(got[i, j] - oracles.min_cross_distance(a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, cols, bad", [((-1,), (0,), -1), ((0,), (1, -12), -12),
+                                             ((0, 12), (-1,), 12), ((1,), (2**70,), 2**70)])
+def test_subshot_distances_refuse_an_index_outside_the_features(features12, rows, cols, bad):
+    with pytest.raises(ValueError) as exc:
+        visual.subshot_distances(features12, rows, cols)
+    assert str(exc.value) == f"subshot index {bad} not covered by features (12 subshots)"
 
 
 def test_triples_reject_features_of_another_length(video12, features12):
@@ -254,6 +290,23 @@ class TestComparePairs:
         judged = analysis.compare_pairs(video, gts, 2, 3, 1, human=human)
         assert judged["agreement"] == {"vset": 1.0, "n": 1}
 
+
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("keep", [5, 13])
+    def test_features_of_another_length_are_refused(self, video12, gts12, features12, data_dir,
+                                                    count, keep):
+        gt_sub = load_summary(data_dir / "video12.summary_a.json", video12)
+        other = SubshotFeatures("video12", features12.bins_per_channel,
+                                (features12.subshots * 2)[:keep])
+        with pytest.raises(ValueError) as exc:
+            analysis.compare_pairs(video12, gts12, 4, count, 1, features=other, gt_subshots=gt_sub)
+        assert str(exc.value) == f"features cover {keep} subshots, the video has 12"
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_an_empty_ground_truth_selection_is_refused(self, video12, gts12, features12, count):
+        with pytest.raises(ValueError, match="^ground-truth selection is empty$"):
+            analysis.compare_pairs(video12, gts12, 4, count, 1, features=features12,
+                                   gt_subshots=SummarySelection("video12", ()))
 
     @pytest.mark.parametrize("given_, missing", [("features", "gt_subshots"),
                                                  ("gt_subshots", "features")])
@@ -360,3 +413,51 @@ def test_pairs_refuse_an_out_of_range_pair(tmp_path_factory, count, good, bad, d
     with pytest.raises(CorpusValidationError) as exc:
         analysis.compare_pairs(video, gts, 2, count, 1, human=path)
     assert str(exc.value) == message
+
+
+@st.composite
+def pixel_pair_cases(draw):
+    """compare_pairs inputs with pixel judgments: a video of 3-8 subshots and its features
+    (1-3 frames per subshot, widths 3 and 12, frames copied so that minima tie), count 0-6
+    pairs of n-subshot summaries, a ground-truth selection in any order and a block size."""
+    m = draw(st.integers(3, 8))
+    words = st.lists(st.sampled_from(oracles.SAFE_VOCAB[:5]), min_size=1, max_size=4)
+    video = make_video([" ".join(draw(words)) for _ in range(m)])
+    gts = [make_gt([(p, r, " ".join(draw(words))) for r, p in enumerate(
+        sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True))), 1)])]
+    features = draw(features_of(m))
+    gt_subshots = SummarySelection("v", tuple(draw(st.lists(
+        st.integers(0, m - 1), min_size=1, max_size=m, unique=True))))
+    n, count, seed = draw(st.integers(1, m)), draw(st.integers(0, 6)), draw(st.integers(0, 2**32))
+    return video, gts, n, count, seed, features, gt_subshots, draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pixel_pair_cases())
+def test_pairs_take_their_pixel_scores_from_one_kernel_call(inputs):
+    """Each pb score has the bits of the per-summary loop over kernel blocks, built as
+    test_pixel_summary_distance_is_one_kernel_call_with_the_loop_bits builds its own,
+    under any row blocking; the kernel runs once, and not at all without pairs."""
+    video, gts, n, count, seed, features, gt_subshots, block = inputs
+    gt = np.vstack([features.subshots[g] for g in gt_subshots.indices])
+    pairs = analysis.sample_summary_pairs(len(video), n, count, seed, video.video_id)
+
+    def loop(summary):
+        total = 0.0
+        for s in summary.indices:
+            total += float(visual.chi_square_matrix(features.subshots[s], gt).min())
+        return -(total / len(summary))
+
+    pixel = [(loop(a), loop(b)) for a, b in pairs]
+    kernel = visual.chi_square_matrix
+    calls = []
+    with blocks_of(block, gt.shape[0], gt.shape[1]), mock.patch.object(
+        visual, "chi_square_matrix", lambda a, b: calls.append(a.shape) or kernel(a, b)
+    ):
+        out = analysis.compare_pairs(video, gts, n, count, seed, features=features,
+                                     gt_subshots=gt_subshots)
+    assert len(calls) == (1 if count else 0)
+    assert [(r["pb"]["first_score"].hex(), r["pb"]["second_score"].hex()) for r in out["pairs"]] \
+        == [(first.hex(), second.hex()) for first, second in pixel]
+    text = [tuple(score_summary(s, video, gts).score for s in pair) for pair in pairs]
+    assert out == oracles.pair_loop([(a.indices, b.indices) for a, b in pairs], text, pixel)

@@ -288,3 +288,12 @@ class TestPixelSummaryDistance:
             pixel_summary_distance(empty, full, features)
         with pytest.raises(ValueError):
             pixel_summary_distance(full, empty, features)
+
+    @pytest.mark.parametrize("summary, gt, bad", [((-1,), (2, 5), -1), ((0, 3), (5, -12), -12),
+                                                  ((11, 12), (0,), 12)])
+    def test_rejects_an_index_outside_the_features(self, features12, summary, gt, bad):
+        """A negative index is refused as the text side refuses it, not read from the end."""
+        with pytest.raises(ValueError) as exc:
+            pixel_summary_distance(SummarySelection("video12", summary),
+                                   SummarySelection("video12", gt), features12)
+        assert str(exc.value) == f"subshot index {bad} not covered by features (12 subshots)"
