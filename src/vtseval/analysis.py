@@ -37,7 +37,7 @@ from .corpus import (
 from .evaluator import best_scores
 from .rng import SplitMix64, sample_indices
 from .rouge import UnitTable, su_f_matrix
-from .visual import left_sum, pixel_summary_distance, subshot_distances, subshot_min_distance
+from .visual import check_range, left_sum, pixel_summary_distance, subshot_distances, subshot_min_distance
 
 TIE_TOLERANCE = 1e-9
 TEXT_ZERO = 0.0
@@ -326,7 +326,7 @@ def compare_pairs(
     """Judge count sampled pairs of n-subshot summaries; the compare output of pairs mode.
 
     Pixel judgments and case counts need features covering the video and a
-    non-empty gt_subshots (ValueError otherwise, at any count), and come from
+    non-empty gt_subshots inside them (ValueError otherwise, at any count), and come from
     one visual.subshot_distances call; agreement rates need a human file
     judging pairs by their index in 0..count-1 (CorpusValidationError otherwise).
     """
@@ -334,8 +334,10 @@ def compare_pairs(
         missing = "gt_subshots" if gt_subshots is None else "features"
         raise ValueError(f"pixel judgments also need {missing}")
     _check_covers(features, len(video))
-    if gt_subshots is not None and len(gt_subshots) == 0:
-        raise ValueError("ground-truth selection is empty")
+    if gt_subshots is not None:
+        if len(gt_subshots) == 0:
+            raise ValueError("ground-truth selection is empty")
+        check_range(features, gt_subshots.indices)
     pairs = sample_summary_pairs(len(video), n, count, seed, video.video_id)
     rows, said = _human_rows(human, ("pair",), count, lambda pair: pair) if human else (None, None)
     with_pixel = features is not None

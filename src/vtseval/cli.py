@@ -76,9 +76,7 @@ def _cmd_summarize(args) -> int:
         if args.method == "cluster":
             selection = summarize.histogram_cluster(features, args.n, args.seed)
         else:
-            selection = summarize.video_mmr(
-                features, summarize.MmrParams(lambda_=args.lambda_, n=args.n)
-            )
+            selection = summarize.video_mmr(features, args.n, args.lambda_)
     else:  # bow | dp
         if not args.ground_truth:
             raise CorpusError(f"method {args.method} requires --ground-truth")

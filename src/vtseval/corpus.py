@@ -225,6 +225,17 @@ def validate_ground_truth(gt: GroundTruthSummary) -> None:
             raise CorpusValidationError(f"{where}.text: must be non-empty")
 
 
+def validate_ground_truths(gts) -> None:
+    """The list-level rule of a ground-truth file: at least one summary, no author_id twice."""
+    if not gts:
+        raise CorpusValidationError("summaries: must contain at least one ground truth")
+    ids = [gt.author_id for gt in gts]
+    for i, j in enumerate(map(ids.index, ids)):  # j: the first summary by the same author
+        if j < i:
+            raise CorpusValidationError(
+                f"summaries[{i}].author_id: {ids[i]!r} repeats summaries[{j}]")
+
+
 def _check_shape(i: int, frames: np.ndarray, dim: int) -> None:
     where = f"subshots[{i}].frames"
     if frames.ndim != 2 or frames.shape[0] < 1:
@@ -662,14 +673,14 @@ def _ground_truths_of(data: dict, ctx: str) -> tuple[str, tuple[GroundTruthSumma
         gt = GroundTruthSummary(author_id=_get(raw, "author_id", str, where), sentences=sentences)
         _on_load(ctx, validate_ground_truth, gt)
         result.append(gt)
-    if not result:
-        raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
+    _on_load(ctx, validate_ground_truths, result)  # after each summary's own checks
     return video_id, tuple(result)
 
 
 def save_ground_truths(path: str | Path, gts: list[GroundTruthSummary], video_id: str) -> None:
     for gt in gts:
         validate_ground_truth(gt)
+    validate_ground_truths(gts)
     write_canonical(
         path,
         {

@@ -5,64 +5,39 @@ of the later revisions, so output is stable and matches the algorithm's
 published example vocabulary (see tests/data/porter_sample.txt). Within a
 step the longest matching suffix is selected first and only then is its
 condition tested; if the condition fails no other rule in that step fires.
-
-Input is expected to be a lowercase alphabetic word. Words of length one
-or two are returned unchanged.
+The four conditions (the measure m, *v*, *d and *o) read one letter form
+of the word, "v" per vowel and "c" per consonant. Input is a lowercase
+alphabetic word; words of length one or two are returned unchanged.
 """
 from __future__ import annotations
 
 _VOWELS = "aeiou"
 
 
-def _is_cons(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return True if i == 0 else not _is_cons(word, i - 1)
-    return True
+def _form(word: str) -> str:
+    """One letter per letter of word, "v" or "c"; y is a vowel only after a consonant."""
+    form = ""
+    for c in word:
+        form += "v" if c in _VOWELS or (c == "y" and form[-1:] == "c") else "c"
+    return form
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    n = len(stem)
-    i = 0
-    while i < n and _is_cons(stem, i):
-        i += 1
-    m = 0
-    while True:
-        while i < n and not _is_cons(stem, i):
-            i += 1
-        if i >= n:
-            return m
-        while i < n and _is_cons(stem, i):
-            i += 1
-        m += 1
+    return _form(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_cons(stem, i) for i in range(len(stem)))
+    return "v" in _form(stem)
 
 
 def _ends_double_cons(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_cons(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _form(word)[-1] == "c"
 
 
 def _ends_cvc(stem: str) -> bool:
     # consonant-vowel-consonant where the final consonant is not w, x or y
-    if len(stem) < 3:
-        return False
-    n = len(stem)
-    return (
-        _is_cons(stem, n - 3)
-        and not _is_cons(stem, n - 2)
-        and _is_cons(stem, n - 1)
-        and stem[-1] not in "wxy"
-    )
+    return _form(stem).endswith("cvc") and stem[-1] not in "wxy"
 
 
 def _apply_longest(word: str, rules) -> str:

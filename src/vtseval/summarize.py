@@ -1,5 +1,7 @@
 """Baseline summarizers. Each returns exactly n subshot indices, ascending.
 
+Each refuses an n outside 1..m: ``cannot select {n} distinct subshots from {m}``.
+
 All tie-breaks are lowest-index and all randomness flows through the
 pinned splitmix64 generator, so identical inputs and seed give identical
 summaries. Frame-based methods (clustering, marginal-relevance) operate
@@ -21,22 +23,15 @@ from .rouge import UnitTable, find, postings, su_f_matrix
 from .visual import chi_square_matrix, left_sum, pairwise_chi_square
 
 
-@dataclass(frozen=True)
-class MmrParams:
-    lambda_: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_ <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lambda_}")
-        if self.n < 1:
-            raise ValueError(f"target subshot count must be >= 1, got {self.n}")
+# the summary-size rule of every summarizer
+def _check_count(n: int, m: int) -> None:
+    if not 1 <= n <= m:
+        raise ValueError(f"cannot select {n} distinct subshots from {m}")
 
 
 def uniform_indices(m: int, n: int) -> list[int]:
     """floor(i*m/n) for i in 0..n-1; strictly increasing when n <= m."""
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+    _check_count(n, m)
     return [i * m // n for i in range(n)]
 
 
@@ -144,10 +139,7 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
     """
     hists, owners = features.frames, features.owners()
     m = len(features)
-    if not 1 <= n <= m:
-        raise ValueError(f"cannot select {n} distinct subshots from {m}")
-    if hists.shape[0] < n:
-        raise ValueError(f"fewer frames ({hists.shape[0]}) than clusters ({n})")
+    _check_count(n, m)
     result = lloyd_cluster(hists, n, seed)
 
     labels = np.asarray(result.assignments)
@@ -171,7 +163,7 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
 # marginal-relevance keyframe selection
 
 
-def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
+def mmr_keyframes(features: SubshotFeatures, n: int, lambda_: float) -> list[int]:
     """Greedy keyframe picks (flattened frame indices) in selection order.
 
     Each step minimizes
@@ -179,13 +171,13 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
         - (1 - lambda) * min chi-square to the already selected frames,
     with the second term omitted on the first pick and ties going to the
     lowest frame index. Selection continues until the picked keyframes
-    cover params.n distinct subshots.
+    cover n distinct subshots.
     """
+    if not 0.0 <= lambda_ <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lambda_}")
+    _check_count(n, len(features))
     owners = features.owners()
     f = len(owners)
-    m = len(features)
-    if params.n > m:
-        raise ValueError(f"cannot reach {params.n} distinct subshots from {m}")
     dist = pairwise_chi_square(features.frames)
 
     selected: list[int] = []
@@ -193,20 +185,20 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
     # min distance from each frame to the selected frames
     nearest = np.full(f, np.inf)
     covered: set[int] = set()
-    while len(covered) < params.n:
+    while len(covered) < n:
         remaining = np.flatnonzero(keep)
         r = remaining.size
         if r == 0:
-            raise ValueError(f"ran out of frames before reaching {params.n} distinct subshots")
+            raise ValueError(f"ran out of frames before reaching {n} distinct subshots")
         # The masked reduction adds the unselected rows in index order, a
         # strict left fold down each column. dist is exactly symmetric, so
         # that is the left fold along row i over the unselected frames, and
         # the zero diagonal cell adds nothing: each mean has the bits of the
         # plain left-fold sum over the others (a last frame's sum is 0.0).
         sums = np.add.reduce(dist, axis=0, where=keep[:, None], initial=0.0)
-        score = params.lambda_ * (sums[remaining] / max(r - 1, 1))
+        score = lambda_ * (sums[remaining] / max(r - 1, 1))
         if selected:
-            score -= (1.0 - params.lambda_) * nearest[remaining]
+            score -= (1.0 - lambda_) * nearest[remaining]
         # argmin takes the first minimum: ties go to the lowest frame index
         pos = int(np.argmin(score))
         best_idx = int(remaining[pos])
@@ -217,10 +209,10 @@ def mmr_keyframes(features: SubshotFeatures, params: MmrParams) -> list[int]:
     return selected
 
 
-def video_mmr(features: SubshotFeatures, params: MmrParams) -> SummarySelection:
+def video_mmr(features: SubshotFeatures, n: int, lambda_: float) -> SummarySelection:
     """Subshots containing the marginal-relevance keyframes."""
     owners = features.owners()
-    keyframes = mmr_keyframes(features, params)
+    keyframes = mmr_keyframes(features, n, lambda_)
     indices = tuple(sorted({owners[k] for k in keyframes}))
     return SummarySelection(video_id=features.video_id, indices=indices)
 
@@ -242,8 +234,7 @@ def greedy_bow(
     subshot gains anything, leftover slots are filled uniformly.
     """
     m = len(video)
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
+    _check_count(n, m)
     table = table or UnitTable()
     words, remaining, _ = postings(table, 1, [length_adjust(gt, n)])
     ids, counts, owners = postings(table, 1, [[s.annotation] for s in video.subshots])
@@ -286,8 +277,7 @@ def sentence_dp(
     fewer than n sentences the remainder is filled uniformly.
     """
     m = len(video)
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= M, got n={n}, M={m}")
+    _check_count(n, m)
     sentences = length_adjust(gt, n)
     k = len(sentences)
     # sim[j][i]: ROUGE-SU F of sentence j (candidate) against annotation i

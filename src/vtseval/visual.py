@@ -169,13 +169,18 @@ def subshot_min_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> fl
     return float(chi_square_matrix(np.asarray(a, np.float64), np.asarray(b, np.float64)).min())
 
 
+# refuse a subshot index outside the features, with the one message of every pixel comparison
+def check_range(features: SubshotFeatures, indices) -> None:
+    m = len(features)
+    for idx in indices:
+        if not 0 <= idx < m:
+            raise ValueError(f"subshot index {idx} not covered by features ({m} subshots)")
+
+
 def subshot_distances(features: SubshotFeatures, rows, cols) -> np.ndarray:
     """Cell (i, j) is the least chi-square between frames of subshots rows[i] and cols[j], all
     from one chi_square_matrix call; indices may repeat, in any order; neither side may be empty."""
-    m = len(features)
-    for idx in (*rows, *cols):
-        if not 0 <= idx < m:
-            raise ValueError(f"subshot index {idx} not covered by features ({m} subshots)")
+    check_range(features, (*rows, *cols))
     sides = [[features.subshots[i] for i in side] for side in (rows, cols)]
     starts = [np.cumsum([0] + [len(frames) for frames in chosen[:-1]]) for chosen in sides]
     out = chi_square_matrix(*map(np.vstack, sides))

@@ -456,6 +456,11 @@ def ground_truths_of(data, ctx, video=None):
         result.append(gt)
     if not result:
         raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
+    for i, gt in enumerate(result):
+        earlier = [j for j in range(i) if result[j].author_id == gt.author_id]
+        if earlier:
+            raise CorpusValidationError(f"{ctx}: summaries[{i}].author_id: {gt.author_id!r} "
+                                        f"repeats summaries[{earlier[0]}]")
     check_video(ctx, video_id, video)  # last: the file's own faults come first
     return result
 
@@ -582,6 +587,59 @@ def human_verdicts_of(data, ctx, keys):
 
 
 # ---------------------------------------------------------------------------
+# Porter's conditions, per letter by a recursive consonant test: the
+# package reads all four from one letter form of the word.
+
+VOWELS = "aeiou"
+
+
+def is_cons(word: str, i: int) -> bool:
+    c = word[i]
+    if c in VOWELS:
+        return False
+    if c == "y":
+        return True if i == 0 else not is_cons(word, i - 1)
+    return True
+
+
+def measure(stem: str) -> int:
+    """Number of vowel-consonant sequences: [C](VC)^m[V]."""
+    n = len(stem)
+    i = 0
+    while i < n and is_cons(stem, i):
+        i += 1
+    m = 0
+    while True:
+        while i < n and not is_cons(stem, i):
+            i += 1
+        if i >= n:
+            return m
+        while i < n and is_cons(stem, i):
+            i += 1
+        m += 1
+
+
+def contains_vowel(stem: str) -> bool:
+    return any(not is_cons(stem, i) for i in range(len(stem)))
+
+
+def ends_double_cons(word: str) -> bool:
+    return len(word) >= 2 and word[-1] == word[-2] and is_cons(word, len(word) - 1)
+
+
+def ends_cvc(stem: str) -> bool:
+    # consonant-vowel-consonant where the final consonant is not w, x or y
+    if len(stem) < 3:
+        return False
+    n = len(stem)
+    return (
+        is_cons(stem, n - 3)
+        and not is_cons(stem, n - 2)
+        and is_cons(stem, n - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
 # Porter's step 4 and spearman's average ranks, written out as loops: the
 # package states the first as a row of its suffix table and the second
 # with np.unique, and the tests require the same stems and the same bits.
@@ -595,21 +653,19 @@ STEP4_SUFFIXES = (
 def porter_step4(word: str) -> str:
     """Porter's step 4: strip the longest suffix if m > 1; (s|t)ion strips
     only "ion", only after s or t, and only when longer than every other match."""
-    from vtseval.porter import _measure
-
     best = None
     for suffix in STEP4_SUFFIXES:
         if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
             best = suffix
     if word.endswith("ion") and (best is None or 3 > len(best)):
         stem = word[:-3]
-        if _measure(stem) > 1 and stem[-1:] in ("s", "t"):
+        if measure(stem) > 1 and stem[-1:] in ("s", "t"):
             return stem
         return word
     if best is None:
         return word
     stem = word[: -len(best)]
-    return stem if _measure(stem) > 1 else word
+    return stem if measure(stem) > 1 else word
 
 
 def average_ranks_loop(values):

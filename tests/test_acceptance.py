@@ -18,7 +18,6 @@ from vtseval.evaluator import length_adjust, score_summary
 from vtseval.porter import stem
 from vtseval.rouge import SU, UnitTable, rouge_su
 from vtseval.summarize import (
-    MmrParams,
     greedy_bow,
     lloyd_cluster,
     mmr_keyframes,
@@ -121,7 +120,7 @@ def test_criterion_4_mmr_per_step_equals_brute_force():
             features = random_features(rng, m, frames_per_subshot=rng.randint(1, 2))
             n = rng.randint(1, min(5, m))
             lam = rng.choice([0.0, 0.5, 1.0])
-            keys = mmr_keyframes(features, MmrParams(lambda_=lam, n=n))
+            keys = mmr_keyframes(features, n, lam)
 
             flat = [h for frames in features.subshots for h in frames]
             owners = [

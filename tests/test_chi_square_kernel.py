@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from vtseval import visual
 from vtseval.corpus import SubshotFeatures, SummarySelection
-from vtseval.summarize import MmrParams, mmr_keyframes
+from vtseval.summarize import mmr_keyframes
 
 import oracles
 
@@ -150,7 +150,7 @@ def test_default_budget_splits_large_inputs_into_blocks():
 
 
 def _replay_against_oracle(features, lam, n, dist):
-    keys = mmr_keyframes(features, MmrParams(lambda_=lam, n=n))
+    keys = mmr_keyframes(features, n, lam)
     owners = [i for i, frames in enumerate(features.subshots) for _ in range(len(frames))]
     remaining = list(range(len(owners)))
     selected, covered = [], set()
@@ -214,7 +214,7 @@ def test_mmr_memory_stays_tens_of_mb_at_800_frames():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        keys = mmr_keyframes(features, MmrParams(lambda_=0.5, n=5))
+        keys = mmr_keyframes(features, 5, 0.5)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -237,7 +237,7 @@ def test_mmr_means_are_left_folds():
     features = SubshotFeatures(
         video_id="v", bins_per_channel=1, subshots=tuple(row[None, :] for row in flat)
     )
-    assert mmr_keyframes(features, MmrParams(lambda_=0.5, n=4)) == [5, 9, 10, 4]
+    assert mmr_keyframes(features, 4, 0.5) == [5, 9, 10, 4]
     _replay_against_oracle(features, 0.5, 4, one_shot(flat, flat).tolist())
 
 

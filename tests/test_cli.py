@@ -186,6 +186,19 @@ class TestSummarize:
             "error": "ValueError", "message": f"cannot select {n} distinct subshots from 12"}
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("n", ["0", "13"])
+    @pytest.mark.parametrize("method", ["uniform", "cluster", "mmr", "bow", "dp"])
+    def test_every_method_refuses_a_bad_n_with_one_message(self, paths, tmp_path, capsys, method, n):
+        code = main(
+            ["summarize", "--method", method, "--annotations", paths["annotations"],
+             "--features", paths["features"], "--ground-truth", paths["ground_truth"],
+             "--n", n, "--output", str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"cannot select {n} distinct subshots from 12"}
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestFeatures:
     def test_builds_feature_file(self, tmp_path):

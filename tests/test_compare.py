@@ -308,6 +308,15 @@ class TestComparePairs:
             analysis.compare_pairs(video12, gts12, 4, count, 1, features=features12,
                                    gt_subshots=SummarySelection("video12", ()))
 
+    @pytest.mark.parametrize("count", [0, 3])
+    @pytest.mark.parametrize("bad", [12, 40, -1])
+    def test_a_ground_truth_index_outside_the_features_is_refused(self, video12, gts12,
+                                                                  features12, count, bad):
+        with pytest.raises(ValueError) as exc:
+            analysis.compare_pairs(video12, gts12, 4, count, 1, features=features12,
+                                   gt_subshots=SummarySelection("video12", (3, bad)))
+        assert str(exc.value) == f"subshot index {bad} not covered by features (12 subshots)"
+
     @pytest.mark.parametrize("given_, missing", [("features", "gt_subshots"),
                                                  ("gt_subshots", "features")])
     def test_half_of_the_pixel_inputs_is_refused(self, video12, gts12, features12, data_dir,

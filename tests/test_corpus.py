@@ -194,6 +194,38 @@ class TestGroundTruths:
         with pytest.raises(CorpusValidationError, match="temporal_pos"):
             corpus.load_ground_truths(path)
 
+    def test_saving_no_ground_truth_is_refused(self, tmp_path):
+        path = tmp_path / "g.json"
+        with pytest.raises(CorpusValidationError) as exc:
+            corpus.save_ground_truths(path, [], "v")
+        assert str(exc.value) == "summaries: must contain at least one ground truth"
+        assert not path.exists()
+
+    def test_an_author_named_twice_is_refused_on_save(self, gts12, tmp_path):
+        path = tmp_path / "g.json"
+        with pytest.raises(CorpusValidationError) as exc:
+            corpus.save_ground_truths(path, [*gts12, gts12[0]], "video12")
+        assert str(exc.value) == "summaries[2].author_id: 'gt_a' repeats summaries[0]"
+        assert not path.exists()
+
+    def test_an_author_named_twice_is_refused_on_load(self, data_dir, tmp_path):
+        data = json.loads((data_dir / "video12.gts.json").read_text())
+        data["summaries"] = [data["summaries"][1], *data["summaries"]]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorpusValidationError) as exc:
+            corpus.load_ground_truths(path)
+        assert str(exc.value) == f"{path}: summaries[2].author_id: 'gt_b' repeats summaries[0]"
+
+    def test_a_summary_s_own_fault_is_named_before_a_repeated_author(self, data_dir, tmp_path):
+        data = json.loads((data_dir / "video12.gts.json").read_text())
+        data["summaries"].append({**data["summaries"][0], "sentences": []})
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorpusValidationError) as exc:
+            corpus.load_ground_truths(path)
+        assert str(exc.value) == f"{path}: summaries[gt_a].sentences: must be non-empty"
+
 
 class TestFeatures:
     def test_records_compare_and_hash_by_identity(self):

@@ -48,5 +48,5 @@ def test_cluster_outputs_match(case):
 def test_mmr_orders_match(case):
     pinned, features, _ = case
     for row in pinned["mmr"]:
-        params = summarize.MmrParams(lambda_=row["lambda"], n=row["n"])
-        assert summarize.mmr_keyframes(features, params) == row["order"], (row["n"], row["lambda"])
+        order = summarize.mmr_keyframes(features, row["n"], row["lambda"])
+        assert order == row["order"], (row["n"], row["lambda"])

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from vtseval.porter import _STEP1A, _STEP4, _apply_longest, stem
+from vtseval import porter
+from vtseval.porter import _STEP1A, _STEP2, _STEP3, _STEP4, _apply_longest, stem
 
 import oracles
 
@@ -76,3 +77,31 @@ def test_step4_table_matches_the_written_out_rule():
 def test_step1a_table_matches_the_if_chain():
     words = suffixed_words(("", "s", "ss", "sses", "ies", "es", "is", "us", "sss"))
     assert [_apply_longest(w, _STEP1A) for w in words] == list(map(oracles.porter_step1a, words))
+
+
+# each of Porter's conditions in the package, with the per-letter oracle it must equal
+CONDITIONS = {
+    "_measure": oracles.measure,
+    "_contains_vowel": oracles.contains_vowel,
+    "_ends_double_cons": oracles.ends_double_cons,
+    "_ends_cvc": oracles.ends_cvc,
+}
+
+
+def test_conditions_equal_the_per_letter_consonant_test():
+    """Every string of length 1-5 over vowels, y, w, x, doubled and plain consonants."""
+    words = ["".join(p) for k in range(1, 6) for p in itertools.product("aeiouybwxslt", repeat=k)]
+    assert len(words) == 271_452
+    for name, oracle in CONDITIONS.items():
+        condition = getattr(porter, name)
+        assert [w for w in words if condition(w) != oracle(w)][:5] == [], name
+
+
+def test_stems_equal_the_stems_under_the_oracle_conditions(monkeypatch):
+    """Every base takes every suffix a step tests, and stems as with the oracle's conditions."""
+    suffixes = {rule[0] for step in (_STEP1A, _STEP2, _STEP3, _STEP4) for rule in step}
+    words = suffixed_words(sorted(suffixes | {"", "eed", "ed", "ing", "y", "e", "ll"}))
+    want = list(map(stem, words))
+    for name, oracle in CONDITIONS.items():
+        monkeypatch.setattr(porter, name, oracle)
+    assert list(map(stem, words)) == want

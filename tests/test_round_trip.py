@@ -35,14 +35,15 @@ def annotations(draw):
 @st.composite
 def ground_truths(draw):
     gts = []
-    for _ in range(draw(st.integers(1, 3))):
+    # a ground-truth file names each author once
+    for author_id in draw(st.lists(texts, min_size=1, max_size=3, unique=True)):
         positions = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=5)))
         ranks = draw(st.permutations(range(1, len(positions) + 1)))
         sentences = tuple(
             GroundTruthSentence(temporal_pos=p, rank=r, text=draw(texts))
             for p, r in zip(positions, ranks)
         )
-        gts.append(GroundTruthSummary(author_id=draw(texts), sentences=sentences))
+        gts.append(GroundTruthSummary(author_id=author_id, sentences=sentences))
     return gts
 
 

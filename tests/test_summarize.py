@@ -18,7 +18,6 @@ from vtseval.evaluator import length_adjust
 from vtseval.rouge import rouge_su
 from vtseval.summarize import (
     ClusterResult,
-    MmrParams,
     greedy_bow,
     histogram_cluster,
     lloyd_cluster,
@@ -280,20 +279,20 @@ def test_mmr_picks_are_the_fold_loop_s(monkeypatch):
         monkeypatch.setattr(summarize, "pairwise_chi_square", lambda frames: dist)
         lam, n = float(rng.choice([0.0, 0.3, 0.5, 1.0])), int(rng.integers(1, m + 1))
         want = oracles.mmr_picks_loop(dist, features.owners(), n, lam)
-        assert mmr_keyframes(features, MmrParams(lambda_=lam, n=n)) == want
+        assert mmr_keyframes(features, n, lam) == want
 
 
 class TestVideoMmr:
     def test_first_step_tie_break(self):
         # f1 == f2, f3 orthogonal: f1 wins the tie at mean distance 0.5
         features = make_features([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]])
-        keys = mmr_keyframes(features, MmrParams(lambda_=0.5, n=1))
+        keys = mmr_keyframes(features, 1, 0.5)
         assert keys[0] == 0
 
     def test_exhaustion_returns_all_subshots(self):
         rng = random.Random(43)
         features = random_features(rng, m=4)
-        sel = video_mmr(features, MmrParams(lambda_=0.5, n=4))
+        sel = video_mmr(features, 4, 0.5)
         assert sel.indices == (0, 1, 2, 3)
 
     def test_per_step_matches_oracle(self):
@@ -303,7 +302,7 @@ class TestVideoMmr:
             features = random_features(rng, m, frames_per_subshot=rng.randint(1, 2))
             n = rng.randint(1, min(3, m))
             lam = rng.choice([0.0, 0.5, 1.0])
-            keys = mmr_keyframes(features, MmrParams(lambda_=lam, n=n))
+            keys = mmr_keyframes(features, n, lam)
 
             flat = [h for frames in features.subshots for h in frames]
             owners = [
@@ -329,19 +328,22 @@ class TestVideoMmr:
                 [[0.5, 0.5, 0.0]],
             ]
         )
-        sel = video_mmr(features, MmrParams(lambda_=0.5, n=2))
+        sel = video_mmr(features, 2, 0.5)
         assert sel.indices == (0, 1)
 
     def test_rejects_unreachable_n(self):
         features = make_features([[[1.0, 0, 0]]])
         with pytest.raises(ValueError):
-            video_mmr(features, MmrParams(lambda_=0.5, n=2))
+            video_mmr(features, 2, 0.5)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            MmrParams(lambda_=1.5, n=1)
-        with pytest.raises(ValueError):
-            MmrParams(lambda_=0.5, n=0)
+        features = make_features([[[1.0, 0, 0]]])
+        # lambda is checked before the size
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="lambda must be in"):
+                mmr_keyframes(features, n, 1.5)
+        with pytest.raises(ValueError, match="cannot select 0 distinct subshots from 1"):
+            mmr_keyframes(features, 0, 0.5)
 
 
 class TestGreedyBow:
@@ -464,7 +466,7 @@ def test_all_methods_deterministic(video12, gts12, features12):
     for build in (
         lambda: uniform_sample(video12, 4),
         lambda: histogram_cluster(features12, 4, seed=7),
-        lambda: video_mmr(features12, MmrParams(lambda_=0.5, n=4)),
+        lambda: video_mmr(features12, 4, 0.5),
         lambda: greedy_bow(video12, gts12[0], 4),
         lambda: sentence_dp(video12, gts12[0], 4),
     ):

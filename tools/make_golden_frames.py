@@ -77,7 +77,7 @@ def record(seed: int) -> dict:
     mmr = []
     for n in MMR_NS:
         for lam in MMR_LAMBDAS:
-            order = summarize.mmr_keyframes(features, summarize.MmrParams(lambda_=lam, n=n))
+            order = summarize.mmr_keyframes(features, n, lam)
             mmr.append({"n": n, "lambda": lam, "order": [int(k) for k in order]})
     return {"feature_seed": seed, "cluster": cluster, "mmr": mmr}
 
