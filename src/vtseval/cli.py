@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, corpus, evaluator, summarize, visual
 from .corpus import CorpusError
-from .rouge import UnitTable
+from .rouge import UnitTable, shared_table
 from .textproc import load_stopwords
 
 
@@ -34,8 +34,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _table(args) -> UnitTable:
-    """The command's one unit table, under --stopwords or the bundled list."""
-    return UnitTable(load_stopwords(args.stopwords)) if args.stopwords else UnitTable()
+    """The command's one unit table, under --stopwords or the bundled list.
+
+    It is this thread's ``rouge.shared_table``, so the commands of one
+    process compile each sentence once. Each command takes it once, before
+    it scores anything; it is replaced there when the stopword set changes
+    or it has passed ``rouge.TABLE_ENTRIES``, never inside a command.
+    """
+    return shared_table(load_stopwords(args.stopwords) if args.stopwords else None)
 
 
 def _write_report(args: argparse.Namespace, report: dict) -> None:

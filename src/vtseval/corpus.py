@@ -157,7 +157,8 @@ class SubshotFeatures:
 
     def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
-        frames = np.concatenate(arrays) if arrays else np.empty((0, 3 * bins_per_channel))
+        # a negative width is validate_features' to refuse, by name, not numpy's
+        frames = np.concatenate(arrays) if arrays else np.empty((0, max(3 * bins_per_channel, 0)))
         offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.intp)
         frames.flags.writeable = offsets.flags.writeable = False  # and so every view
         bounds = offsets.tolist()

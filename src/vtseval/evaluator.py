@@ -7,6 +7,8 @@ sentences, re-sorted temporally. The summary score is the maximum
 F-measure over the adjusted references. Scores come from a
 ``rouge.UnitTable``, which also carries the stopword set: pass one table
 to many calls and each annotation and reference sentence is compiled once.
+The CLI passes its thread's ``rouge.shared_table``, so that holds across
+the commands of a process; a call without ``table=`` builds a fresh one.
 ``best_scores`` scores many summaries of one length in one
 ``rouge.match_matrix`` call, building each reference's bag once.
 Nothing here reads or writes files: the CLI writes a report's ``to_dict()``

@@ -33,16 +33,28 @@ one.
 The table is the only place where text turns into units and the only
 way to choose stopwords: every text entry point (here, in ``evaluator``,
 ``summarize`` and ``analysis``) takes ``table=`` and no stopword set, so
-two stopword sets can never meet in one score. A table lives as long as
-one command (or one library call, when the caller passes none).
-Compilation is lazy: only sentences that are actually scored are
-compiled. The table is never process-global, because the sentences a
-process scores are unbounded; the bounded process-wide word cache is
-``textproc.stem``'s. ``su_f_matrix`` is the one matrix of one-sentence
-ROUGE-SU scores, for the ordered-assignment summarizer and for triples.
+two stopword sets can never meet in one score. Compilation is lazy: only
+sentences that are actually scored are compiled. A library call without
+``table=`` builds a fresh table for itself. ``shared_table`` holds one
+table per thread, which the CLI hands to every command the thread runs,
+so a process that runs many commands (the benchmark's, or a service)
+compiles each reference sentence and annotation once. The held table is
+replaced by a fresh one when a command asks for another stopword set, or
+once it holds more than ``TABLE_ENTRIES`` entries (rows, the units in them
+and words); that bound also keeps its stems far below the 2**31 that pair
+ids need. Both checks run only when a command takes its table, so a
+replacement never falls inside a call and no call mixes the ids of two
+tables; scores depend only on unit counts, never on the ids, so no output
+depends on when a table was replaced. The slot is per thread rather than
+locked, because a stem id must stay valid for a whole call and a lock
+held that long would serialise concurrent commands. A one-shot process
+holds only what its one command compiled. ``su_f_matrix`` is the one
+matrix of one-sentence ROUGE-SU scores, for the ordered-assignment
+summarizer and for triples.
 """
 from __future__ import annotations
 
+import threading
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
@@ -54,6 +66,9 @@ from .textproc import default_stopwords, stem, tokenize
 
 SU = "su"
 """Unit kind of ROUGE-SU: unigrams plus skip-bigrams. Kinds 1 and 2 are contiguous n-grams."""
+
+TABLE_ENTRIES = 1 << 22
+"""Entries past which ``shared_table`` replaces a thread's table at the next command's start."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,7 @@ class RougeScore:
 
 
 class UnitTable:
-    """Interned counting units of the sentences one command scores, under one stopword set.
+    """Interned counting units of the sentences it has scored, under one stopword set.
 
     A table is always true (it has no ``__len__``), so ``table or
     UnitTable()`` is the caller's table or a fresh default one.
@@ -78,6 +93,12 @@ class UnitTable:
         self._stem_ids: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
         self._rows: dict[tuple, array] = {}
+        self._units = 0
+
+    @property
+    def held(self) -> int:
+        """Entries the table holds: its rows, the units in them and its words."""
+        return len(self._rows) + self._units + len(self._word_ids)
 
     def stem_ids(self, sentence: str) -> list[int]:
         """Stem ids of a sentence's non-stopword tokens, in sentence order."""
@@ -97,7 +118,7 @@ class UnitTable:
         return ids
 
     def row(self, kind, sentence: str) -> array:
-        """Unit ids of one sentence, one entry per occurrence."""
+        """Unit ids of one sentence under kind ``SU``, 1 or 2, one entry per occurrence."""
         key = (kind, sentence)
         row = self._rows.get(key)
         if row is None:
@@ -106,9 +127,28 @@ class UnitTable:
                 ids += [((a + 1) << 32) | b for a, b in combinations(ids, 2)]
             elif kind == 2:
                 ids = [((a + 1) << 32) | b for a, b in zip(ids, ids[1:])]
+            elif kind != 1:
+                raise ValueError(f"unit kind must be {SU!r}, 1 or 2, got {kind!r}")
             row = array("q", ids)
             self._rows[key] = row
+            self._units += len(row)
         return row
+
+
+_slot = threading.local()
+
+
+def shared_table(stopwords: frozenset[str] | None = None) -> UnitTable:
+    """This thread's table for the stopword set (default: the bundled list).
+
+    A fresh table replaces the held one if their sets differ (by content) or
+    the held one is past ``TABLE_ENTRIES``; so take it once, at a command's start.
+    """
+    stopwords = default_stopwords() if stopwords is None else stopwords
+    table = getattr(_slot, "table", None)
+    if table is None or table.stopwords != stopwords or table.held > TABLE_ENTRIES:
+        table = _slot.table = UnitTable(stopwords)
+    return table
 
 
 def postings(

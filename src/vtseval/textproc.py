@@ -12,7 +12,11 @@ is refused with the corpus errors (CorpusIOError, CorpusParseError).
 ``stem`` is memoized: it is a pure token -> stem map, so its cache is
 shared by the whole process. The cache is bounded (``STEM_CACHE_SIZE``
 entries, least recently used evicted), so a long run over an open
-vocabulary cannot grow it without limit. ``preprocess`` is the reference
+vocabulary cannot grow it without limit. A unit table asks it only the
+first time the table meets a token; since the CLI's commands share their
+thread's table (``rouge.shared_table``), the memo mostly serves fresh
+tables: library calls without ``table=`` and a table that replaced one
+past its budget. ``preprocess`` is the reference
 statement of the pipeline: the table's stem ids are those of its stems,
 and the tests and the fixture generator compare against it.
 """

@@ -1,8 +1,9 @@
+import threading
 from pathlib import Path
 
 import pytest
 
-from vtseval import corpus
+from vtseval import corpus, rouge
 
 DATA = Path(__file__).parent / "data"
 
@@ -11,6 +12,12 @@ DATA = Path(__file__).parent / "data"
 def _cold_load_memo():
     """Each test starts with an empty load memo, so its first load of a file is a miss."""
     corpus.clear_load_memo()
+
+
+@pytest.fixture(autouse=True)
+def _cold_shared_table(monkeypatch):
+    """Each test starts with no shared unit table, so its first command compiles every sentence."""
+    monkeypatch.setattr(rouge, "_slot", threading.local())
 
 
 @pytest.fixture(scope="session")

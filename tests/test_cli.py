@@ -1,9 +1,13 @@
 import json
+import sys
+import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vtseval import corpus
+from vtseval import cli, corpus, rouge
 from vtseval.cli import main
 from vtseval.corpus import Subshot, VideoRecord
 from vtseval.textproc import tokenize
@@ -817,3 +821,136 @@ class TestCompareHumanVerdicts:
         assert code == 2 and data is None
         message = json.loads(capsys.readouterr().err)["message"]
         assert message.endswith("judgments[1]: no judgments match ref=0, x=4, y=3")
+
+
+# ---------------------------------------------------------------------------
+# the shared unit table: one per thread, replaced only at a command's start
+
+
+def text_commands(paths, out: Path, stops: Path | None = None) -> list[list[str]]:
+    """Every text command on the fixture, each writing its own file under out."""
+    tag, extra = ("custom", ["--stopwords", str(stops)]) if stops else ("bundled", [])
+    base = ["--annotations", paths["annotations"], *extra]
+    gt = [*base, "--ground-truth", paths["ground_truth"]]
+    argvs = []
+    for metric in ("rouge-su", "rouge-1", "rouge-2"):
+        argvs.append(["evaluate", *gt, "--summary", paths["summary"], "--metric", metric])
+        argvs.append(["compare", "--mode", "pairs", *gt, "--count", "5", "--n", "4",
+                      "--metric", metric])
+    argvs.append(["compare", "--mode", "triples", *base, "--features", paths["features"]])
+    argvs += [["summarize", "--method", method, *gt, "--n", "4"] for method in ("bow", "dp")]
+    return [argv + ["--output", str(out / f"{tag}{i}.json")] for i, argv in enumerate(argvs)]
+
+
+def run_commands(argvs, budgets=None) -> list[bytes]:
+    """The bytes each command writes, run in order in this thread under the given budgets."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        for i, argv in enumerate(argvs):
+            if budgets is not None:
+                mp.setattr(rouge, "TABLE_ENTRIES", budgets[i])
+            assert main(argv) == 0, argv
+            got.append(Path(argv[-1]).read_bytes())
+    return got
+
+
+FRESH = -1
+"""A budget every table is past: each command takes a fresh table."""
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """(thread name, table) of every table a command takes, in order."""
+    tables = []
+
+    def recording(stopwords=None):
+        table = rouge.shared_table(stopwords)
+        tables.append((threading.current_thread().name, table))
+        return table
+
+    monkeypatch.setattr(cli, "shared_table", recording)
+    return tables
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_commands_write_the_same_bytes_through_shared_reset_and_fresh_tables(
+    data_dir, tmp_path_factory, data
+):
+    paths = {key: str(data_dir / f"video12.{name}.json") for key, name in [
+        ("annotations", "annotations"), ("ground_truth", "gts"),
+        ("features", "features"), ("summary", "summary_a")]}
+    out = tmp_path_factory.mktemp("run")
+    stops = out / "stop.txt"
+    stops.write_text("dog\ncoffee\nthe\n")
+    argvs = data.draw(st.permutations(text_commands(paths, out) + text_commands(paths, out, stops)))
+    shared = run_commands(argvs)
+    assert run_commands(argvs, [data.draw(st.sampled_from([FRESH, 30, 300])) for _ in argvs]) == (
+        shared)
+    assert run_commands(argvs, [FRESH] * len(argvs)) == shared
+
+
+def test_concurrent_commands_take_one_table_per_thread(paths, tmp_path, taken):
+    argvs = {}
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        argvs[name] = text_commands(paths, tmp_path / name)
+    want = {argv[-1]: got for name in argvs
+            for argv, got in zip(argvs[name], run_commands(argvs[name]))}
+    taken.clear()
+    barrier = threading.Barrier(len(argvs))
+    codes = {}
+
+    def worker(name):
+        barrier.wait(timeout=30)
+        codes[name] = [main(argv) for argv in argvs[name] * 4]
+
+    threads = [threading.Thread(target=worker, args=(name,), name=name) for name in argvs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == {name: [0] * 4 * len(argvs[name]) for name in argvs}
+    assert {out: Path(out).read_bytes() for out in want} == want
+    tables = {name: {id(table) for who, table in taken if who == name} for name in argvs}
+    assert all(len(ids) == 1 for ids in tables.values()), tables
+    assert tables["a"] != tables["b"]
+
+
+def test_alternating_stopword_sets_score_as_fresh_tables_of_each(paths, tmp_path, taken):
+    stops = tmp_path / "stop.txt"
+    stops.write_text("# not the bundled list\ndog\ncoffee\nthe\n")
+    custom, bundled = text_commands(paths, tmp_path, stops), text_commands(paths, tmp_path)
+    argvs = [argv for pair in zip(custom, bundled) for argv in pair]
+    shared = run_commands(argvs)
+    assert shared == run_commands(argvs, [FRESH] * len(argvs))
+    # the sets score differently, so a table that kept the other set would show
+    scores = [json.loads(got)["per_ground_truth"] for got in shared[:2]]
+    assert scores[0] != scores[1]
+    # each switch of set takes a new table; a file read again compares equal by content
+    assert all(a is not b for (_, a), (_, b) in zip(taken, taken[1:len(argvs)]))
+    taken.clear()
+    run_commands(custom)
+    assert len({id(table) for _, table in taken}) == 1
+
+
+def test_a_command_past_the_budget_keeps_its_table_until_the_next(
+    paths, tmp_path, taken, monkeypatch
+):
+    argvs = text_commands(paths, tmp_path)
+    want = run_commands(argvs, [FRESH] * len(argvs))
+    taken.clear()
+    monkeypatch.setattr(rouge, "TABLE_ENTRIES", 10)
+    for argv, expected in zip(argvs, want):
+        assert main(argv) == 0
+        assert Path(argv[-1]).read_bytes() == expected
+        table = taken[-1][1]
+        assert table.held > rouge.TABLE_ENTRIES
+        assert rouge._slot.table is table  # not replaced inside the command
+    assert all(a is not b for (_, a), (_, b) in zip(taken, taken[1:]))

@@ -283,6 +283,13 @@ class TestFeatures:
         with pytest.raises(CorpusValidationError, match="bins"):
             corpus.load_features(path)
 
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_a_bad_width_without_subshots_is_refused_by_name(self, tmp_path, bins):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"video_id": "v", "bins_per_channel": bins, "subshots": []}))
+        with pytest.raises(CorpusValidationError, match="bins_per_channel: must be positive"):
+            corpus.load_features(path)
+
 
 def test_write_is_atomic(tmp_path):
     target = tmp_path / "out.json"

@@ -8,6 +8,7 @@ the stem memo nor the unit table is on the oracle side.
 """
 import json
 import re
+import threading
 from collections import Counter
 from itertools import combinations
 
@@ -16,11 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtseval import analysis, porter, summarize
+from vtseval import analysis, porter, rouge, summarize
 from vtseval.corpus import GroundTruthSentence, GroundTruthSummary, SummarySelection, canonical_dumps
 from vtseval.evaluator import length_adjust, score_summary, text_representation
 from vtseval.evaluator import best_scores
-from vtseval.rouge import SU, UnitTable, match_matrix, postings, prf, rouge_n, rouge_su, su_f_matrix
+from vtseval.rouge import (
+    SU,
+    UnitTable,
+    match_matrix,
+    postings,
+    prf,
+    rouge_n,
+    rouge_su,
+    scores_against,
+    shared_table,
+    su_f_matrix,
+)
 from vtseval.summarize import sentence_dp
 from vtseval.textproc import STEM_CACHE_SIZE, default_stopwords, preprocess, stem
 
@@ -287,6 +299,49 @@ def test_reused_table_in_score_summary(cases, metric):
             for _ in range(2):
                 got = score_summary(sub, video, gts, metric, table=shared)
                 assert got == score_summary(sub, video, gts, metric)
+
+
+@SETTINGS
+@given(st.data())
+def test_shared_reset_and_fresh_tables_score_alike(data):
+    """A run of commands scores the same through this thread's shared table, through a
+    second slot whose table is reset at random command boundaries, and through fresh tables."""
+    vocab = data.draw(vocabularies)
+    custom = frozenset(default_stopwords() | {w.lower() for w in vocab[:2]})
+    resetting = threading.local()
+    for _ in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.sampled_from([SU, 1, 2]))
+        stopwords = data.draw(st.sampled_from([None, custom]))
+        cand = data.draw(texts(vocab))
+        refs = data.draw(st.lists(texts(vocab), min_size=1, max_size=3))
+        fresh = scores_against(UnitTable(stopwords), kind, cand, refs)
+        assert scores_against(shared_table(stopwords), kind, cand, refs) == fresh
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rouge, "_slot", resetting)
+            mp.setattr(rouge, "TABLE_ENTRIES", data.draw(st.integers(0, 40)))
+            assert scores_against(shared_table(stopwords), kind, cand, refs) == fresh
+
+
+def test_shared_table_is_replaced_only_at_a_call_for_another_set_or_past_the_budget(monkeypatch):
+    table = shared_table()
+    assert shared_table(frozenset(default_stopwords())) is table  # equal sets share
+    rouge_su(["dog park at noon"], ["dog park"], table)
+    monkeypatch.setattr(rouge, "TABLE_ENTRIES", table.held)
+    assert shared_table() is table
+    monkeypatch.setattr(rouge, "TABLE_ENTRIES", table.held - 1)
+    fresh = shared_table()
+    assert fresh is not table and fresh.held == 0
+    custom = shared_table(frozenset({"dog"}))
+    assert custom is not fresh and custom.stopwords == {"dog"}
+    assert shared_table(frozenset({"dog"})) is custom
+
+
+@pytest.mark.parametrize("kind", [3, 0, "SU", None])
+def test_an_unknown_unit_kind_is_refused(kind):
+    table = UnitTable()
+    with pytest.raises(ValueError, match=f"unit kind must be 'su', 1 or 2, got {kind!r}"):
+        match_matrix(table, kind, [["the dog runs fast"]], [["a dog runs slowly"]])
+    assert not table._rows
 
 
 @SETTINGS

@@ -18,11 +18,13 @@ encoding of its own parse, ``json.dumps(..., ensure_ascii=False,
 sort_keys=True, indent=2, allow_nan=False) + "\\n"``; the tool exits 1 if
 one does not, so vtseval's own writer cannot drift from that form.
 
-It then runs the last command of each label again, each in a fresh
-``python -m vtseval.cli`` process with the same arguments, and exits 1 if
-any output differs from the in-process run: state that one command leaves
-behind in a process (the load memo, the stem memo) must not change the
-next command's output. The in-process pass must hit ``corpus``'s load memo
+It then runs the last command of each workload, label and ``--metric``
+again, each in a fresh ``python -m vtseval.cli`` process with the same
+arguments, and exits 1 if any output differs from the in-process run:
+state that one command leaves behind in a process (the load memo, the
+stem memo, the thread's unit table) must not change the next command's
+output. Keying by ``--metric`` reruns every unit kind after a table that
+other commands warmed. The in-process pass must hit ``corpus``'s load memo
 for every loader kind its commands load, or the tool exits 1: so each
 rerun compares a command that hit the memo with one that missed it. A
 command that fails also exits 1.
@@ -58,8 +60,8 @@ def _canonical(path: Path) -> bool:
                               allow_nan=False) + "\n"
 
 
-def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]], list[Path]]:
-    """Hashes of every file the plans write, the last command of each label, the commands' files."""
+def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[tuple, list[str]], list[Path]]:
+    """Hashes of every file the plans write, the last command per rerun key, the commands' files."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
     from worker import _write_scores
@@ -67,7 +69,7 @@ def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]], 
     from vtseval import cli
 
     hashes: dict[str, str] = {}
-    last: dict[str, list[str]] = {}
+    last: dict[tuple, list[str]] = {}
     written: list[Path] = []
     for seed in seeds:
         for workload in workloads.WORKLOADS:
@@ -86,7 +88,8 @@ def _run_plans(seeds: list[int]) -> tuple[dict[str, str], dict[str, list[str]], 
                 if code != 0:
                     raise SystemExit(f"output_hashes: {workload} seed {seed}: "
                                      f"{' '.join(step.argv)} failed")
-                last[step.label] = step.argv
+                options = dict(zip(step.argv, step.argv[1:]))
+                last[workload, step.label, options.get("--metric")] = step.argv
             for path in sorted(_files(work) - inputs):
                 hashes[str(path.relative_to(WORK))] = _sha256(path)
     return hashes, last, written
@@ -120,14 +123,14 @@ def main() -> int:
 
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     differ = []
-    for label, argv in reruns.items():
+    for key, argv in reruns.items():
         out = Path(argv[argv.index("--output") + 1])
         in_process = _sha256(out)
         out.unlink()
         proc = subprocess.run([sys.executable, "-m", "vtseval.cli", *argv], env=env,
                               stdout=subprocess.DEVNULL)
         if proc.returncode != 0 or not out.is_file() or _sha256(out) != in_process:
-            differ.append(f"{label}: {out}")
+            differ.append(f"{' '.join(filter(None, key))}: {out}")
     sys.stderr.write(f"output_hashes: {len(reruns) - len(differ)} of {len(reruns)} commands "
                      "give the same bytes in a fresh process\n")
     for line in differ:
