@@ -10,10 +10,13 @@ is the only copy of this rule; PairJudgment and the judge_* functions
 judge one item at a time, with the text scorers of compare_*.
 
 compare_pairs and compare_triples judge a whole video alike: scores go
-into one k x 4 array, verdict_codes and the case table that classify_case
+into k x 4 arrays, verdict_codes and the case table that classify_case
 reads judge every row at once, and human verdicts are looked up by
-record row. Triples come back as one columnar TripleRecords, which
-renders itself as canonical JSON.
+record row. compare_triples judges its m(m-1)(m-2)/2 triples in blocks
+of _BLOCK, and every score of a triple is a cell of one of two m x m
+matrices; so TripleRecords holds those matrices and the codes, O(m^2)
+plus 3 bytes per triple, and renders itself as canonical JSON from the
+text of each cell, made once.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from .corpus import (
     SummarySelection,
     Verdict,
     VideoRecord,
+    float_texts,
     json_float,
     load_human_verdicts,
 )
@@ -195,59 +199,69 @@ def verdict_codes(first: np.ndarray, second: np.ndarray, zero_threshold: float) 
 # one record of TripleRecords, laid out as canonical JSON at indent 0; the
 # fields in order are case, pb first/second/verdict, ref, vset first/second/verdict, x, y
 _RECORD = (
-    '{\n  "case": "%s",\n  "pb": {\n    "first_score": %r,\n    "second_score": %r,\n'
-    '    "verdict": "%s"\n  },\n  "ref": %d,\n  "vset": {\n    "first_score": %r,\n'
-    '    "second_score": %r,\n    "verdict": "%s"\n  },\n  "x": %d,\n  "y": %d\n}'
+    '{\n  "case": "%s",\n  "pb": {\n    "first_score": %s,\n    "second_score": %s,\n'
+    '    "verdict": "%s"\n  },\n  "ref": %d,\n  "vset": {\n    "first_score": %s,\n'
+    '    "second_score": %s,\n    "verdict": "%s"\n  },\n  "x": %d,\n  "y": %d\n}'
 )
-_BLOCK = 512  # records rendered per piece of canonical()
+_BLOCK = 4096  # triples judged, and records rendered, per block
+_VERDICT_TEXTS = np.array(_VERDICT_NAMES, dtype=object)
+_CASE_TEXTS = np.array(_CASE_NAMES, dtype=object)
 
 
 class TripleRecords:
-    """The records of compare_triples as three arrays, one row per triple.
+    """The records of compare_triples: m, the two m x m score matrices and the codes.
 
-    ``triples`` holds (ref, x, y); ``scores`` the pixel scores of x and y
-    against ref, then their text scores; ``codes`` is what _judge gives.
-    ``canonical`` writes the records as canonical JSON, as corpus.write_canonical
-    does; json.loads(corpus.canonical_dumps(records)) gives them as dicts.
+    Record i is the i-th triple (ref, x, y) of ``_triples(m, ...)``. Its
+    scores are cells of the matrices: ``pixel[x, ref]`` and ``pixel[y, ref]``,
+    then ``text[x, ref]`` and ``text[y, ref]``. Row i of the uint8 k x 3
+    ``codes`` is what _judge gives for them. ``canonical`` writes the records
+    as canonical JSON, as corpus.write_canonical does;
+    json.loads(corpus.canonical_dumps(records)) gives them as dicts.
     """
 
-    __slots__ = ("triples", "scores", "codes")
+    __slots__ = ("m", "pixel", "text", "codes")
 
-    def __init__(self, triples: np.ndarray, scores: np.ndarray, codes: np.ndarray) -> None:
-        self.triples, self.scores, self.codes = triples, scores, codes
+    def __init__(self, m: int, pixel: np.ndarray, text: np.ndarray, codes: np.ndarray) -> None:
+        self.m, self.pixel, self.text, self.codes = m, pixel, text, codes
 
     def __len__(self) -> int:
-        return len(self.triples)
-
-    def _rows(self, start: int = 0, stop: int | None = None):
-        """Rows start..stop as tuples of Python values, in the order of _RECORD's fields."""
-        part = slice(start, stop)
-        ref, x, y = self.triples[part].T.tolist()
-        pb_first, pb_second, vset_first, vset_second = self.scores[part].T.tolist()
-        vset, pb, case = self.codes[part].T.tolist()
-        verdict_of = _VERDICT_NAMES.__getitem__
-        return zip(map(_CASE_NAMES.__getitem__, case), pb_first, pb_second, map(verdict_of, pb),
-                   ref, vset_first, vset_second, map(verdict_of, vset), x, y)
+        return len(self.codes)
 
     def canonical(self, indent: str):
         """Yield the canonical JSON text of the records as a list, in pieces of _BLOCK records.
 
         indent is the line break and spaces of the list's own line. Each
-        record is one ``%`` of a template, floats as ``float.__repr__``; a
-        non-finite score raises json's ValueError before anything is yielded.
+        matrix cell's text is made once, by corpus.float_texts, and each
+        record is one ``%`` of a template; a non-finite score raises json's
+        ValueError, naming the first in file order, before anything is yielded.
         """
         if not len(self):
             yield "[]"
             return
-        bad = np.flatnonzero(~np.isfinite(self.scores))
-        if len(bad):
-            json_float(float(self.scores.flat[bad[0]]))  # raises, naming the first in file order
+        m = self.m
+        # the diagonal is no record's score: a non-finite value there is never written
+        diagonal = np.eye(m, dtype=bool)
+        pixel, text = (np.where(diagonal, 0.0, cells) for cells in (self.pixel, self.text))
+        if not (np.isfinite(pixel).all() and np.isfinite(text).all()):
+            for ref, x, y in _triples(m, _BLOCK):
+                scores = _scores(pixel, text, ref, x, y)
+                bad = np.flatnonzero(~np.isfinite(scores))
+                if len(bad):
+                    json_float(float(scores.flat[bad[0]]))  # raises
+        (pixel_texts, pixel_index), (text_texts, text_index) = map(float_texts, (pixel, text))
         item = indent + "  "
         template = _RECORD.replace("\n", item)
         sep = "," + item
         opening = "[" + item
-        for start in range(0, len(self), _BLOCK):
-            yield opening + sep.join(map(template.__mod__, self._rows(start, start + _BLOCK)))
+        for start, (ref, x, y) in zip(range(0, len(self), _BLOCK), _triples(m, _BLOCK)):
+            vset, pb, case = self.codes[start : start + len(ref)].T
+            first, second = x * m + ref, y * m + ref  # flat cells (x, ref) and (y, ref)
+            columns = (_CASE_TEXTS[case], pixel_texts[pixel_index[first]],
+                       pixel_texts[pixel_index[second]], _VERDICT_TEXTS[pb], ref,
+                       text_texts[text_index[first]], text_texts[text_index[second]],
+                       _VERDICT_TEXTS[vset], x, y)
+            rows = zip(*(column.tolist() for column in columns))
+            yield opening + sep.join(map(template.__mod__, rows))
             opening = sep
         yield indent + "]"
 
@@ -282,7 +296,8 @@ def _judge(scores: np.ndarray) -> np.ndarray:
 
 def _counts(codes: np.ndarray, names: tuple[str, ...]) -> dict:
     """How often each name's code occurs, for the names that occur."""
-    counts = np.bincount(codes, minlength=len(names)).tolist()
+    # one comparison per name: a bincount would widen every code to intp
+    counts = [int(np.count_nonzero(codes == code)) for code in range(len(names))]
     return {name: k for name, k in zip(names, counts) if k}
 
 
@@ -388,11 +403,11 @@ def compare_triples(
     annotations = [shot.annotation for shot in video.subshots]
     text = su_f_matrix(table or UnitTable(), annotations, annotations)
     pixel = -subshot_distances(features, range(m), range(m))
-    ref, x, y = _triples(m)
-    scores = np.stack([pixel[x, ref], pixel[y, ref], text[x, ref], text[y, ref]], axis=1)
-    codes = _judge(scores)
+    codes = np.empty((m * (m - 1) * (m - 2) // 2, 3), dtype=np.uint8)
+    for start, (ref, x, y) in zip(range(0, len(codes), _BLOCK), _triples(m, _BLOCK)):
+        codes[start : start + len(ref)] = _judge(_scores(pixel, text, ref, x, y))
     payload = {"mode": "triples", "case_counts": _counts(codes[:, 2], _CASE_NAMES),
-               "triples": TripleRecords(np.stack([ref, x, y], axis=1), scores, codes)}
+               "triples": TripleRecords(m, pixel, text, codes)}
     if human:
         payload["agreement"] = _agreement(codes[rows, :2], said)
     return payload
@@ -403,13 +418,21 @@ def _check_covers(features: SubshotFeatures | None, m: int) -> None:
         raise ValueError(f"features cover {len(features)} subshots, the video has {m}")
 
 
-def _triples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every triple (ref, x < y) of distinct subshots, in record order: by ref, x, then y."""
-    x, y = np.triu_indices(m, 1)  # the pairs x < y in row-major order
-    ref = np.repeat(np.arange(m), len(x))
-    x, y = np.tile(x, m), np.tile(y, m)
-    keep = (x != ref) & (y != ref)
-    return ref[keep], x[keep], y[keep]
+def _triples(m: int, size: int):
+    """Every triple (ref, x < y) of distinct subshots as (ref, x, y) arrays, in record order (by
+    ref, x, then y), in blocks of at most size triples; nothing when there is no triple."""
+    # the pairs x < y of the m - 1 subshots other than ref, numbered without ref
+    x, y = np.triu_indices(max(m - 1, 0), 1)
+    k = m * len(x)
+    for start in range(0, k, size):
+        ref, pair = np.divmod(np.arange(start, min(start + size, k)), len(x))
+        first, second = x[pair], y[pair]
+        yield ref, first + (first >= ref), second + (second >= ref)
+
+
+def _scores(pixel: np.ndarray, text: np.ndarray, ref, x, y) -> np.ndarray:
+    """The k x 4 scores of triples (ref, x, y): pixel first, second, text first, second."""
+    return np.stack([pixel[x, ref], pixel[y, ref], text[x, ref], text[y, ref]], axis=1)
 
 
 def _triple_rows(m: int, ref: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

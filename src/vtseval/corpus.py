@@ -45,8 +45,12 @@ Every file is written by one writer, ``write_canonical``. It streams the
 text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2,
 allow_nan=False)`` plus a newline, byte for byte, without the stdlib's
 pure-Python indent encoder: lists of plain numbers are written in one
-piece, and a value with a ``canonical(indent)`` method (the columnar
-analysis.TripleRecords) writes its own text. ``canonical_dumps`` returns
+piece, and a value with a ``canonical(indent)`` method writes its own
+text. Two such values write per-value text: ``float_texts`` makes the
+text of each distinct value of an array once, and each entry is gathered
+from it. ``save_features`` writes each subshot's frames that way, and
+analysis.TripleRecords, which holds the two m x m score matrices and the
+codes of every triple, each record's scores. ``canonical_dumps`` returns
 the same text as a string. Writes go to a uniquely named temporary file
 in the target directory that is renamed into place, so a failed save
 never leaves a partial file and concurrent writers never clobber each
@@ -61,6 +65,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -134,6 +139,22 @@ class Verdict(enum.Enum):
 class GroundTruthSummary:
     author_id: str
     sentences: tuple[GroundTruthSentence, ...]
+
+    @cached_property
+    def by_time(self) -> tuple[tuple[int, str], ...]:
+        """(place, text) of each sentence, in the order evaluator.length_adjust lists them.
+
+        A sentence's place is its index in the sentences sorted by rank
+        (stable); the pairs are those places sorted by temporal_pos (stable).
+        The top n sentences in temporal order are the texts of the places
+        below n. Worked out on the first read: the load memo hands one
+        record to every load of a file.
+        """
+        sentences = self.sentences
+        by_rank = sorted(range(len(sentences)), key=lambda i: sentences[i].rank)
+        place = dict(zip(by_rank, range(len(by_rank))))
+        by_time = sorted(by_rank, key=lambda i: sentences[i].temporal_pos)
+        return tuple((place[i], sentences[i].text) for i in by_time)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -308,6 +329,26 @@ def json_float(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     return float.__repr__(value)
+
+
+def float_texts(values) -> tuple[np.ndarray, np.ndarray]:
+    """The ``json_float`` text of each distinct value of a float array, and each entry's index.
+
+    Returns (texts, index): texts is a 1-D object array holding each
+    distinct value's text once, and index, flat in C order, gives
+    ``texts[index[i]]`` as the text of the i-th entry. Values are told apart
+    by their bits, so -0.0 and 0.0 keep their own texts. A non-finite value
+    raises json_float's ValueError.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64)
+    # not np.unique, nor an argsort: the first call of either pages in a few hundred KB that a
+    # one-shot process would not otherwise touch (numpy.ma, numpy's quicksort kernels)
+    ranked = np.sort(bits)
+    first = np.ones(len(ranked), dtype=bool)  # where a distinct value starts in ranked
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = ranked[first]
+    texts = [json_float(value) for value in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object), np.searchsorted(distinct, bits)
 
 
 def _key_text(key) -> str:
@@ -857,16 +898,36 @@ def _check_coverage(ctx: str, m: int, video: VideoRecord | None) -> None:
         )
 
 
+class _FrameTexts:
+    """One subshot's frames as canonical JSON, gathered from the per-value texts of its file."""
+
+    __slots__ = ("texts", "index")
+
+    def __init__(self, texts: np.ndarray, index: np.ndarray) -> None:
+        self.texts, self.index = texts, index  # index: one row of text indices per frame
+
+    def canonical(self, indent: str):
+        inner = indent + "  "
+        entry = inner + "  "
+        rows = self.texts[self.index].tolist()
+        yield ("[" + inner + ("," + inner).join(
+            "[" + entry + ("," + entry).join(row) + inner + "]" for row in rows) + indent + "]")
+
+
 def save_features(path: str | Path, features: SubshotFeatures) -> None:
+    """Write features as canonical JSON; each distinct value's text is made once for the file."""
     validate_features(features)
+    texts, index = float_texts(features.frames)
+    index = index.reshape(features.frames.shape)
+    bounds = features.offsets.tolist()
     write_canonical(
         path,
         {
             "video_id": features.video_id,
             "bins_per_channel": features.bins_per_channel,
             "subshots": [
-                {"index": i, "frames": frames.tolist()}
-                for i, frames in enumerate(features.subshots)
+                {"index": i, "frames": _FrameTexts(texts, index[start:stop])}
+                for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))
             ],
         },
     )

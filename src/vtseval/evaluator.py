@@ -62,11 +62,10 @@ def text_representation(summary: SummarySelection, video: VideoRecord) -> list[s
 
 
 def length_adjust(gt: GroundTruthSummary, n: int) -> list[str]:
-    """Top-n ranked sentences of a ground truth, re-sorted temporally."""
+    """Top-n ranked sentences of a ground truth, re-sorted temporally, read off gt.by_time."""
     if n < 1:
         raise ValueError(f"adjusted length must be >= 1, got {n}")
-    top = sorted(gt.sentences, key=lambda s: s.rank)[: min(n, len(gt.sentences))]
-    return [s.text for s in sorted(top, key=lambda s: s.temporal_pos)]
+    return [text for place, text in gt.by_time if place < n]
 
 
 def _unit_kind(metric: str, gts: list[GroundTruthSummary]):

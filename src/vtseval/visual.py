@@ -99,8 +99,8 @@ def chi_square(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # Byte budget of one buffer of the chi-square matrix kernel. A block takes
-# as many rows of `a` as fit, at least one, so the three float buffers a
-# call allocates stay about 3 MB however many frames there are; at 1 MB
+# as many rows of `a` as fit, at least one, so the two float buffers a
+# call allocates stay about 2 MB however many frames there are; at 1 MB
 # they run faster than at 4 MB, which outgrows the CPU caches.
 _BLOCK_BYTES = 1 << 20
 
@@ -112,29 +112,40 @@ def _block_rows(cols: int, width: int) -> int:
 def _workspace(rows: int, cols: int, width: int) -> tuple[np.ndarray, ...]:
     """Buffers for _chi_square_block on up to rows x cols row pairs, reused block after block."""
     size = rows * cols * width
-    return np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    return np.empty(size), np.empty(size)
+
+
+def _check_entries(a: np.ndarray) -> None:
+    """Refuse a negative or NaN histogram entry: the kernel is exact on non-negative bins only."""
+    if not (a >= 0).all():  # NaN compares false
+        bad = float(a[~(a >= 0)][0])
+        raise ValueError(f"histogram entries must be non-negative, got {bad!r}")
 
 
 def _chi_square_block(a: np.ndarray, b: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
     shape = (a.shape[0], b.shape[0], a.shape[1])
-    num, den, frac, pos = (buf[: shape[0] * shape[1] * shape[2]].reshape(shape) for buf in work)
+    num, den = (buf[: shape[0] * shape[1] * shape[2]].reshape(shape) for buf in work)
     np.subtract(a[:, None, :], b[None, :, :], out=num)
     np.square(num, out=num)
     np.add(a[:, None, :], b[None, :, :], out=den)
-    np.greater(den, 0, out=pos)
-    frac.fill(0.0)
-    np.divide(num, den, out=frac, where=pos)
-    return 0.5 * frac.sum(axis=-1)
+    # x + y is 0 only where both bins are, and then so is (x - y)^2: 0 / 2**-1074 adds 0.0
+    # there, and no positive sum is below 2**-1074
+    np.maximum(den, 2.0**-1074, out=den)
+    np.divide(num, den, out=num)
+    return 0.5 * num.sum(axis=-1)
 
 
 def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chi-square distances of every row of a to every row of b, shape (len(a), len(b)).
 
     Each cell is 0.5 * sum over the histogram axis of (x-y)^2 / (x+y),
-    with empty bins contributing 0. The result is computed in row blocks
-    of at most _BLOCK_BYTES per temporary, and every cell has the same
-    bits as the one-shot broadcast over all rows.
+    with empty bins contributing 0. A negative or NaN entry is refused
+    (ValueError). The result is computed in row blocks of at most
+    _BLOCK_BYTES per temporary, and every cell has the same bits as the
+    one-shot broadcast over all rows.
     """
+    _check_entries(a)
+    _check_entries(b)
     out = np.empty((a.shape[0], b.shape[0]))
     step = _block_rows(b.shape[0], a.shape[1])
     work = _workspace(min(step, a.shape[0]), b.shape[0], a.shape[1])
@@ -144,12 +155,14 @@ def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_chi_square(a: np.ndarray) -> np.ndarray:
-    """chi_square_matrix(a, a), computing only the upper-triangle blocks.
+    """chi_square_matrix(a, a), computing only the upper-triangle blocks; a negative or NaN
+    entry is refused (ValueError).
 
     (x-y)^2 == (y-x)^2 and x+y == y+x hold exactly in floating point, so
     each mirrored cell has the same bits as computing it directly, and the
     diagonal is exactly 0.0.
     """
+    _check_entries(a)
     f = a.shape[0]
     out = np.empty((f, f))
     step = _block_rows(f, a.shape[1])

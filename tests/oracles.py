@@ -822,19 +822,35 @@ def cluster_subshots(features, n, seed) -> tuple[int, ...]:
     return tuple(_fill_uniform(chosen, len(features), n))
 
 
+def length_adjust_sorted(gt, n: int) -> list[str]:
+    """evaluator.length_adjust as two sorts per call: the top n by rank, then by temporal_pos."""
+    top = sorted(gt.sentences, key=lambda s: s.rank)[: min(n, len(gt.sentences))]
+    return [s.text for s in sorted(top, key=lambda s: s.temporal_pos)]
+
+
+def triples_of(m: int) -> list[tuple[int, int, int]]:
+    """Every triple (ref, x < y) of distinct subshots of an m-subshot video, by ref, x, then y."""
+    return [(ref, x, y) for ref in range(m) for x in range(m) for y in range(x + 1, m)
+            if ref not in (x, y)]
+
+
 def triple_records(records) -> list[dict]:
-    """The record dicts of an analysis.TripleRecords, built from its columns row by row."""
+    """The record dicts of an analysis.TripleRecords, built from its matrices and codes row by
+    row: record i is triple i of triples_of(m), scored by the cells (x, ref) and (y, ref)."""
     from vtseval.analysis import CaseLabel
     from vtseval.corpus import Verdict
 
     verdicts, cases = [v.value for v in Verdict], [c.value for c in CaseLabel]
+    pixel, text = records.pixel.tolist(), records.text.tolist()
     out = []
-    for (ref, x, y), (pb1, pb2, v1, v2), (vset, pb, case_) in zip(
-            records.triples.tolist(), records.scores.tolist(), records.codes.tolist()):
+    for (ref, x, y), (vset, pb, case_) in zip(
+            triples_of(records.m), records.codes.tolist(), strict=True):
         out.append({
             "ref": ref, "x": x, "y": y,
-            "vset": {"verdict": verdicts[vset], "first_score": v1, "second_score": v2},
-            "pb": {"verdict": verdicts[pb], "first_score": pb1, "second_score": pb2},
+            "vset": {"verdict": verdicts[vset], "first_score": text[x][ref],
+                     "second_score": text[y][ref]},
+            "pb": {"verdict": verdicts[pb], "first_score": pixel[x][ref],
+                   "second_score": pixel[y][ref]},
             "case": cases[case_],
         })
     return out

@@ -102,9 +102,11 @@ def test_triple_records_with_no_triples_render_as_an_empty_list(video12, feature
 
 
 def with_score(records: analysis.TripleRecords, row: int, value: float):
-    scores = records.scores.copy()
-    scores[row, 1] = value
-    return analysis.TripleRecords(records.triples, scores, records.codes)
+    """records with record row's pb second_score, the cell (y, ref) of pixel, set to value."""
+    ref, _, y = oracles.triples_of(records.m)[row]
+    pixel = records.pixel.copy()
+    pixel[y, ref] = value
+    return analysis.TripleRecords(records.m, pixel, records.text, records.codes)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -115,6 +117,100 @@ def test_triple_records_refuse_a_non_finite_score(video12, features12, value):
     with pytest.raises(ValueError) as want:
         stdlib({"triples": oracles.triple_records(records)})
     assert str(got.value) == str(want.value)
+
+
+# floats for the per-value writers: signed zeros, subnormals and a few values that repeat
+CELL_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, -1.0, 1.0]
+cells = st.one_of(
+    st.sampled_from(CELL_EDGES),
+    st.floats(allow_nan=False, allow_infinity=False),  # in effect all distinct
+    st.sampled_from([0.25, -0.5, 1 / 3]),
+)
+
+
+@st.composite
+def triple_records(draw):
+    """TripleRecords of 3-7 subshots with arbitrary cells and codes."""
+    m = draw(st.integers(3, 7))
+    pixel, text = (np.array(draw(st.lists(cells, min_size=m * m, max_size=m * m))).reshape(m, m)
+                   for _ in range(2))
+    k = m * (m - 1) * (m - 2) // 2
+    codes = np.array(draw(st.lists(st.integers(0, 3), min_size=3 * k, max_size=3 * k)),
+                     dtype=np.uint8).reshape(k, 3)
+    return analysis.TripleRecords(m, pixel, text, codes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(triple_records(), st.integers(0, 3))
+def test_triple_records_render_any_cells_as_their_dicts(records, depth):
+    obj = records
+    for _ in range(depth):
+        obj = {"triples": [obj]}
+    as_dicts = oracles.triple_records(records)
+    for _ in range(depth):
+        as_dicts = {"triples": [as_dicts]}
+    assert canonical_dumps(obj) == stdlib(as_dicts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(triple_records(), st.lists(st.tuples(st.booleans(), st.integers(0, 48),
+                                            st.sampled_from([math.nan, math.inf, -math.inf])),
+                                  min_size=1, max_size=3))
+def test_a_non_finite_cell_is_named_first_in_file_order(records, bad):
+    """Cells anywhere, the diagonal included, which no record reads."""
+    m = records.m
+    for in_pixel, cell, value in bad:
+        (records.pixel if in_pixel else records.text).flat[cell % (m * m)] = value
+    try:
+        want = stdlib(oracles.triple_records(records))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            canonical_dumps(records)
+        assert str(got.value) == str(exc)
+    else:
+        assert canonical_dumps(records) == want
+
+
+@st.composite
+def feature_records(draw):
+    """Valid features of 1-5 subshots of 1-3 frames: each frame's entries are cells, made
+    non-negative and small, and a last entry that brings the frame's sum to 1."""
+    width = 3 * draw(st.integers(1, 3))
+    subshots = []
+    for _ in range(draw(st.integers(1, 5))):
+        frames = []
+        for _ in range(draw(st.integers(1, 3))):
+            head = [v if v <= 0.5 / width else v % (0.5 / width)
+                    for v in map(abs, draw(st.lists(cells, min_size=width - 1,
+                                                    max_size=width - 1)))]
+            head = [-0.0 if v == 0.0 and draw(st.booleans()) else v for v in head]
+            frames.append(head + [1.0 - math.fsum(head)])
+        subshots.append(np.array(frames))
+    return corpus.SubshotFeatures("v", width // 3, subshots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(feature_records())
+def test_features_are_written_as_their_lists(tmp_path_factory, features):
+    path = tmp_path_factory.mktemp("f") / "f.json"
+    corpus.save_features(path, features)
+    assert path.read_text(encoding="utf-8") == stdlib({
+        "video_id": "v", "bins_per_channel": features.bins_per_channel,
+        "subshots": [{"index": i, "frames": frames.tolist()}
+                     for i, frames in enumerate(features.subshots)]})
+
+
+def test_float_texts_are_one_per_bit_pattern_with_a_flat_index():
+    values = np.array([[0.0, -0.0, 0.1], [5e-324, 0.1, 0.0]])
+    texts, index = corpus.float_texts(values)
+    assert index.shape == (6,)
+    assert texts[index].tolist() == ["0.0", "-0.0", "0.1", "5e-324", "0.1", "0.0"]
+    assert sorted(texts.tolist()) == ["-0.0", "0.0", "0.1", "5e-324"]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            corpus.float_texts(np.array([0.5, bad]))
+    texts, index = corpus.float_texts(np.empty((0, 3)))
+    assert texts.tolist() == [] and index.shape == (0,)
 
 
 class TestWriteCanonical:

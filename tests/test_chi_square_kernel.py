@@ -5,11 +5,13 @@ The kernel must give the same bits as the one-shot broadcast formula
 bins and duplicated rows; MMR must pick what the brute-force oracle picks
 at every step; and neither may hold an f x f x 3B temporary.
 """
+import re
 import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,16 +127,48 @@ def kernel_call_sequences(draw):
     return calls
 
 
+def kernel_or_refusal(kernel, *args):
+    """The kernel's result, or "refused" if it raised the negative-entry ValueError."""
+    try:
+        return kernel(*args).tobytes()
+    except ValueError as exc:
+        assert "must be non-negative" in str(exc)
+        return "refused"
+
+
 @settings(max_examples=120, deadline=None)
 @given(kernel_call_sequences())
 def test_reused_buffers_leak_nothing_between_blocks_or_calls(calls):
+    """Every call on non-negative rows has the one-shot bits, refused signed calls between them."""
     for a, b, rows in calls:
         with blocks_of(rows, b.shape[0], a.shape[1]):
-            got = visual.chi_square_matrix(a, b)
+            got = kernel_or_refusal(visual.chi_square_matrix, a, b)
         with blocks_of(rows, a.shape[0], a.shape[1]):
-            got_pairwise = visual.pairwise_chi_square(a)
-        assert got.tobytes() == one_shot(a, b).tobytes()
-        assert got_pairwise.tobytes() == one_shot(a, a).tobytes()
+            got_pairwise = kernel_or_refusal(visual.pairwise_chi_square, a)
+        signed_a, signed_b = (bool((side < 0).any()) for side in (a, b))
+        assert got == ("refused" if signed_a or signed_b else one_shot(a, b).tobytes())
+        assert got_pairwise == ("refused" if signed_a else one_shot(a, a).tobytes())
+
+
+@pytest.mark.parametrize("a, b, bad", [
+    ([1.0, -1.0], [-1.0, 1.0], -1.0),  # read 0.0 before the check
+    ([0.5, 0.5], [1.0, -1e-300], -1e-300),
+    ([np.nan, 1.0], [0.5, 0.5], np.nan),
+    ([0.5, 0.5], [np.inf, np.nan], np.nan),
+])
+def test_a_negative_or_nan_entry_is_refused(a, b, bad):
+    message = f"histogram entries must be non-negative, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        visual.chi_square(a, b)
+    with pytest.raises(ValueError, match=re.escape(message)):  # the first bad entry in C order
+        visual.pairwise_chi_square(np.array([a, b]))
+
+
+def test_negative_zero_and_subnormal_entries_are_read_as_the_one_shot_formula_reads_them():
+    a = np.array([[-0.0, 5e-324, 0.5, 0.5 - 5e-324], [0.0, -0.0, 1.0, 0.0]])
+    b = np.array([[0.0, 0.0, 1.0, 0.0], [5e-324, -0.0, 0.25, 0.75], [-0.0, -0.0, 0.0, 1.0]])
+    assert visual.chi_square_matrix(a, b).tobytes() == one_shot(a, b).tobytes()
+    assert visual.pairwise_chi_square(b).tobytes() == one_shot(b, b).tobytes()
 
 
 def test_default_budget_splits_large_inputs_into_blocks():

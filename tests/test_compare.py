@@ -11,6 +11,7 @@ oracles.triple_loop and oracles.pair_loop.
 """
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -180,7 +181,9 @@ def test_triples_equal_the_per_triple_loop(tmp_path_factory, inputs):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_triple_rows_index_every_record(m):
-    ref, x, y = analysis._triples(m)
+    ref, x, y = np.concatenate([np.stack(block) for block in analysis._triples(m, 5)]
+                               + [np.empty((3, 0), dtype=int)], axis=1)
+    assert list(zip(ref.tolist(), x.tolist(), y.tolist())) == oracles.triples_of(m)
     assert len(ref) == m * (m - 1) * (m - 2) // 2
     assert analysis._triple_rows(m, ref, x, y).tolist() == list(range(len(ref)))
     # every other key with fields in -1..m-1 (-1 stands for out of range) has no record
@@ -202,6 +205,25 @@ def test_triple_records_render_the_record_dicts_of_their_columns(video12, featur
     none = analysis.compare_triples(make_video(["dog", "park"]), two)["triples"]
     assert len(none) == 0 and oracles.triple_records(none) == []
     assert json.loads(canonical_dumps(none)) == []
+
+
+def test_triples_at_m_200_hold_the_matrices_and_codes_not_columns():
+    """3,940,200 triples: the codes take 11.8 MB; k x 3 triples and k x 4 scores would take 220."""
+    m = 200
+    rng = np.random.default_rng(0)
+    video = make_video([" ".join(rng.choice(oracles.SAFE_VOCAB[:8], 3)) for _ in range(m)])
+    counts = rng.integers(0, 4, size=(m, 12)).astype(float) + np.eye(m, 12)
+    features = SubshotFeatures("v", 4, tuple((counts / counts.sum(axis=1, keepdims=True))[:, None]))
+    tracemalloc.start()
+    try:
+        out = analysis.compare_triples(video, features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = out["triples"]
+    assert len(records) == m * (m - 1) * (m - 2) // 2 and records.codes.dtype == np.uint8
+    assert sum(out["case_counts"].values()) == len(records)
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtseval.corpus import (
     GroundTruthSentence,
@@ -16,7 +18,7 @@ from vtseval.evaluator import (
 )
 from vtseval.textproc import preprocess
 
-from oracles import SAFE_VOCAB, naive_best_reference_score
+from oracles import SAFE_VOCAB, length_adjust_sorted, naive_best_reference_score
 
 
 def make_video(annotations, video_id="v"):
@@ -81,6 +83,20 @@ class TestLengthAdjust:
         gt = make_gt("a", [(0, 1, "x")])
         with pytest.raises(ValueError):
             length_adjust(gt, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        # validated: temporal positions increasing, ranks a permutation of 1..k
+        st.integers(1, 12).flatmap(lambda k: st.tuples(
+            st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True).map(sorted),
+            st.permutations(range(1, k + 1)))).map(lambda pr: list(zip(*pr))),
+        # not validated: repeated and unordered positions, repeated and missing ranks
+        st.lists(st.tuples(st.integers(-2, 4), st.integers(-2, 4)), min_size=1, max_size=12),
+    ))
+    def test_equals_the_two_sorts_for_every_n(self, rows):
+        gt = make_gt("a", [(p, r, f"s{i}") for i, (p, r) in enumerate(rows)])
+        for n in range(1, len(rows) + 3):  # one record, read again for every n
+            assert length_adjust(gt, n) == length_adjust_sorted(gt, n)
 
 
 class TestScoreSummary:
