@@ -7,7 +7,7 @@ similarity wins. Text scores are F-measures whose zero point is an exact
 integer match count of zero; pixel scores are negated chi-square
 distances whose zero point is the maximal distance of 1. verdict_codes
 is the only copy of this rule; PairJudgment and the judge_* functions
-judge one item at a time, with the text scorers of compare_*.
+judge one item at a time with the scorers of compare_*, text and pixel.
 
 compare_pairs and compare_triples judge a whole video alike: scores go
 into k x 4 arrays, verdict_codes and the case table that classify_case
@@ -41,7 +41,7 @@ from .corpus import (
 from .evaluator import best_scores
 from .rng import SplitMix64, sample_indices
 from .rouge import UnitTable, su_f_matrix
-from .visual import check_range, left_sum, pixel_summary_distance, subshot_distances, subshot_min_distance
+from .visual import check_range, pixel_summary_distances, subshot_distances
 
 TIE_TOLERANCE = 1e-9
 TEXT_ZERO = 0.0
@@ -134,7 +134,8 @@ def judge_summary_pair(
     if metric == "pixel":
         if features is None or gt_subshots is None:
             raise ValueError("pixel judgments need features and a ground-truth subshot selection")
-        sa, sb = (-pixel_summary_distance(s, gt_subshots, features) for s in (a, b))
+        sa, sb = (-pixel_summary_distances([a.indices, b.indices], gt_subshots.indices,
+                                           features)).tolist()
         return PairJudgment.from_scores(sa, sb, zero_threshold=PIXEL_ZERO)
     sa, sb = best_scores([a, b], video, gts, len(a), metric, table).tolist()
     return PairJudgment.from_scores(sa, sb, zero_threshold=TEXT_ZERO)
@@ -158,8 +159,7 @@ def judge_subshot_pair(
         if idx < 0 or idx >= len(features if metric == "pixel" else video):
             raise ValueError(f"subshot index {idx} out of range")
     if metric == "pixel":
-        frames = features.subshots
-        sx, sy = (-subshot_min_distance(frames[i], frames[ref]) for i in (x, y))
+        sx, sy = (-subshot_distances(features, [x, y], [ref])[:, 0]).tolist()
         return PairJudgment.from_scores(sx, sy, zero_threshold=PIXEL_ZERO)
     texts = [video.subshots[i].annotation for i in (x, y, ref)]
     sx, sy = su_f_matrix(table or UnitTable(), texts[:2], texts[2:])[:, 0].tolist()
@@ -178,8 +178,6 @@ def classify_case(vset: PairJudgment, pb: PairJudgment) -> CaseLabel:
 
 _VERDICTS = tuple(Verdict)
 _CASES = tuple(CaseLabel)
-_VERDICT_NAMES = tuple(v.value for v in _VERDICTS)
-_CASE_NAMES = tuple(c.value for c in _CASES)
 # _CASE_TABLE[v, p]: the index in _CASES of the case of text verdict _VERDICTS[v]
 # and pixel verdict _VERDICTS[p], the rule classify_case states
 _CASE_TABLE = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [3, 3, 2, 3], [3, 3, 3, 2]])
@@ -204,8 +202,9 @@ _RECORD = (
     '    "second_score": %s,\n    "verdict": "%s"\n  },\n  "x": %d,\n  "y": %d\n}'
 )
 _BLOCK = 4096  # triples judged, and records rendered, per block
-_VERDICT_TEXTS = np.array(_VERDICT_NAMES, dtype=object)
-_CASE_TEXTS = np.array(_CASE_NAMES, dtype=object)
+# the verdict and case names, indexed by code
+_VERDICT_TEXTS = np.array([v.value for v in _VERDICTS], dtype=object)
+_CASE_TEXTS = np.array([c.value for c in _CASES], dtype=object)
 
 
 class TripleRecords:
@@ -294,7 +293,7 @@ def _judge(scores: np.ndarray) -> np.ndarray:
     return np.stack([vset, pb, _CASE_TABLE[vset, pb]], axis=1)
 
 
-def _counts(codes: np.ndarray, names: tuple[str, ...]) -> dict:
+def _counts(codes: np.ndarray, names: np.ndarray) -> dict:
     """How often each name's code occurs, for the names that occur."""
     # one comparison per name: a bincount would widen every code to intp
     counts = [int(np.count_nonzero(codes == code)) for code in range(len(names))]
@@ -342,7 +341,7 @@ def compare_pairs(
 
     Pixel judgments and case counts need features covering the video and a
     non-empty gt_subshots inside them (ValueError otherwise, at any count), and come from
-    one visual.subshot_distances call; agreement rates need a human file
+    one visual.pixel_summary_distances call; agreement rates need a human file
     judging pairs by their index in 0..count-1 (CorpusValidationError otherwise).
     """
     if (features is None) != (gt_subshots is None):
@@ -360,24 +359,21 @@ def compare_pairs(
     scores = np.zeros((count, 4))
     scores[:, 2:] = best_scores(summaries, video, gts, n, metric, table).reshape(count, 2)
     if with_pixel and count:
-        picks = np.array([s.indices for s in summaries])
-        used = np.flatnonzero(np.bincount(picks.ravel()))
-        nearest = subshot_distances(features, used, gt_subshots.indices).min(axis=1)
-        # row i of the gather is summary i: folding its columns folds every summary at once
-        scores[:, :2] = (-left_sum(nearest[np.searchsorted(used, picks)].T) / n).reshape(count, 2)
+        scores[:, :2] = -pixel_summary_distances(
+            [s.indices for s in summaries], gt_subshots.indices, features).reshape(count, 2)
     codes = _judge(scores)
     records = []
     for i, ((a, b), (pb1, pb2, v1, v2), (vset, pb, case)) in enumerate(
             zip(pairs, scores.tolist(), codes.tolist())):
         record = {"pair": i, "a": list(a.indices), "b": list(b.indices),
-                  "vset": _judgment(_VERDICT_NAMES[vset], v1, v2)}
+                  "vset": _judgment(_VERDICT_TEXTS[vset], v1, v2)}
         if with_pixel:
-            record.update(pb=_judgment(_VERDICT_NAMES[pb], pb1, pb2), case=_CASE_NAMES[case])
+            record.update(pb=_judgment(_VERDICT_TEXTS[pb], pb1, pb2), case=_CASE_TEXTS[case])
         records.append(record)
     payload = {"mode": "pairs", "pairs": records,
-               "verdict_counts": _counts(codes[:, 0], _VERDICT_NAMES)}
+               "verdict_counts": _counts(codes[:, 0], _VERDICT_TEXTS)}
     if with_pixel:
-        payload["case_counts"] = _counts(codes[:, 2], _CASE_NAMES)
+        payload["case_counts"] = _counts(codes[:, 2], _CASE_TEXTS)
     if human:
         payload["agreement"] = _agreement(codes[rows, :2 if with_pixel else 1], said)
     return payload
@@ -406,7 +402,7 @@ def compare_triples(
     codes = np.empty((m * (m - 1) * (m - 2) // 2, 3), dtype=np.uint8)
     for start, (ref, x, y) in zip(range(0, len(codes), _BLOCK), _triples(m, _BLOCK)):
         codes[start : start + len(ref)] = _judge(_scores(pixel, text, ref, x, y))
-    payload = {"mode": "triples", "case_counts": _counts(codes[:, 2], _CASE_NAMES),
+    payload = {"mode": "triples", "case_counts": _counts(codes[:, 2], _CASE_TEXTS),
                "triples": TripleRecords(m, pixel, text, codes)}
     if human:
         payload["agreement"] = _agreement(codes[rows, :2], said)

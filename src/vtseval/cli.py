@@ -111,24 +111,26 @@ def _cmd_features(args) -> int:
     frames_dir = Path(args.frames_dir)
     if not frames_dir.is_dir():
         raise corpus.CorpusIOError(f"{frames_dir}: not a directory")
-    by_subshot: dict[int, list[tuple[int, Path]]] = {}
-    for path in frames_dir.iterdir():
+    frames: dict[tuple[int, int], Path] = {}
+    for path in sorted(frames_dir.iterdir()):
         match = _FRAME_RE.match(path.name)
         if match:
-            by_subshot.setdefault(int(match.group(1)), []).append((int(match.group(2)), path))
+            key = (int(match[1]), int(match[2]))  # frame_0_1 and frame_00_1 name one frame
+            if key in frames:
+                raise corpus.CorpusValidationError(
+                    f"{frames[key]} and {path} are both frame {key[1]} of subshot {key[0]}")
+            frames[key] = path
+    by_subshot: dict[int, list[Path]] = {}
+    for (idx, _), path in sorted(frames.items()):
+        by_subshot.setdefault(idx, []).append(path)
     if not by_subshot:
         raise corpus.CorpusValidationError(f"{frames_dir}: no frame_<subshot>_<k>.ppm files found")
     if sorted(by_subshot) != list(range(len(by_subshot))):
         raise corpus.CorpusValidationError(
             f"{frames_dir}: subshot indices must be contiguous from 0, got {sorted(by_subshot)}"
         )
-    subshots = []
-    for idx in range(len(by_subshot)):
-        hists = [
-            visual.compute_histogram(visual.load_ppm(path), args.bins)
-            for _, path in sorted(by_subshot[idx])
-        ]
-        subshots.append(np.vstack(hists))
+    subshots = [np.vstack([visual.compute_histogram(visual.load_ppm(path), args.bins)
+                           for path in paths]) for paths in by_subshot.values()]
     features = corpus.SubshotFeatures(
         video_id=args.video_id,
         bins_per_channel=args.bins,

@@ -23,23 +23,24 @@ included, is read by ``read_bytes`` (or ``read_text``, its UTF-8 text):
 a file that cannot be read raises CorpusIOError and one that is not
 UTF-8 CorpusParseError, naming the path.
 
-Each load reads its file once, as bytes, and parses those bytes once.
-The annotation, ground-truth and feature loaders share one process-wide
-memo keyed on the loader kind and the file's exact bytes, not on its
-path or mtime: a file rewritten in place is a miss even at the same size
-and mtime. A miss parses the file and runs the checks of the file alone,
-and holds the record only if all passed; the checks against the ``video``
-argument run after every load, hit or miss, so a file refused only for
-its video is still held. The memo holds at most ``LOAD_MEMO_BYTES`` (16 MiB)
-of file bytes, least recently used evicted, and never a larger file. The
-key is the bytes themselves rather than a digest: a dict compares them
-exactly, and ``hashlib`` would load OpenSSL, a few MB of resident
-memory. A one-shot CLI process loads each file once and gains nothing
-from the memo; a process that scores many summaries of one video, such
-as the benchmark's, parses its references once. Held feature matrices
-are read-only, and ``load_ground_truths`` returns a new list on every
-call, so no caller can change a held record. Summaries, score files and
-human judgments are not memoized.
+Each load reads its file once, as bytes, and parses those bytes once. The
+annotation, ground-truth and feature loaders share one process-wide memo,
+module state behind one lock, keyed on the loader kind and the file's
+exact bytes, not on its path or mtime: a file rewritten in place is a miss
+even at the same size and mtime. A miss parses the file and runs the
+checks of the file alone, and holds the record only if all passed; the
+checks against the ``video`` argument run after every load, hit or miss,
+so a file refused only for its video is still held. The memo holds at most
+``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, summed over the files it
+holds, least recently used evicted, and never a larger file. The key is
+the bytes themselves rather than a digest: a dict compares them exactly,
+and ``hashlib`` would load OpenSSL, a few MB of resident memory. A
+one-shot CLI process loads each file once and gains nothing from the memo;
+a process that scores many summaries of one video, such as the
+benchmark's, parses its references once. Held feature matrices are
+read-only, and ``load_ground_truths`` returns a new list on every call, so
+no caller can change a held record. Summaries, score files and human
+judgments are not memoized.
 
 Every file is written by one writer, ``write_canonical``. It streams the
 text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2,
@@ -63,7 +64,7 @@ import json
 import math
 import os
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -512,67 +513,27 @@ def _parse_json(raw: bytes, path: str | Path) -> dict:
 # load memo
 
 LOAD_MEMO_BYTES = 16 << 20
-
-
-class _LoadMemo:
-    """Checked records by (loader kind, file bytes), least recently used first.
-
-    The held files' bytes total at most ``LOAD_MEMO_BYTES``, read at each
-    store; a file larger than that is never held.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: OrderedDict[tuple[str, bytes], object] = OrderedDict()
-        self._held = 0
-        self._hits: dict[str, int] = {}
-        self._misses: dict[str, int] = {}
-
-    def get(self, key: tuple[str, bytes]):
-        with self._lock:
-            record = self._records.get(key)
-            counts = self._misses if record is None else self._hits
-            counts[key[0]] = counts.get(key[0], 0) + 1
-            if record is not None:
-                self._records.move_to_end(key)
-            return record
-
-    def put(self, key: tuple[str, bytes], record) -> None:
-        budget = LOAD_MEMO_BYTES
-        if len(key[1]) > budget:
-            return
-        with self._lock:
-            if key not in self._records:
-                self._held += len(key[1])
-            self._records[key] = record
-            while self._held > budget:
-                (_, raw), _ = self._records.popitem(last=False)
-                self._held -= len(raw)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._held = 0
-            self._hits.clear()
-            self._misses.clear()
-
-    def info(self) -> dict:
-        with self._lock:
-            return {"hits": dict(self._hits), "misses": dict(self._misses),
-                    "files": len(self._records), "bytes": self._held}
-
-
-_memo = _LoadMemo()
+# checked records by (loader kind, file bytes), least recently used first, the loads
+# counted by (loader kind, hit), and the lock that guards both
+_records: OrderedDict[tuple[str, bytes], object] = OrderedDict()
+_loads: Counter[tuple[str, bool]] = Counter()
+_lock = threading.Lock()
 
 
 def clear_load_memo() -> None:
     """Drop every record the loaders hold, and their hit and miss counts."""
-    _memo.clear()
+    with _lock:
+        _records.clear()
+        _loads.clear()
 
 
 def load_memo_info() -> dict:
     """The load memo's hits and misses by loader kind, and the files and bytes it holds."""
-    return _memo.info()
+    with _lock:
+        hits, misses = ({kind: k for (kind, hit), k in _loads.items() if hit is side}
+                        for side in (True, False))
+        return {"hits": hits, "misses": misses, "files": len(_records),
+                "bytes": sum(len(file) for _, file in _records)}
 
 
 def _load_memoized(kind: str, path: str | Path, load):
@@ -580,14 +541,24 @@ def _load_memoized(kind: str, path: str | Path, load):
 
     The file is read once. On a miss its bytes are parsed once and load
     runs every check of the file alone; the record is held only if every
-    check passed.
+    check passed and the file is within ``LOAD_MEMO_BYTES``, read at each
+    store, and then least recently used records go until all held are within it.
     """
     raw = read_bytes(path)
     key = (kind, raw)
-    record = _memo.get(key)
-    if record is None:
-        record = load(_parse_json(raw, path))
-        _memo.put(key, record)
+    with _lock:
+        record = _records.get(key)
+        _loads[kind, record is not None] += 1
+        if record is not None:
+            _records.move_to_end(key)
+            return record
+    record = load(_parse_json(raw, path))
+    budget = LOAD_MEMO_BYTES
+    if len(raw) <= budget:
+        with _lock:
+            _records[key] = record
+            while sum(len(file) for _, file in _records) > budget:
+                _records.popitem(last=False)
     return record
 
 

@@ -7,8 +7,9 @@ concatenated R,G,B and jointly L1-normalized, so the chi-square distance
 between two of them lands in [0, 1]. Every distance comes from one
 row-blocked kernel, chi_square_matrix, and its symmetric form
 pairwise_chi_square (read by MMR): chi_square is one cell, subshot_min_distance
-the minimum of a block, subshot_distances every block minimum of chosen
-subshot pairs, and pixel_summary_distance a mean of its row minima.
+the minimum of a block, subshot_distances every block minimum of chosen subshot
+pairs, and pixel_summary_distances, the one pixel summary metric, a mean of
+row minima per summary (pixel_summary_distance is its one-row call).
 """
 from __future__ import annotations
 
@@ -200,23 +201,28 @@ def subshot_distances(features: SubshotFeatures, rows, cols) -> np.ndarray:
     return np.minimum.reduceat(np.minimum.reduceat(out, starts[1], axis=1), starts[0], axis=0)
 
 
-def pixel_summary_distance(
-    summary: SummarySelection,
-    gt_subshots: SummarySelection,
-    features: SubshotFeatures,
-) -> float:
-    """Mean over summary subshots of the distance to the nearest ground-truth subshot.
-
-    Lower means more visually similar; rankings built on this metric sort
-    ascending. Each subshot's distance is its row minimum of one
-    subshot_distances call, and the mean is a left fold in summary order.
-    """
-    if len(summary) == 0:
+def pixel_summary_distances(picks, gt_indices, features: SubshotFeatures) -> np.ndarray:
+    """Row i is the mean, over the subshots picks[i] of a summary, of the distance to the nearest
+    ground-truth subshot, a left fold in pick order; lower is more visually similar. The k
+    summaries are non-empty and of one size; each distinct pick is one row of one
+    subshot_distances call."""
+    if not all(map(len, picks)):
         raise ValueError("summary selection is empty")
-    if len(gt_subshots) == 0:
+    if len(gt_indices) == 0:
         raise ValueError("ground-truth selection is empty")
-    nearest = subshot_distances(features, summary.indices, gt_subshots.indices).min(axis=1)
-    return left_sum(nearest.tolist()) / len(summary)
+    # before bincount sees a negative, in the order of one summary at a time: picks, ground truth
+    check_range(features, (i for row in (picks[0], gt_indices, *picks[1:]) for i in row))
+    picks = np.array(picks, dtype=np.intp)
+    used = np.flatnonzero(np.bincount(picks.ravel()))
+    nearest = subshot_distances(features, used, gt_indices).min(axis=1)
+    # row i of the gather is summary i: folding its columns folds every summary at once
+    return left_sum(nearest[np.searchsorted(used, picks)].T) / picks.shape[1]
+
+
+def pixel_summary_distance(summary: SummarySelection, gt_subshots: SummarySelection,
+                           features: SubshotFeatures) -> float:
+    """pixel_summary_distances of the one summary."""
+    return float(pixel_summary_distances([summary.indices], gt_subshots.indices, features)[0])
 
 
 def left_sum(values):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtseval import analysis
+from vtseval import analysis, visual
 from vtseval.analysis import (
     CaseLabel,
     PairJudgment,
@@ -291,6 +291,20 @@ class TestJudgeSubshotPair:
         # subshots 0 and 1 share a color group; 5 does not
         j = judge_subshot_pair(0, 5, 1, video12, "pixel", features=features12)
         assert j.verdict is Verdict.FIRST_CLOSER
+
+    def test_pixel_scores_are_the_least_cross_distances(self, video12, features12):
+        """Every triple's pixel scores are -min_cross_distance: within 1e-12 of the oracle's loop
+        sums at 16 bins, and bit for bit the block minima of subshot_min_distance."""
+        frames = features12.subshots
+        m = len(frames)
+        want = [[oracles.min_cross_distance(a, b) for b in frames] for a in frames]
+        for ref in range(m):
+            for x, y in itertools.combinations([i for i in range(m) if i != ref], 2):
+                j = judge_subshot_pair(x, y, ref, video12, "pixel", features=features12)
+                for score, i in ((j.first_score, x), (j.second_score, y)):
+                    assert abs(score + want[i][ref]) <= 1e-12
+                    least = visual.subshot_min_distance(frames[i], frames[ref])
+                    assert score.hex() == (-least).hex()
 
 
 class TestClassifyCase:

@@ -304,3 +304,74 @@ def test_pixel_summary_distance_is_one_kernel_call_with_the_loop_bits(case):
         got = visual.pixel_summary_distance(summary, gt_sel, features)
     assert got == want
     assert len(calls) == 1
+
+
+@st.composite
+def k_summary_cases(draw):
+    """Features of 1-12 subshots, 1-5 summaries of one size n (n = 1 included, and n past 8,
+    where numpy's sum stops adding in index order; subshots shared across summaries), a
+    ground truth, and at times a pick or a ground-truth subshot outside the features."""
+    width = draw(st.sampled_from([3, 12]))
+    m = draw(st.sampled_from([1, 2, 3, 6, 12]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    frames = draw(histograms(sum(sizes), width))
+    features = SubshotFeatures("v", width // 3, np.split(frames, np.cumsum(sizes)[:-1]))
+    n = draw(st.sampled_from(range(1, m + 1)))
+    summary = st.lists(st.integers(0, m - 1), min_size=n, max_size=n, unique=True)
+    picks = [tuple(sorted(s)) for s in draw(st.lists(summary, min_size=1, max_size=5))]
+    gt = tuple(sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))))
+    outside = st.none() | st.integers(-3, -1) | st.integers(m, m + 2)
+    bad = draw(outside)
+    if bad is not None:
+        row, col = draw(st.integers(0, len(picks) - 1)), draw(st.integers(0, n - 1))
+        picks[row] = picks[row][:col] + (bad,) + picks[row][col + 1 :]
+    bad = draw(outside)
+    if bad is not None:
+        col = draw(st.integers(0, len(gt)))
+        gt = gt[:col] + (bad,) + gt[col:]
+    return features, picks, gt
+
+
+@settings(max_examples=200, deadline=None)
+@given(k_summary_cases())
+def test_each_row_of_the_k_summary_distances_is_that_summary_alone(case):
+    """Row i has the bits of pixel_summary_distance of summary i, from one kernel call; at one
+    bin per channel also those of the loop oracle, whose three-term sums the kernel adds in
+    the same order (within 1e-12 at four bins). An index outside the features is refused with
+    check_range's message, before bincount could read it: the first in the order of scoring
+    one summary at a time, its picks and then the ground truth, on both paths."""
+    features, picks, gt = case
+    m, gt_sel = len(features), SummarySelection("v", gt)
+
+    def outside(*rows):
+        return next((i for row in rows for i in row if not 0 <= i < m), None)
+
+    def refuses(call, index):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"subshot index {index} not covered by features ({m} subshots)"
+
+    first = next((bad for row in picks if (bad := outside(row, gt)) is not None), None)
+    if first is not None:
+        refuses(lambda: visual.pixel_summary_distances(picks, gt, features), first)
+        for summary in picks:
+            if (bad := outside(summary, gt)) is not None:
+                one = SummarySelection("v", summary)
+                refuses(lambda: visual.pixel_summary_distance(one, gt_sel, features), bad)
+        return
+    kernel = visual.chi_square_matrix
+    calls = []
+    with mock.patch.object(
+        visual, "chi_square_matrix", lambda a, b: calls.append(a.shape) or kernel(a, b)
+    ):
+        got = visual.pixel_summary_distances(picks, gt, features)
+    assert len(calls) == 1 and got.shape == (len(picks),)
+    frames = [f.tolist() for f in features.subshots]
+    for row, summary in zip(got.tolist(), picks):
+        one = visual.pixel_summary_distance(SummarySelection("v", summary), gt_sel, features)
+        assert row.hex() == one.hex()
+        want = oracles.naive_pixel_distance(summary, gt, frames)
+        if features.bins_per_channel == 1:
+            assert row.hex() == want.hex()
+        else:
+            assert abs(row - want) <= 1e-12

@@ -242,6 +242,25 @@ class TestFeatures:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("first, second", [("frame_0_0.ppm", "frame_0_00.ppm"),
+                                               ("frame_00_1.ppm", "frame_0_1.ppm")])
+    def test_two_files_naming_one_frame_exit_2_naming_both(self, tmp_path, capsys, first, second):
+        """Zero-padded numbers parse alike: the second file would be a frame the video lacks."""
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for name in ("frame_0_0.ppm", "frame_0_1.ppm", first, second):
+            write_ppm(frames / name, 1, 1, [(0, 0, 0)])
+        out = tmp_path / "f.json"
+        code = main(["features", "--frames-dir", str(frames), "--video-id", "clip",
+                     "--output", str(out)])
+        assert code == 2
+        subshot, frame = (int(part) for part in second[len("frame_"):-len(".ppm")].split("_"))
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CorpusValidationError",
+            "message": f"{frames / first} and {frames / second} are both frame {frame} "
+                       f"of subshot {subshot}"}
+        assert not out.exists()
+
 
 class TestCorrelate:
     def write_scores(self, path, scores):

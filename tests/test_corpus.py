@@ -3,12 +3,13 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter, OrderedDict
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -580,7 +581,8 @@ def _memo_outcome(load, *args):
 
 def _cold_outcome(load, *args):
     """The outcome of the same load with the memo cleared first, leaving the memo as it was."""
-    with mock.patch.object(corpus, "_memo", corpus._LoadMemo()):
+    with mock.patch.object(corpus, "_records", OrderedDict()), \
+            mock.patch.object(corpus, "_loads", Counter()):
         return _memo_outcome(load, *args)
 
 
@@ -804,8 +806,21 @@ memo_steps = st.lists(st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(memo_steps, st.sampled_from([1 << 24, 600]))
+# a hit makes its file the most recently used: the last load evicts the ground truths
+@example([("annotations", 0, 0), ("ground_truths", 2, 0), ("annotations", 0, 0),
+          ("annotations", 1, 0)], 450)
+# a file over the budget is never held, and evicts nothing
+@example([("annotations", 0, 0), ("annotations", 1, 0)], 200)
 def test_every_load_equals_a_cold_load(steps, budget):
+    """A load gives what a cold load gives, and the memo holds what a model of it holds.
+
+    The model holds each (kind, bytes) that loaded without the video and
+    fits the budget, least recently used first, dropping the oldest while
+    the bytes held exceed the budget; the held bytes and files, and the
+    hits and misses, must equal the model's after every step.
+    """
     corpus.clear_load_memo()
+    held, hits, loads = OrderedDict(), 0, 0
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(corpus, "LOAD_MEMO_BYTES", budget):
         paths = [Path(tmp) / f"f{i}.json" for i in range(3)]
@@ -814,8 +829,20 @@ def test_every_load_equals_a_cold_load(steps, budget):
         for op, i, j in steps:
             if op == "write":
                 paths[i].write_text(MEMO_TEXTS[j])
-                continue
-            load = LOADERS[op]
-            args = (paths[i],) if op == "annotations" else (paths[i], MEMO_VIDEOS[j])
-            assert _memo_outcome(load, *args) == _cold_outcome(load, *args)
-            assert corpus.load_memo_info()["bytes"] <= budget
+            else:
+                load = LOADERS[op]
+                args = (paths[i],) if op == "annotations" else (paths[i], MEMO_VIDEOS[j])
+                assert _memo_outcome(load, *args) == _cold_outcome(load, *args)
+                key, loads = (op, paths[i].read_bytes()), loads + 1
+                if key in held:
+                    held.move_to_end(key)
+                    hits += 1
+                elif len(key[1]) <= budget and _cold_outcome(load, paths[i])[0] == "ok":
+                    held[key] = None
+                    while sum(len(raw) for _, raw in held) > budget:
+                        held.popitem(last=False)
+            info = corpus.load_memo_info()
+            assert info["bytes"] == sum(len(raw) for _, raw in held) <= budget
+            assert info["files"] == len(held)
+            assert sum(info["hits"].values()) == hits
+            assert sum(info["hits"].values()) + sum(info["misses"].values()) == loads
