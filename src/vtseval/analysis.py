@@ -40,7 +40,7 @@ from .corpus import (
 )
 from .evaluator import best_scores
 from .rng import SplitMix64, sample_indices
-from .rouge import UnitTable, su_f_matrix
+from .rouge import UnitTable, shared_table, su_f_matrix
 from .visual import check_range, pixel_summary_distances, subshot_distances
 
 TIE_TOLERANCE = 1e-9
@@ -150,7 +150,9 @@ def judge_subshot_pair(
     features: SubshotFeatures | None = None,
     table: UnitTable | None = None,
 ) -> PairJudgment:
-    """Which of subshots x, y is closer to ref; text scores are one ``su_f_matrix`` column."""
+    """Which of subshots x, y is closer to ref; rouge-su scores are one ``su_f_matrix`` column."""
+    if metric not in ("rouge-su", "pixel"):
+        raise ValueError(f"subshot judgments score with rouge-su or pixel, not {metric!r}")
     if len({x, y, ref}) != 3:
         raise ValueError(f"subshot indices must be distinct, got ({x}, {y}, {ref})")
     if metric == "pixel" and features is None:
@@ -162,7 +164,7 @@ def judge_subshot_pair(
         sx, sy = (-subshot_distances(features, [x, y], [ref])[:, 0]).tolist()
         return PairJudgment.from_scores(sx, sy, zero_threshold=PIXEL_ZERO)
     texts = [video.subshots[i].annotation for i in (x, y, ref)]
-    sx, sy = su_f_matrix(table or UnitTable(), texts[:2], texts[2:])[:, 0].tolist()
+    sx, sy = su_f_matrix(table or shared_table(), texts[:2], texts[2:])[:, 0].tolist()
     return PairJudgment.from_scores(sx, sy, zero_threshold=TEXT_ZERO)
 
 
@@ -397,7 +399,7 @@ def compare_triples(
     rows, said = (_human_rows(human, ("ref", "x", "y"), m, lambda *key: _triple_rows(m, *key))
                   if human else (None, None))
     annotations = [shot.annotation for shot in video.subshots]
-    text = su_f_matrix(table or UnitTable(), annotations, annotations)
+    text = su_f_matrix(table or shared_table(), annotations, annotations)
     pixel = -subshot_distances(features, range(m), range(m))
     codes = np.empty((m * (m - 1) * (m - 2) // 2, 3), dtype=np.uint8)
     for start, (ref, x, y) in zip(range(0, len(codes), _BLOCK), _triples(m, _BLOCK)):

@@ -36,10 +36,10 @@ class _Parser(argparse.ArgumentParser):
 def _table(args) -> UnitTable:
     """The command's one unit table, under --stopwords or the bundled list.
 
-    It is this thread's ``rouge.shared_table``, so the commands of one
-    process compile each sentence once. Each command takes it once, before
-    it scores anything; it is replaced there when the stopword set changes
-    or it has passed ``rouge.TABLE_ENTRIES``, never inside a command.
+    It is this thread's ``rouge.shared_table``, as for a library call without
+    ``table=``, so one process compiles each sentence once. Each command takes
+    it once, before it scores anything; it is replaced there when the stopword
+    set changes or it has passed ``rouge.TABLE_ENTRIES``, never inside a command.
     """
     return shared_table(load_stopwords(args.stopwords) if args.stopwords else None)
 
@@ -104,7 +104,7 @@ def _pick_ground_truth(gts, author: str | None):
     raise corpus.CorpusValidationError(f"no ground truth by author {author!r}")
 
 
-_FRAME_RE = re.compile(r"^frame_(\d+)_(\d+)\.ppm$")
+_FRAME_RE = re.compile(r"frame_([0-9]+)_([0-9]+)\.ppm")
 
 
 def _cmd_features(args) -> int:
@@ -113,7 +113,7 @@ def _cmd_features(args) -> int:
         raise corpus.CorpusIOError(f"{frames_dir}: not a directory")
     frames: dict[tuple[int, int], Path] = {}
     for path in sorted(frames_dir.iterdir()):
-        match = _FRAME_RE.match(path.name)
+        match = _FRAME_RE.fullmatch(path.name)
         if match:
             key = (int(match[1]), int(match[2]))  # frame_0_1 and frame_00_1 name one frame
             if key in frames:

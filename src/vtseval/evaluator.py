@@ -7,8 +7,8 @@ sentences, re-sorted temporally. The summary score is the maximum
 F-measure over the adjusted references. Scores come from a
 ``rouge.UnitTable``, which also carries the stopword set: pass one table
 to many calls and each annotation and reference sentence is compiled once.
-The CLI passes its thread's ``rouge.shared_table``, so that holds across
-the commands of a process; a call without ``table=`` builds a fresh one.
+A call without ``table=`` uses its thread's ``rouge.shared_table``, as
+every CLI command does, so that holds across the calls of a process.
 ``best_scores`` scores many summaries of one length in one
 ``rouge.match_matrix`` call, building each reference's bag once.
 Nothing here reads or writes files: the CLI writes a report's ``to_dict()``
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import GroundTruthSummary, SummarySelection, VideoRecord
-from .rouge import SU, RougeScore, UnitTable, match_matrix, prf, scores_against
+from .rouge import SU, RougeScore, UnitTable, match_matrix, prf, scores_against, shared_table
 
 METRICS = ("rouge-su", "rouge-1", "rouge-2")
 _UNIT_KINDS = {"rouge-su": SU, "rouge-1": 1, "rouge-2": 2}
@@ -95,7 +95,7 @@ def score_summary(
         raise ValueError("cannot score an empty summary")
     candidate = text_representation(summary, video)
     n = len(summary)
-    scores = scores_against(table or UnitTable(), kind, candidate,
+    scores = scores_against(table or shared_table(), kind, candidate,
                             [length_adjust(gt, n) for gt in gts])
     pairwise = tuple(zip((gt.author_id for gt in gts), scores))
     best_author, best = max(pairwise, key=lambda item: item[1].f_measure)
@@ -129,5 +129,5 @@ def best_scores(
         raise ValueError(f"every summary must have {n} subshots")
     candidates = [text_representation(s, video) for s in summaries]
     refs = [length_adjust(gt, n) for gt in gts]
-    f = prf(*match_matrix(table or UnitTable(), kind, candidates, refs))[2]
+    f = prf(*match_matrix(table or shared_table(), kind, candidates, refs))[2]
     return f.max(axis=1, initial=0.0)

@@ -34,23 +34,24 @@ The table is the only place where text turns into units and the only
 way to choose stopwords: every text entry point (here, in ``evaluator``,
 ``summarize`` and ``analysis``) takes ``table=`` and no stopword set, so
 two stopword sets can never meet in one score. Compilation is lazy: only
-sentences that are actually scored are compiled. A library call without
-``table=`` builds a fresh table for itself. ``shared_table`` holds one
-table per thread, which the CLI hands to every command the thread runs,
-so a process that runs many commands (the benchmark's, or a service)
-compiles each reference sentence and annotation once. The held table is
-replaced by a fresh one when a command asks for another stopword set, or
-once it holds more than ``TABLE_ENTRIES`` entries (rows, the units in them
-and words); that bound also keeps its stems far below the 2**31 that pair
-ids need. Both checks run only when a command takes its table, so a
-replacement never falls inside a call and no call mixes the ids of two
-tables; scores depend only on unit counts, never on the ids, so no output
-depends on when a table was replaced. The slot is per thread rather than
-locked, because a stem id must stay valid for a whole call and a lock
-held that long would serialise concurrent commands. A one-shot process
-holds only what its one command compiled. ``su_f_matrix`` is the one
-matrix of one-sentence ROUGE-SU scores, for the ordered-assignment
-summarizer and for triples.
+sentences that are actually scored are compiled. ``shared_table`` holds
+one table per thread: the CLI hands it to every command the thread runs,
+and every library call without ``table=`` uses it, so a process that runs
+many commands or calls (the benchmark's, or a service) compiles each
+reference sentence and annotation once, and the table's dict is the only
+memo of stems. The held table is replaced by a fresh one when a call asks
+for another stopword set, or once it holds more than ``TABLE_ENTRIES``
+entries (rows, the units in them and words); that bound also keeps its
+stems far below the 2**31 that pair ids need. Both checks run only when a
+call takes its table, once, before it compiles anything, so a replacement
+never falls inside a call and no call mixes the ids of two tables; scores
+depend only on unit counts, never on the ids, so no output depends on
+when a table was replaced. The slot is per thread rather than locked,
+because a stem id must stay valid for a whole call and a lock held that
+long would serialise concurrent calls. A one-shot process holds only what
+its one command compiled. ``su_f_matrix`` is the one matrix of
+one-sentence ROUGE-SU scores, for the ordered-assignment summarizer and
+for triples.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ SU = "su"
 """Unit kind of ROUGE-SU: unigrams plus skip-bigrams. Kinds 1 and 2 are contiguous n-grams."""
 
 TABLE_ENTRIES = 1 << 22
-"""Entries past which ``shared_table`` replaces a thread's table at the next command's start."""
+"""Entries past which ``shared_table`` replaces a thread's table at the next call that takes it."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class UnitTable:
     """Interned counting units of the sentences it has scored, under one stopword set.
 
     A table is always true (it has no ``__len__``), so ``table or
-    UnitTable()`` is the caller's table or a fresh default one.
+    shared_table()`` is the caller's table or this thread's default one.
     """
 
     def __init__(self, stopwords: frozenset[str] | None = None):
@@ -142,7 +143,7 @@ def shared_table(stopwords: frozenset[str] | None = None) -> UnitTable:
     """This thread's table for the stopword set (default: the bundled list).
 
     A fresh table replaces the held one if their sets differ (by content) or
-    the held one is past ``TABLE_ENTRIES``; so take it once, at a command's start.
+    the held one is past ``TABLE_ENTRIES``; so take it once, at a call's start.
     """
     stopwords = default_stopwords() if stopwords is None else stopwords
     table = getattr(_slot, "table", None)
@@ -260,7 +261,7 @@ def rouge_su(
 
     Either side may be empty; a side without units scores zero.
     """
-    return scores_against(table or UnitTable(), SU, candidate, [reference])[0]
+    return scores_against(table or shared_table(), SU, candidate, [reference])[0]
 
 
 def rouge_n(
@@ -269,4 +270,4 @@ def rouge_n(
     """Contiguous n-gram co-occurrence score, n in {1, 2}."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    return scores_against(table or UnitTable(), n, candidate, [reference])[0]
+    return scores_against(table or shared_table(), n, candidate, [reference])[0]

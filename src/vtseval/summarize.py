@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, VideoRecord
 from .evaluator import length_adjust
 from .rng import SplitMix64
-from .rouge import UnitTable, find, postings, su_f_matrix
+from .rouge import UnitTable, find, postings, shared_table, su_f_matrix
 from .visual import chi_square_matrix, left_sum, pairwise_chi_square
 
 
@@ -235,7 +235,7 @@ def greedy_bow(
     """
     m = len(video)
     _check_count(n, m)
-    table = table or UnitTable()
+    table = table or shared_table()
     words, remaining, _ = postings(table, 1, [length_adjust(gt, n)])
     ids, counts, owners = postings(table, 1, [[s.annotation] for s in video.subshots])
     # keep the annotation words that are in the bag, each with its position in the bag
@@ -281,7 +281,7 @@ def sentence_dp(
     sentences = length_adjust(gt, n)
     k = len(sentences)
     # sim[j][i]: ROUGE-SU F of sentence j (candidate) against annotation i
-    sim = su_f_matrix(table or UnitTable(), sentences, [s.annotation for s in video.subshots])
+    sim = su_f_matrix(table or shared_table(), sentences, [s.annotation for s in video.subshots])
 
     # best[j][i]: best right-folded total for sentences j.. using subshot
     # indices >= i; best[j][m] is -inf for j < k

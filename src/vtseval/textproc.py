@@ -1,4 +1,4 @@
-"""Text normalization: tokenize, stopwords and the memoized stemmer.
+"""Text normalization: tokenize, stopwords and the stemmer.
 
 The pipeline is deliberately rigid so two runs (or two implementations)
 produce identical stems: lowercase, split on anything outside [a-z0-9],
@@ -9,16 +9,11 @@ its stopword set is the one stopword choice of a score. A stopword file
 is read by ``corpus.read_text``, the reader of every input file, so it
 is refused with the corpus errors (CorpusIOError, CorpusParseError).
 
-``stem`` is memoized: it is a pure token -> stem map, so its cache is
-shared by the whole process. The cache is bounded (``STEM_CACHE_SIZE``
-entries, least recently used evicted), so a long run over an open
-vocabulary cannot grow it without limit. A unit table asks it only the
-first time the table meets a token; since the CLI's commands share their
-thread's table (``rouge.shared_table``), the memo mostly serves fresh
-tables: library calls without ``table=`` and a table that replaced one
-past its budget. ``preprocess`` is the reference
-statement of the pipeline: the table's stem ids are those of its stems,
-and the tests and the fixture generator compare against it.
+``stem`` holds no memo: a unit table maps each token it meets to its
+stem id once, and every call without ``table=`` uses its thread's table
+(``rouge.shared_table``), so that table is the one word memo. ``preprocess``
+is the reference statement of the pipeline: the table's stem ids are those
+of its stems, and the tests and the fixture generator compare against it.
 """
 from __future__ import annotations
 
@@ -33,8 +28,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _DIGIT_RE = re.compile(r"[0-9]")
 
 _DEFAULT_STOPWORDS_PATH = Path(__file__).parent / "data" / "stopwords.txt"
-
-STEM_CACHE_SIZE = 1 << 16
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
@@ -54,7 +47,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(token: str) -> str:
     """Porter-stem alphabetic tokens; digit-bearing tokens pass through."""
     if _DIGIT_RE.search(token):

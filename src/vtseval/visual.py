@@ -117,10 +117,10 @@ def _workspace(rows: int, cols: int, width: int) -> tuple[np.ndarray, ...]:
 
 
 def _check_entries(a: np.ndarray) -> None:
-    """Refuse a negative or NaN histogram entry: the kernel is exact on non-negative bins only."""
-    if not (a >= 0).all():  # NaN compares false
-        bad = float(a[~(a >= 0)][0])
-        raise ValueError(f"histogram entries must be non-negative, got {bad!r}")
+    """Refuse the first negative, NaN or infinite entry in C order: the kernel needs finite bins."""
+    bad = a[~((a >= 0) & (a < np.inf))].tolist()  # NaN compares false
+    if bad:
+        raise ValueError(f"histogram entries must be finite and non-negative, got {bad[0]!r}")
 
 
 def _chi_square_block(a: np.ndarray, b: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -140,8 +140,8 @@ def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chi-square distances of every row of a to every row of b, shape (len(a), len(b)).
 
     Each cell is 0.5 * sum over the histogram axis of (x-y)^2 / (x+y),
-    with empty bins contributing 0. A negative or NaN entry is refused
-    (ValueError). The result is computed in row blocks of at most
+    with empty bins contributing 0. A negative, NaN or infinite entry is
+    refused (ValueError). The result is computed in row blocks of at most
     _BLOCK_BYTES per temporary, and every cell has the same bits as the
     one-shot broadcast over all rows.
     """
@@ -156,8 +156,8 @@ def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_chi_square(a: np.ndarray) -> np.ndarray:
-    """chi_square_matrix(a, a), computing only the upper-triangle blocks; a negative or NaN
-    entry is refused (ValueError).
+    """chi_square_matrix(a, a), computing only the upper-triangle blocks; a negative, NaN or
+    infinite entry is refused (ValueError).
 
     (x-y)^2 == (y-x)^2 and x+y == y+x hold exactly in floating point, so
     each mirrored cell has the same bits as computing it directly, and the

@@ -287,6 +287,24 @@ class TestJudgeSubshotPair:
         with pytest.raises(ValueError):
             judge_subshot_pair(0, 0, 1, video)
 
+    @pytest.mark.parametrize("metric", ["rouge-1", "rouge-2", "bogus", "Pixel", None])
+    def test_a_metric_other_than_rouge_su_or_pixel_is_refused_first(self, video12, metric):
+        """rouge-1, rouge-2 and unknown names once returned the ROUGE-SU judgment."""
+        message = f"subshot judgments score with rouge-su or pixel, not {metric!r}"
+        for triple in ((2, 0, 3), (0, 0, 99)):  # before the distinctness and range checks
+            with pytest.raises(ValueError, match=message):
+                judge_subshot_pair(*triple, video12, metric)
+
+    def test_the_accepted_metrics_judge_as_before(self, video12, features12):
+        text = PairJudgment(Verdict.FIRST_CLOSER, 0.125, 0.0)
+        assert judge_subshot_pair(2, 0, 3, video12) == text
+        assert judge_subshot_pair(2, 0, 3, video12, "rouge-su") == text
+        pixel = judge_subshot_pair(2, 0, 3, video12, "pixel", features=features12)
+        frames = features12.subshots
+        assert pixel == PairJudgment(Verdict.SECOND_CLOSER,
+                                     -visual.subshot_min_distance(frames[2], frames[3]),
+                                     -visual.subshot_min_distance(frames[0], frames[3]))
+
     def test_pixel_variant(self, video12, features12):
         # subshots 0 and 1 share a color group; 5 does not
         j = judge_subshot_pair(0, 5, 1, video12, "pixel", features=features12)

@@ -128,11 +128,11 @@ def kernel_call_sequences(draw):
 
 
 def kernel_or_refusal(kernel, *args):
-    """The kernel's result, or "refused" if it raised the negative-entry ValueError."""
+    """The kernel's result, or "refused" if it raised the bad-entry ValueError."""
     try:
         return kernel(*args).tobytes()
     except ValueError as exc:
-        assert "must be non-negative" in str(exc)
+        assert "must be finite and non-negative" in str(exc)
         return "refused"
 
 
@@ -154,10 +154,13 @@ def test_reused_buffers_leak_nothing_between_blocks_or_calls(calls):
     ([1.0, -1.0], [-1.0, 1.0], -1.0),  # read 0.0 before the check
     ([0.5, 0.5], [1.0, -1e-300], -1e-300),
     ([np.nan, 1.0], [0.5, 0.5], np.nan),
-    ([0.5, 0.5], [np.inf, np.nan], np.nan),
+    ([0.5, 0.5], [np.inf, np.nan], np.inf),
+    ([np.inf, 0.0], [1.0, 0.0], np.inf),  # read NaN before the check
+    ([0.5, 0.5], [1.0, -np.inf], -np.inf),
 ])
 def test_a_negative_or_nan_entry_is_refused(a, b, bad):
-    message = f"histogram entries must be non-negative, got {bad!r}"
+    """A negative, NaN or infinite entry is refused, naming the first in C order."""
+    message = f"histogram entries must be finite and non-negative, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         visual.chi_square(a, b)
     with pytest.raises(ValueError, match=re.escape(message)):  # the first bad entry in C order

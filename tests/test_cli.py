@@ -261,6 +261,20 @@ class TestFeatures:
                        f"of subshot {subshot}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["frame_١_٠.ppm", "frame_0_1.ppm\n",
+                                      "frame_１_0.ppm"])
+    def test_names_beyond_ascii_digits_or_past_the_suffix_are_not_frames(self, tmp_path, name):
+        """Such a file was once read as a frame: an Arabic-Indic one as frame 0 of subshot 1,
+        the newline one as a second frame of subshot 0."""
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for frame in ("frame_0_0.ppm", name):
+            write_ppm(frames / frame, 1, 1, [(0, 0, 0)])
+        out = tmp_path / "features.json"
+        assert main(["features", "--frames-dir", str(frames), "--bins", "1",
+                     "--video-id", "clip", "--output", str(out)]) == 0
+        assert [s.shape for s in corpus.load_features(out).subshots] == [(1, 3)]
+
 
 class TestCorrelate:
     def write_scores(self, path, scores):

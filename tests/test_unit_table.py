@@ -3,8 +3,8 @@
 Text comes from random vocabularies (plain words, stopwords, words with
 Porter suffixes, digit-bearing tokens) joined with random separators. The
 oracles count units with their own loops; their tokens come from
-``oracle_prep`` below, which calls the Porter stemmer directly, so neither
-the stem memo nor the unit table is on the oracle side.
+``oracle_prep`` below, which calls the Porter stemmer directly, so the
+unit table is not on the oracle side.
 """
 import json
 import re
@@ -34,7 +34,7 @@ from vtseval.rouge import (
     su_f_matrix,
 )
 from vtseval.summarize import sentence_dp
-from vtseval.textproc import STEM_CACHE_SIZE, default_stopwords, preprocess, stem
+from vtseval.textproc import default_stopwords, preprocess, stem
 
 from oracles import (
     clip_count,
@@ -262,7 +262,8 @@ def test_sentence_dp_cells_match_fresh_scores(case):
     sim = su_f_matrix(UnitTable(), sentences, [shot.annotation for shot in video.subshots])
     for j, sentence in enumerate(sentences):
         for i, shot in enumerate(video.subshots):
-            assert sim[j][i] == rouge_su([sentence], [shot.annotation]).f_measure
+            fresh = rouge_su([sentence], [shot.annotation], table=UnitTable())
+            assert sim[j][i] == fresh.f_measure
             assert sim[j][i] == naive_rouge_su([sentence], [shot.annotation], oracle_prep)[2]
     _, best = exhaustive_ordered_assignment(sim)
     assert sentence_dp(video, gt, k).indices == best
@@ -280,7 +281,7 @@ def test_reused_table_matches_fresh_tables(data):
         if kind == SU:
             assert rouge_su(cand, ref, table=shared) == rouge_su(cand, ref, table=UnitTable())
         else:
-            fresh = rouge_n(cand, ref, kind)
+            fresh = rouge_n(cand, ref, kind, table=UnitTable())
             matches, cand_units, ref_units = match_matrix(shared, kind, [cand], [ref])
             assert (matches[0, 0], cand_units[0], ref_units[0]) == (
                 fresh.match_count, fresh.candidate_units, fresh.reference_units)
@@ -298,14 +299,15 @@ def test_reused_table_in_score_summary(cases, metric):
             # twice with the shared table: the second call hits every cache
             for _ in range(2):
                 got = score_summary(sub, video, gts, metric, table=shared)
-                assert got == score_summary(sub, video, gts, metric)
+                assert got == score_summary(sub, video, gts, metric, table=UnitTable())
 
 
 @SETTINGS
 @given(st.data())
 def test_shared_reset_and_fresh_tables_score_alike(data):
     """A run of commands scores the same through this thread's shared table, through a
-    second slot whose table is reset at random command boundaries, and through fresh tables."""
+    second slot whose table is reset at random command boundaries, and through fresh tables;
+    so does a library call without ``table=``, which takes the slot's table."""
     vocab = data.draw(vocabularies)
     custom = frozenset(default_stopwords() | {w.lower() for w in vocab[:2]})
     resetting = threading.local()
@@ -320,6 +322,16 @@ def test_shared_reset_and_fresh_tables_score_alike(data):
             mp.setattr(rouge, "_slot", resetting)
             mp.setattr(rouge, "TABLE_ENTRIES", data.draw(st.integers(0, 40)))
             assert scores_against(shared_table(stopwords), kind, cand, refs) == fresh
+            assert_default_table_scores_as_a_fresh_one(kind, cand, refs)
+        assert_default_table_scores_as_a_fresh_one(kind, cand, refs)
+
+
+def assert_default_table_scores_as_a_fresh_one(kind, cand, refs):
+    for ref in refs:
+        if kind == SU:
+            assert rouge_su(cand, ref) == rouge_su(cand, ref, table=UnitTable())
+        else:
+            assert rouge_n(cand, ref, kind) == rouge_n(cand, ref, kind, table=UnitTable())
 
 
 def test_shared_table_is_replaced_only_at_a_call_for_another_set_or_past_the_budget(monkeypatch):
@@ -459,11 +471,6 @@ def test_stem_memo_matches_porter(word):
     token = word.lower()
     want = token if re.search(r"[0-9]", token) else porter.stem(token)
     assert stem(token) == want
-    assert stem(token) == want  # memo hit
-
-
-def test_stem_memo_is_bounded():
-    assert stem.cache_info().maxsize == STEM_CACHE_SIZE
 
 
 ENTRY_POINTS = {
@@ -490,3 +497,36 @@ def test_every_text_entry_point_scores_through_the_callers_table(
     table = UnitTable()
     assert call(video12, gts12, features12, table=table) == call(video12, gts12, features12)
     assert table._rows, f"{name} did not compile its text in the caller's table"
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_a_call_without_a_table_compiles_into_this_threads_table(
+    name, video12, gts12, features12, monkeypatch
+):
+    """The call builds one table, the thread's, and a repeat builds and compiles nothing."""
+    call = ENTRY_POINTS[name]
+    built, compiled = [], []
+    real_init, real_row = UnitTable.__init__, UnitTable.row
+
+    def init(self, *args):
+        built.append(self)
+        real_init(self, *args)
+
+    def row(self, kind, sentence):
+        if (kind, sentence) not in self._rows:
+            compiled.append((self, kind, sentence))
+        return real_row(self, kind, sentence)
+
+    monkeypatch.setattr(UnitTable, "__init__", init)
+    monkeypatch.setattr(UnitTable, "row", row)
+    want = call(video12, gts12, features12)
+    table = shared_table()
+    assert built == [table]
+    assert compiled and {t for t, _, _ in compiled} == {table}
+    assert {(kind, s) for _, kind, s in compiled} <= set(table._rows)
+    held = dict(table._rows)
+    built.clear()
+    compiled.clear()
+    assert call(video12, gts12, features12) == want
+    assert built == compiled == [] and table._rows == held
+    assert shared_table() is table

@@ -21,8 +21,8 @@ one does not, so vtseval's own writer cannot drift from that form.
 It then runs the last command of each workload, label and ``--metric``
 again, each in a fresh ``python -m vtseval.cli`` process with the same
 arguments, and exits 1 if any output differs from the in-process run:
-state that one command leaves behind in a process (the load memo, the
-stem memo, the thread's unit table) must not change the next command's
+state that one command leaves behind in a process (the load memo and
+the thread's unit table) must not change the next command's
 output. Keying by ``--metric`` reruns every unit kind after a table that
 other commands warmed. The in-process pass must hit ``corpus``'s load memo
 for every loader kind its commands load, or the tool exits 1: so each
