@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -108,36 +110,42 @@ _FRAME_RE = re.compile(r"frame_([0-9]+)_([0-9]+)\.ppm")
 
 
 def _cmd_features(args) -> int:
+    visual.check_bins(args.bins)  # before the directory is listed, as compare checks options
     frames_dir = Path(args.frames_dir)
     if not frames_dir.is_dir():
         raise corpus.CorpusIOError(f"{frames_dir}: not a directory")
-    frames: dict[tuple[int, int], Path] = {}
-    for path in sorted(frames_dir.iterdir()):
-        match = _FRAME_RE.fullmatch(path.name)
+    # str(frames_dir / name) for a name that listdir returns: one component appended
+    prefix = str(frames_dir / "_")[:-1]
+    frames: dict[tuple[int, int], str] = {}
+    for name in sorted(os.listdir(frames_dir)):  # the order of the sorted Paths of one directory
+        match = _FRAME_RE.fullmatch(name)
         if match:
             key = (int(match[1]), int(match[2]))  # frame_0_1 and frame_00_1 name one frame
             if key in frames:
                 raise corpus.CorpusValidationError(
-                    f"{frames[key]} and {path} are both frame {key[1]} of subshot {key[0]}")
-            frames[key] = path
-    by_subshot: dict[int, list[Path]] = {}
-    for (idx, _), path in sorted(frames.items()):
-        by_subshot.setdefault(idx, []).append(path)
-    if not by_subshot:
+                    f"{frames[key]} and {prefix + name} are both frame {key[1]} of subshot {key[0]}")
+            frames[key] = prefix + name
+    keys = sorted(frames)
+    counts = Counter(idx for idx, _ in keys)
+    if not counts:
         raise corpus.CorpusValidationError(f"{frames_dir}: no frame_<subshot>_<k>.ppm files found")
-    if sorted(by_subshot) != list(range(len(by_subshot))):
+    if list(counts) != list(range(len(counts))):
         raise corpus.CorpusValidationError(
-            f"{frames_dir}: subshot indices must be contiguous from 0, got {sorted(by_subshot)}"
+            f"{frames_dir}: subshot indices must be contiguous from 0, got {list(counts)}"
         )
-    subshots = [np.vstack([visual.compute_histogram(visual.load_ppm(path), args.bins)
-                           for path in paths]) for paths in by_subshot.values()]
+    # each frame read, parsed and binned in (subshot, frame) order into its row of one matrix
+    matrix = np.empty((len(keys), 3 * args.bins))
+    for row, key in enumerate(keys):
+        matrix[row] = visual.compute_histogram(visual.load_ppm(frames[key]), args.bins)
+    bounds = np.cumsum([0, *counts.values()]).tolist()
+    subshots = [matrix[start:stop] for start, stop in zip(bounds, bounds[1:])]
     features = corpus.SubshotFeatures(
         video_id=args.video_id,
         bins_per_channel=args.bins,
-        subshots=tuple(subshots),
+        subshots=subshots,
     )
     corpus.save_features(args.output, features)
-    print(f"{args.video_id}: {len(subshots)} subshots, {sum(f.shape[0] for f in subshots)} frames")
+    print(f"{args.video_id}: {len(subshots)} subshots, {len(keys)} frames")
     return 0
 
 

@@ -49,7 +49,7 @@ pure-Python indent encoder: lists of plain numbers are written in one
 piece, and a value with a ``canonical(indent)`` method writes its own
 text. Two such values write per-value text: ``float_texts`` makes the
 text of each distinct value of an array once, and each entry is gathered
-from it. ``save_features`` writes each subshot's frames that way, and
+from it. ``save_features`` writes one piece per subshot that way, and
 analysis.TripleRecords, which holds the two m x m score matrices and the
 codes of every triple, each record's scores. ``canonical_dumps`` returns
 the same text as a string. Writes go to a uniquely named temporary file
@@ -179,8 +179,9 @@ class SubshotFeatures:
 
     def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
-        # a negative width is validate_features' to refuse, by name, not numpy's
-        frames = np.concatenate(arrays) if arrays else np.empty((0, max(3 * bins_per_channel, 0)))
+        # with no subshot, no width: validate_features refuses the record by name, and numpy
+        # would refuse a negative or huge bins_per_channel by its own message
+        frames = np.concatenate(arrays) if arrays else np.empty((0, 0))
         offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.intp)
         frames.flags.writeable = offsets.flags.writeable = False  # and so every view
         bounds = offsets.tolist()
@@ -467,8 +468,10 @@ def write_canonical(path: str | Path, obj) -> None:
 def read_bytes(path: str | Path) -> bytes:
     """The bytes of the file at path; CorpusIOError naming it if it cannot be read."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
+        exc.filename = str(Path(path))  # as Path.read_bytes names it: x//y.json is x/y.json
         raise CorpusIOError(f"cannot read {path}: {exc}") from exc
 
 
@@ -869,36 +872,38 @@ def _check_coverage(ctx: str, m: int, video: VideoRecord | None) -> None:
         )
 
 
-class _FrameTexts:
-    """One subshot's frames as canonical JSON, gathered from the per-value texts of its file."""
+class _SubshotTexts:
+    """A feature file's subshots as canonical JSON, one piece per subshot, each frame gathered
+    from the per-value texts of the file."""
 
-    __slots__ = ("texts", "index")
+    __slots__ = ("texts", "index", "bounds")
 
-    def __init__(self, texts: np.ndarray, index: np.ndarray) -> None:
-        self.texts, self.index = texts, index  # index: one row of text indices per frame
+    def __init__(self, texts: np.ndarray, index: np.ndarray, bounds: list) -> None:
+        # index: one row of text indices per frame; subshot i owns rows bounds[i]:bounds[i + 1]
+        self.texts, self.index, self.bounds = texts, index, bounds
 
     def canonical(self, indent: str):
-        inner = indent + "  "
-        entry = inner + "  "
-        rows = self.texts[self.index].tolist()
-        yield ("[" + inner + ("," + inner).join(
-            "[" + entry + ("," + entry).join(row) + inner + "]" for row in rows) + indent + "]")
+        shot, key, frame, entry = (indent + "  " * depth for depth in range(1, 5))
+        sep = "[" + shot
+        for i, (start, stop) in enumerate(zip(self.bounds, self.bounds[1:])):
+            rows = self.texts[self.index[start:stop]].tolist()
+            frames = ("," + frame).join(
+                "[" + entry + ("," + entry).join(row) + frame + "]" for row in rows)
+            yield f'{sep}{{{key}"frames": [{frame}{frames}{key}],{key}"index": {i}{shot}}}'
+            sep = "," + shot
+        yield indent + "]"
 
 
 def save_features(path: str | Path, features: SubshotFeatures) -> None:
     """Write features as canonical JSON; each distinct value's text is made once for the file."""
     validate_features(features)
     texts, index = float_texts(features.frames)
-    index = index.reshape(features.frames.shape)
-    bounds = features.offsets.tolist()
     write_canonical(
         path,
         {
             "video_id": features.video_id,
             "bins_per_channel": features.bins_per_channel,
-            "subshots": [
-                {"index": i, "frames": _FrameTexts(texts, index[start:stop])}
-                for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))
-            ],
+            "subshots": _SubshotTexts(texts, index.reshape(features.frames.shape),
+                                      features.offsets.tolist()),
         },
     )

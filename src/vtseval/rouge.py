@@ -147,7 +147,9 @@ def shared_table(stopwords: frozenset[str] | None = None) -> UnitTable:
     """
     stopwords = default_stopwords() if stopwords is None else stopwords
     table = getattr(_slot, "table", None)
-    if table is None or table.stopwords != stopwords or table.held > TABLE_ENTRIES:
+    # the held set itself is not compared: element by element, the bundled list took most of a call
+    if (table is None or table.stopwords is not stopwords and table.stopwords != stopwords
+            or table.held > TABLE_ENTRIES):
         table = _slot.table = UnitTable(stopwords)
     return table
 

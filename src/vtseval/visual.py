@@ -2,9 +2,13 @@
 
 Frames come in as binary PPM (P6, maxval 255) so no image codec is
 needed; precomputed histogram files are the alternative ingestion path
-(see corpus.load_features). Histograms are per-channel with B bins each,
-concatenated R,G,B and jointly L1-normalized, so the chi-square distance
-between two of them lands in [0, 1]. Every distance comes from one
+(see corpus.load_features). load_ppm reads one frame's file and matches
+its four header tokens with one regex; compute_histogram bins its
+samples with one shift and one bincount. ``vtseval features`` calls both
+once per frame, in (subshot, frame) order, into one matrix. Histograms
+are per-channel with B bins each, concatenated R,G,B and jointly
+L1-normalized, so the chi-square distance between two of them lands in
+[0, 1]. Every distance comes from one
 row-blocked kernel, chi_square_matrix, and its symmetric form
 pairwise_chi_square (read by MMR): chi_square is one cell, subshot_min_distance
 the minimum of a block, subshot_distances every block minimum of chosen subshot
@@ -32,38 +36,35 @@ class Frame:
     pixels: bytes
 
 
-# whitespace and '#' comments, each ending before a line break, then one
-# header token; in a bytes pattern \s is exactly the bytes that isspace() accepts
-_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)")
+# four times: whitespace and '#' comments, each ending before a line break, then one
+# header token; in a bytes pattern \s is exactly the bytes that isspace() accepts. A
+# token is empty only at the end of the file, and then so is every later one
+_PPM_HEADER = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)" * 4)
 
 
 def load_ppm(path: str | Path) -> Frame:
     """Parse a binary PPM (magic P6, maxval 255)."""
     blob = read_bytes(path)
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        match = _PPM_TOKEN.match(blob, pos)
-        pos = match.end()
-        if not match[1]:
-            raise CorpusParseError(f"{path}: truncated PPM header")
-        return match[1]
-
-    magic = next_token()
+    header = _PPM_HEADER.match(blob)
+    magic, *numbers = header.groups()
+    if not magic:
+        raise CorpusParseError(f"{path}: truncated PPM header")
     if magic != b"P6":
         raise CorpusParseError(f"{path}: unsupported format {magic!r}, expected binary P6")
-    try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
-    except ValueError as exc:
-        raise CorpusParseError(f"{path}: malformed PPM header") from exc
+    # each number is read before the next token is looked at, as a token at a time would
+    for i, token in enumerate(numbers):
+        if not token:
+            raise CorpusParseError(f"{path}: truncated PPM header")
+        try:
+            numbers[i] = int(token)
+        except ValueError as exc:
+            raise CorpusParseError(f"{path}: malformed PPM header") from exc
+    width, height, maxval = numbers
     if width <= 0 or height <= 0:
         raise CorpusParseError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:
         raise CorpusParseError(f"{path}: unsupported maxval {maxval}, expected 255")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end() + 1  # single whitespace byte after maxval
     expected = 3 * width * height
     payload = blob[pos : pos + expected]
     if len(payload) < expected:
@@ -73,6 +74,12 @@ def load_ppm(path: str | Path) -> Frame:
     return Frame(width=width, height=height, pixels=payload)
 
 
+def check_bins(bins_per_channel: int) -> None:
+    """Refuse a bin count that is not a divisor of 256 (ValueError): bins must be uniform."""
+    if bins_per_channel < 1 or 256 % bins_per_channel != 0:
+        raise ValueError(f"bins_per_channel must divide 256, got {bins_per_channel}")
+
+
 def compute_histogram(frame: Frame, bins_per_channel: int) -> np.ndarray:
     """Concatenated per-channel color histogram, jointly L1-normalized.
 
@@ -80,13 +87,13 @@ def compute_histogram(frame: Frame, bins_per_channel: int) -> np.ndarray:
     bins are uniform. The 3B-vector sums to exactly 1.
     """
     b = bins_per_channel
-    if b < 1 or 256 % b != 0:
-        raise ValueError(f"bins_per_channel must divide 256, got {b}")
+    check_bins(b)
     if not frame.pixels:
         raise ValueError("cannot compute a histogram of a zero-pixel frame")
     data = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
-    # binned in a wide integer type, as v * B does not fit in uint8
-    bins = data.astype(np.intp) * b // 256 + np.arange(0, 3 * b, b)
+    # B = 2**k divides 256, so floor(v * B / 256) is v >> (8 - k), taken in uint8; the
+    # channel offsets, up to 2B, widen the sum to intp
+    bins = (data >> (9 - b.bit_length())) + np.arange(0, 3 * b, b)
     return np.bincount(bins.ravel(), minlength=3 * b) / (3 * data.shape[0])
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import sys
 import threading
 from pathlib import Path
@@ -12,6 +15,7 @@ from vtseval.cli import main
 from vtseval.corpus import Subshot, VideoRecord
 from vtseval.textproc import tokenize
 
+import oracles
 from test_visual import write_ppm
 
 
@@ -274,6 +278,108 @@ class TestFeatures:
         assert main(["features", "--frames-dir", str(frames), "--bins", "1",
                      "--video-id", "clip", "--output", str(out)]) == 0
         assert [s.shape for s in corpus.load_features(out).subshots] == [(1, 3)]
+
+    @staticmethod
+    def refusal(capsys, frames_dir, out, bins="16"):
+        """The error of a features command that must exit 2 and write nothing."""
+        assert main(["features", "--frames-dir", frames_dir, "--bins", bins,
+                     "--video-id", "clip", "--output", str(out)]) == 2
+        assert not out.exists()
+        return json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bins", ["3", "0"])
+    @pytest.mark.parametrize("frames", [{"frame_0_0.ppm": b"P6\n2 1\n255\n\x00"}, {}],
+                             ids=["truncated_first_frame", "empty_directory"])
+    def test_bins_are_refused_before_the_directory_is_read(self, tmp_path, capsys, frames, bins):
+        """Once the truncated frame, or "no frame files found", was reported first."""
+        (tmp_path / "frames").mkdir()
+        for name, blob in frames.items():
+            (tmp_path / "frames" / name).write_bytes(blob)
+        assert self.refusal(capsys, str(tmp_path / "frames"), tmp_path / "f.json", bins) == {
+            "error": "ValueError", "message": f"bins_per_channel must divide 256, got {bins}"}
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dot_slash", "absolute"])
+    @pytest.mark.parametrize("case", ["directory", "truncated", "two_names"])
+    def test_ingest_error_texts_are_unchanged(self, tmp_path, capsys, monkeypatch, case, absolute):
+        monkeypatch.chdir(tmp_path)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_ppm(frames / "frame_1_0.ppm", 1, 1, [(0, 0, 0)])
+        if case == "directory":
+            (frames / "frame_0_0.ppm").mkdir()
+        elif case == "truncated":
+            (frames / "frame_0_0.ppm").write_bytes(b"P6\n2 1\n255\n\x00\x00\x00")
+        else:
+            for name in ("frame_0_0.ppm", "frame_0_1.ppm", "frame_00_1.ppm"):
+                write_ppm(frames / name, 1, 1, [(0, 0, 0)])
+        shown = str(frames) if absolute else "frames"  # how the paths in the message read
+        want = {
+            "directory": ("CorpusIOError", f"cannot read {shown}/frame_0_0.ppm: [Errno 21] "
+                                           f"Is a directory: '{shown}/frame_0_0.ppm'"),
+            "truncated": ("CorpusParseError", f"{shown}/frame_0_0.ppm: truncated payload, "
+                                              "expected 6 bytes, got 3"),
+            "two_names": ("CorpusValidationError", f"{shown}/frame_00_1.ppm and "
+                                                   f"{shown}/frame_0_1.ppm are both frame 1 "
+                                                   "of subshot 0"),
+        }[case]
+        frames_dir = str(frames) if absolute else "./frames/"
+        error = self.refusal(capsys, frames_dir, tmp_path / "f.json")
+        assert (error["error"], error["message"]) == want
+
+
+def oracle_features(frames_dir: Path, bins: int, video_id: str) -> tuple[str, str]:
+    """The feature file text and stdout of a features command, by the oracle PPM reader and
+    histogram, frame by frame, and the stdlib's JSON writer."""
+    frames = {}
+    for path in frames_dir.iterdir():
+        match = re.fullmatch(r"frame_([0-9]+)_([0-9]+)\.ppm", path.name)
+        if match:
+            frames[int(match[1]), int(match[2])] = path
+    subshots: dict[int, list] = {}
+    for (subshot, _), path in sorted(frames.items()):
+        frame = oracles.ppm_frame(path.read_bytes(), path)
+        subshots.setdefault(subshot, []).append(
+            oracles.channel_histogram(frame.pixels, bins).tolist())
+    doc = {"video_id": video_id, "bins_per_channel": bins,
+           "subshots": [{"index": i, "frames": rows} for i, rows in sorted(subshots.items())]}
+    stdout = f"{video_id}: {len(subshots)} subshots, {len(frames)} frames\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n", stdout
+
+
+@st.composite
+def frame_files(draw):
+    """File name -> bytes: 1-4 subshots of 1-3 frames from 1x1 to 4x3, some headers with
+    comments, some numbers zero-padded, and files that are not frames."""
+    files = {}
+    shots = draw(st.lists(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                                   min_size=1, max_size=3), min_size=1, max_size=4))
+    for subshot, sizes in enumerate(shots):
+        for k, (width, height) in enumerate(sizes):
+            pad = draw(st.sampled_from(["", "", "0", "00"]))
+            comment = draw(st.sampled_from([b"", b"# by hand\n", b"\n#\n"]))
+            pixels = draw(st.binary(min_size=3 * width * height, max_size=3 * width * height))
+            files[f"frame_{pad}{subshot}_{k}.ppm"] = (
+                b"P6\n" + comment + b"%d %d\n255\n" % (width, height) + pixels)
+    for name in draw(st.sets(st.sampled_from(
+            ["notes.txt", "frame_0_0.png", "frame_a_0.ppm", "thumb.ppm", "frame_0.ppm"]))):
+        files[name] = draw(st.binary(max_size=4))
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_files(), st.sampled_from([1, 2, 16, 256]))
+def test_features_equals_the_oracle_pipeline(tmp_path_factory, files, bins):
+    frames = tmp_path_factory.mktemp("frames")
+    for name, blob in files.items():
+        (frames / name).write_bytes(blob)
+    out = frames.parent / f"{frames.name}.features.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["features", "--frames-dir", str(frames), "--bins", str(bins),
+                     "--video-id", "clip", "--output", str(out)]) == 0
+    want_file, want_stdout = oracle_features(frames, bins, "clip")
+    assert out.read_bytes() == want_file.encode("utf-8")
+    assert stdout.getvalue() == want_stdout
 
 
 class TestCorrelate:

@@ -291,6 +291,25 @@ class TestFeatures:
         with pytest.raises(CorpusValidationError, match="bins_per_channel: must be positive"):
             corpus.load_features(path)
 
+    @pytest.mark.parametrize("bins", [10**19, 10**400], ids=["past_int64", "400_digits"])
+    def test_a_huge_width_without_subshots_is_refused_by_name(self, tmp_path, bins):
+        """numpy once refused the empty matrix first: Maximum allowed dimension exceeded."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"video_id": "v", "bins_per_channel": bins, "subshots": []}))
+        with pytest.raises(CorpusValidationError) as exc:
+            corpus.load_features(path)
+        assert str(exc.value) == f"{path}: subshots: at least one subshot required"
+
+
+def test_an_unreadable_file_is_named_as_given_and_as_a_path(tmp_path, monkeypatch):
+    """The OSError text names the path normalised, as Path.read_bytes named it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x").mkdir()
+    with pytest.raises(CorpusIOError) as exc:
+        corpus.read_bytes("./x//missing.json")
+    assert str(exc.value) == ("cannot read ./x//missing.json: [Errno 2] "
+                              "No such file or directory: 'x/missing.json'")
+
 
 def test_write_is_atomic(tmp_path):
     target = tmp_path / "out.json"

@@ -348,6 +348,27 @@ def test_shared_table_is_replaced_only_at_a_call_for_another_set_or_past_the_bud
     assert shared_table(frozenset({"dog"})) is custom
 
 
+class UncomparableSet(frozenset):
+    """A stopword set that raises when compared by content."""
+
+    def __eq__(self, other):
+        raise AssertionError("the set was compared by content")
+
+    __ne__ = __eq__
+    __hash__ = frozenset.__hash__
+
+
+def test_the_held_stopword_set_is_reused_without_comparing_it(monkeypatch):
+    stopwords = UncomparableSet({"dog"})
+    table = shared_table(stopwords)
+    assert table.stopwords is stopwords
+    assert shared_table(stopwords) is table  # the same object: no comparison
+    monkeypatch.setattr(rouge, "_slot", threading.local())
+    held = shared_table(frozenset({"dog"}))
+    assert shared_table(frozenset({"dog"})) is held  # equal but distinct: compared, reused
+    assert shared_table() is not held
+
+
 @pytest.mark.parametrize("kind", [3, 0, "SU", None])
 def test_an_unknown_unit_kind_is_refused(kind):
     table = UnitTable()
