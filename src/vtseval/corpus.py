@@ -14,10 +14,10 @@ its file once, in ``_parse_json``, which refuses the literals NaN and
 Infinity by name; a literal that overflows, such as 1e999, reads as an
 infinite float, and the field that reads it refuses it by name. A field
 that no loader reads goes unchecked, in every loader alike. A feature
-file is read once, subshot by subshot, into one SubshotFeatures;
-``validate_features``, the one check of frame values on load and on
-save, checks every frame in numpy and names the first bad subshot and
-frame. Every input file, the stopword lists of
+file is read once, subshot by subshot, into one SubshotFeatures, whose
+constructor is the one check of a feature table, on load and for a
+library caller alike: it checks every frame in numpy and names the first
+bad subshot and frame. Every input file, the stopword lists of
 ``textproc.load_stopwords`` and the frames of ``visual.load_ppm``
 included, is read by ``read_bytes`` (or ``read_text``, its UTF-8 text):
 a file that cannot be read raises CorpusIOError and one that is not
@@ -160,13 +160,21 @@ class GroundTruthSummary:
 
 @dataclass(frozen=True, init=False, eq=False)
 class SubshotFeatures:
-    """A video's frame histograms as one matrix.
+    """A video's frame histograms as one matrix, checked as it is built.
 
     ``frames`` holds every frame's 3*bins_per_channel-bin histogram, in
     subshot order, as one C-contiguous float64 array; subshot i owns rows
     ``offsets[i]:offsets[i + 1]``, and ``subshots[i]`` is a view of them.
-    The one constructor copies one 2-D array per subshot, all of one width,
-    into the matrix; ``validate_features`` checks the result. ``frames``,
+    The one constructor copies one 2-D array per subshot into the matrix
+    and is the one check of a feature table, on load and for a library
+    caller alike. It raises CorpusValidationError naming the first fault:
+    bins_per_channel below 1, no subshot, then subshot by subshot its
+    shape (2-D, at least one frame, 3*bins_per_channel bins) before its
+    frames (no negative entry, and a sum s that passes
+    ``math.isclose(s, 1.0, abs_tol=1e-9)``, which refuses NaN and
+    infinity). The subshots before the first of another shape are stacked
+    and their frames checked in one numpy pass; a row's sum along the
+    matrix has the bits of the sum of that row alone. ``frames``,
     ``offsets`` and every view are read-only: the loaders hand one record
     to every load of the same file. Records compare and hash by identity.
     """
@@ -179,10 +187,24 @@ class SubshotFeatures:
 
     def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
-        # with no subshot, no width: validate_features refuses the record by name, and numpy
-        # would refuse a negative or huge bins_per_channel by its own message
-        frames = np.concatenate(arrays) if arrays else np.empty((0, 0))
-        offsets = np.cumsum([0] + [len(a) for a in arrays], dtype=np.intp)
+        dim = 3 * bins_per_channel
+        if bins_per_channel < 1:
+            raise CorpusValidationError("bins_per_channel: must be positive")
+        if not arrays:
+            raise CorpusValidationError("subshots: at least one subshot required")
+        # the first subshot of another shape is named after the frames before it; when that is
+        # subshots[0], nothing is stacked, so no (0, dim) matrix is made for a huge dim
+        odd = next((i for i, a in enumerate(arrays)
+                    if a.ndim != 2 or len(a) < 1 or a.shape[1] != dim), len(arrays))
+        offsets = np.cumsum([0] + [len(a) for a in arrays[:odd]], dtype=np.intp)
+        if odd:
+            frames = np.concatenate(arrays[:odd])
+            _check_frames(frames, offsets)
+        if odd < len(arrays):
+            where, shape = f"subshots[{odd}].frames", arrays[odd].shape
+            if len(shape) != 2 or shape[0] < 1:
+                raise CorpusValidationError(f"{where}: at least one frame required")
+            raise CorpusValidationError(f"{where}: histograms must have {dim} bins, got {shape[1]}")
         frames.flags.writeable = offsets.flags.writeable = False  # and so every view
         bounds = offsets.tolist()
         views = tuple(frames[start:stop] for start, stop in zip(bounds, bounds[1:]))
@@ -196,6 +218,21 @@ class SubshotFeatures:
     def owners(self) -> list[int]:
         """Each frame's subshot index, in frame order."""
         return np.repeat(np.arange(len(self.subshots)), np.diff(self.offsets)).tolist()
+
+
+def _check_frames(frames: np.ndarray, offsets: np.ndarray) -> None:
+    """Refuse the first frame, in order, with a negative entry or a sum not close to 1."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf and -inf is NaN
+        sums = frames.sum(axis=1)
+    gap = np.abs(1.0 - sums)
+    close = (sums == 1.0) | np.isfinite(sums) & ((gap <= 1e-9) | (gap <= np.abs(1e-9 * sums)))
+    bad = np.flatnonzero(np.any(frames < 0, axis=1) | ~close)
+    if len(bad):
+        i = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        where = f"subshots[{i}].frames[{bad[0] - offsets[i]}]"
+        if np.any(frames[bad[0]] < 0):
+            raise CorpusValidationError(f"{where}: negative histogram entry")
+        raise CorpusValidationError(f"{where}: histogram sums to {float(sums[bad[0]])!r}, expected 1")
 
 
 # ---------------------------------------------------------------------------
@@ -260,54 +297,11 @@ def validate_ground_truths(gts) -> None:
                 f"summaries[{i}].author_id: {ids[i]!r} repeats summaries[{j}]")
 
 
-def _check_shape(i: int, frames: np.ndarray, dim: int) -> None:
-    where = f"subshots[{i}].frames"
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise CorpusValidationError(f"{where}: at least one frame required")
-    if frames.shape[1] != dim:
-        raise CorpusValidationError(
-            f"{where}: histograms must have {dim} bins, got {frames.shape[1]}"
-        )
-
-
-def validate_features(features: SubshotFeatures) -> None:
-    """Check every frame in numpy; the error names the first bad subshot and frame.
-
-    A frame must have no negative entry, and its sum s must pass
-    ``math.isclose(s, 1.0, abs_tol=1e-9)``, which refuses NaN and infinity.
-    Every row is tested at once with isclose's IEEE comparisons applied
-    elementwise; a row's sum along the matrix has the bits of the sum of
-    that row alone. Faults are named in subshot order, a subshot's shape
-    before its frames.
-    """
-    bins, frames, offsets = features.bins_per_channel, features.frames, features.offsets
-    if bins < 1:
-        raise CorpusValidationError("bins_per_channel: must be positive")
-    if len(features) < 1:
-        raise CorpusValidationError("subshots: at least one subshot required")
-    if frames.ndim != 2 or frames.shape[1] != 3 * bins:  # subshots[0] has that shape
-        _check_shape(0, features.subshots[0], 3 * bins)
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum of inf and -inf is NaN
-        sums = frames.sum(axis=1)
-    gap = np.abs(1.0 - sums)
-    close = (sums == 1.0) | np.isfinite(sums) & ((gap <= 1e-9) | (gap <= np.abs(1e-9 * sums)))
-    bad = np.flatnonzero(np.any(frames < 0, axis=1) | ~close)
-    empty = np.flatnonzero(np.diff(offsets) == 0)
-    # the first bad frame's subshot; a subshot without frames before it comes first
-    i = int(np.searchsorted(offsets, bad[0], side="right")) - 1 if len(bad) else len(features)
-    if len(empty) and empty[0] < i:
-        _check_shape(int(empty[0]), features.subshots[empty[0]], 3 * bins)
-    if len(bad):
-        where = f"subshots[{i}].frames[{bad[0] - offsets[i]}]"
-        if np.any(frames[bad[0]] < 0):
-            raise CorpusValidationError(f"{where}: negative histogram entry")
-        raise CorpusValidationError(f"{where}: histogram sums to {float(sums[bad[0]])!r}, expected 1")
-
-
-def _on_load(ctx: str, check, *args) -> None:
-    """check(*args) on a load of the file at ctx: its CorpusValidationError names the path."""
+def _on_load(ctx: str, check, *args):
+    """check(*args) on a load of the file at ctx, and its value; its CorpusValidationError names
+    the path."""
     try:
-        check(*args)
+        return check(*args)
     except CorpusValidationError as exc:
         raise CorpusValidationError(f"{ctx}: {exc}") from None
 
@@ -854,15 +848,7 @@ def _features_of(data: dict, ctx: str) -> SubshotFeatures:
         if arr.ndim != 2:
             raise CorpusParseError(f"{where}.frames: expected a list of histograms")
         subshots.append(arr)
-    # only frames of one width stack: validate the subshots before the first
-    # other width (subshots[0] alone if it is that one), then name that width
-    dim = 3 * bins
-    wide = next((i for i, a in enumerate(subshots) if a.shape[1] != dim), len(subshots))
-    features = SubshotFeatures(video_id, bins, subshots[:wide] or subshots[:1])
-    _on_load(ctx, validate_features, features)
-    if wide < len(subshots):
-        _on_load(ctx, _check_shape, wide, subshots[wide], dim)
-    return features
+    return _on_load(ctx, SubshotFeatures, video_id, bins, subshots)
 
 
 def _check_coverage(ctx: str, m: int, video: VideoRecord | None) -> None:
@@ -895,8 +881,8 @@ class _SubshotTexts:
 
 
 def save_features(path: str | Path, features: SubshotFeatures) -> None:
-    """Write features as canonical JSON; each distinct value's text is made once for the file."""
-    validate_features(features)
+    """Write features, checked when built, as canonical JSON; each distinct value's text is made
+    once for the file."""
     texts, index = float_texts(features.frames)
     write_canonical(
         path,

@@ -20,7 +20,7 @@ from .corpus import GroundTruthSummary, SubshotFeatures, SummarySelection, Video
 from .evaluator import length_adjust
 from .rng import SplitMix64
 from .rouge import UnitTable, find, postings, shared_table, su_f_matrix
-from .visual import chi_square_matrix, left_sum, pairwise_chi_square
+from .visual import chi_square_matrix, left_sum
 
 
 # the summary-size rule of every summarizer
@@ -178,7 +178,7 @@ def mmr_keyframes(features: SubshotFeatures, n: int, lambda_: float) -> list[int
     _check_count(n, len(features))
     owners = features.owners()
     f = len(owners)
-    dist = pairwise_chi_square(features.frames)
+    dist = chi_square_matrix(features.frames, features.frames)
 
     selected: list[int] = []
     keep = np.ones(f, dtype=bool)  # the unselected frames

@@ -8,12 +8,13 @@ samples with one shift and one bincount. ``vtseval features`` calls both
 once per frame, in (subshot, frame) order, into one matrix. Histograms
 are per-channel with B bins each, concatenated R,G,B and jointly
 L1-normalized, so the chi-square distance between two of them lands in
-[0, 1]. Every distance comes from one
-row-blocked kernel, chi_square_matrix, and its symmetric form
-pairwise_chi_square (read by MMR): chi_square is one cell, subshot_min_distance
-the minimum of a block, subshot_distances every block minimum of chosen subshot
+[0, 1]. Every distance comes from one row-blocked driver, chi_square_matrix,
+which given one array twice (MMR's call) computes the blocks on and above the
+diagonal and mirrors them: chi_square is one cell, subshot_min_distance the
+minimum of a block, subshot_distances every block minimum of chosen subshot
 pairs, and pixel_summary_distances, the one pixel summary metric, a mean of
-row minima per summary (pixel_summary_distance is its one-row call).
+row minima per summary (pixel_summary_distance is its one-row call). Each
+refuses a malformed argument with a ValueError that names it.
 """
 from __future__ import annotations
 
@@ -84,12 +85,17 @@ def compute_histogram(frame: Frame, bins_per_channel: int) -> np.ndarray:
     """Concatenated per-channel color histogram, jointly L1-normalized.
 
     Pixel value v goes to bin floor(v * B / 256); B must divide 256 so
-    bins are uniform. The 3B-vector sums to exactly 1.
+    bins are uniform. The 3B-vector sums to exactly 1. The frame must hold
+    3 * width * height bytes, at least one pixel's.
     """
     b = bins_per_channel
     check_bins(b)
     if not frame.pixels:
         raise ValueError("cannot compute a histogram of a zero-pixel frame")
+    expected = 3 * frame.width * frame.height
+    if len(frame.pixels) != expected:
+        raise ValueError(f"frame pixels: a {frame.width}x{frame.height} frame needs {expected} "
+                         f"bytes, got {len(frame.pixels)}")
     data = np.frombuffer(frame.pixels, dtype=np.uint8).reshape(-1, 3)
     # B = 2**k divides 256, so floor(v * B / 256) is v >> (8 - k), taken in uint8; the
     # channel offsets, up to 2B, widen the sum to intp
@@ -98,12 +104,13 @@ def compute_histogram(frame: Frame, bins_per_channel: int) -> np.ndarray:
 
 
 def chi_square(a: np.ndarray, b: np.ndarray) -> float:
-    """0.5 * sum (a-b)^2 / (a+b), empty bins contribute 0: one cell of chi_square_matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """0.5 * sum (a-b)^2 / (a+b) of two 1-D histograms, empty bins 0: a chi_square_matrix cell."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"chi_square takes two 1-D histograms, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ValueError(f"histogram length mismatch: {a.shape} vs {b.shape}")
-    return float(chi_square_matrix(a.reshape(1, -1), b.reshape(1, -1))[0, 0])
+    return float(chi_square_matrix(a[None], b[None])[0, 0])
 
 
 # Byte budget of one buffer of the chi-square matrix kernel. A block takes
@@ -115,12 +122,6 @@ _BLOCK_BYTES = 1 << 20
 
 def _block_rows(cols: int, width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(1, cols * width)))
-
-
-def _workspace(rows: int, cols: int, width: int) -> tuple[np.ndarray, ...]:
-    """Buffers for _chi_square_block on up to rows x cols row pairs, reused block after block."""
-    size = rows * cols * width
-    return np.empty(size), np.empty(size)
 
 
 def _check_entries(a: np.ndarray) -> None:
@@ -150,36 +151,24 @@ def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with empty bins contributing 0. A negative, NaN or infinite entry is
     refused (ValueError). The result is computed in row blocks of at most
     _BLOCK_BYTES per temporary, and every cell has the same bits as the
-    one-shot broadcast over all rows.
+    one-shot broadcast over all rows. Given one array twice (``b is a``),
+    only the blocks on and above the diagonal are computed and mirrored:
+    (x-y)^2 == (y-x)^2 and x+y == y+x hold exactly in floating point.
     """
+    half = b is a
     _check_entries(a)
-    _check_entries(b)
+    if not half:
+        _check_entries(b)
     out = np.empty((a.shape[0], b.shape[0]))
     step = _block_rows(b.shape[0], a.shape[1])
-    work = _workspace(min(step, a.shape[0]), b.shape[0], a.shape[1])
+    size = min(step, a.shape[0]) * b.shape[0] * a.shape[1]
+    work = np.empty(size), np.empty(size)  # _chi_square_block's buffers, reused block by block
     for start in range(0, a.shape[0], step):
-        out[start : start + step] = _chi_square_block(a[start : start + step], b, work)
-    return out
-
-
-def pairwise_chi_square(a: np.ndarray) -> np.ndarray:
-    """chi_square_matrix(a, a), computing only the upper-triangle blocks; a negative, NaN or
-    infinite entry is refused (ValueError).
-
-    (x-y)^2 == (y-x)^2 and x+y == y+x hold exactly in floating point, so
-    each mirrored cell has the same bits as computing it directly, and the
-    diagonal is exactly 0.0.
-    """
-    _check_entries(a)
-    f = a.shape[0]
-    out = np.empty((f, f))
-    step = _block_rows(f, a.shape[1])
-    work = _workspace(min(step, f), f, a.shape[1])
-    for start in range(0, f, step):
-        stop = min(start + step, f)
-        block = _chi_square_block(a[start:stop], a[start:], work)
-        out[start:stop, start:] = block
-        out[stop:, start:stop] = block[:, stop - start :].T
+        stop, first = min(start + step, a.shape[0]), start if half else 0
+        block = _chi_square_block(a[start:stop], b[first:], work)
+        out[start:stop, first:] = block
+        if half:
+            out[stop:, start:stop] = block[:, stop - start :].T
     return out
 
 
@@ -201,6 +190,8 @@ def check_range(features: SubshotFeatures, indices) -> None:
 def subshot_distances(features: SubshotFeatures, rows, cols) -> np.ndarray:
     """Cell (i, j) is the least chi-square between frames of subshots rows[i] and cols[j], all
     from one chi_square_matrix call; indices may repeat, in any order; neither side may be empty."""
+    if len(rows) == 0 or len(cols) == 0:
+        raise ValueError(f"{'cols' if len(rows) else 'rows'}: at least one subshot index required")
     check_range(features, (*rows, *cols))
     sides = [[features.subshots[i] for i in side] for side in (rows, cols)]
     starts = [np.cumsum([0] + [len(frames) for frames in chosen[:-1]]) for chosen in sides]
@@ -213,7 +204,10 @@ def pixel_summary_distances(picks, gt_indices, features: SubshotFeatures) -> np.
     ground-truth subshot, a left fold in pick order; lower is more visually similar. The k
     summaries are non-empty and of one size; each distinct pick is one row of one
     subshot_distances call."""
-    if not all(map(len, picks)):
+    for row in picks:  # sizes first, as judge_summary_pair checks them
+        if len(row) != len(picks[0]):
+            raise ValueError(f"summaries must have equal size, got {len(picks[0])} and {len(row)}")
+    if not len(picks[0]):
         raise ValueError("summary selection is empty")
     if len(gt_indices) == 0:
         raise ValueError("ground-truth selection is empty")

@@ -2,8 +2,10 @@
 
 The kernel must give the same bits as the one-shot broadcast formula
 (inlined below) whatever the block size, including on block edges, empty
-bins and duplicated rows; MMR must pick what the brute-force oracle picks
-at every step; and neither may hold an f x f x 3B temporary.
+bins and duplicated rows, and given one array twice its half-computed,
+mirrored matrix must have the bits of the full one; MMR must pick what the
+brute-force oracle picks at every step; and neither may hold an f x f x 3B
+temporary.
 """
 import re
 import time
@@ -78,11 +80,11 @@ def test_blocked_kernels_equal_one_shot_formula_bit_for_bit(inputs):
         with blocks_of(rows, b.shape[0], width):
             got = visual.chi_square_matrix(a, b)
         with blocks_of(rows, f, width):
-            got_pairwise = visual.pairwise_chi_square(a)
+            got_pairwise = visual.chi_square_matrix(a, a)
         assert got.tobytes() == want.tobytes()
         assert got_pairwise.tobytes() == want_pairwise.tobytes()
     assert visual.chi_square_matrix(a, b).tobytes() == want.tobytes()
-    assert visual.pairwise_chi_square(a).tobytes() == want_pairwise.tobytes()
+    assert visual.chi_square_matrix(a, a).tobytes() == want_pairwise.tobytes()
     assert np.all(np.diagonal(got_pairwise) == 0.0)
 
 
@@ -144,7 +146,7 @@ def test_reused_buffers_leak_nothing_between_blocks_or_calls(calls):
         with blocks_of(rows, b.shape[0], a.shape[1]):
             got = kernel_or_refusal(visual.chi_square_matrix, a, b)
         with blocks_of(rows, a.shape[0], a.shape[1]):
-            got_pairwise = kernel_or_refusal(visual.pairwise_chi_square, a)
+            got_pairwise = kernel_or_refusal(visual.chi_square_matrix, a, a)
         signed_a, signed_b = (bool((side < 0).any()) for side in (a, b))
         assert got == ("refused" if signed_a or signed_b else one_shot(a, b).tobytes())
         assert got_pairwise == ("refused" if signed_a else one_shot(a, a).tobytes())
@@ -163,15 +165,48 @@ def test_a_negative_or_nan_entry_is_refused(a, b, bad):
     message = f"histogram entries must be finite and non-negative, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         visual.chi_square(a, b)
+    both = np.array([a, b])
     with pytest.raises(ValueError, match=re.escape(message)):  # the first bad entry in C order
-        visual.pairwise_chi_square(np.array([a, b]))
+        visual.chi_square_matrix(both, both)
+
+
+@st.composite
+def one_array_cases(draw):
+    """f >= 2 rows, some all zero and some duplicated, and a block of fewer rows than f."""
+    width = draw(widths)
+    f = draw(st.integers(2, 2 * BLOCK + 3))
+    a = draw(histograms(f, width))
+    for z in draw(st.lists(st.integers(0, f - 1), max_size=3)):
+        a[z] = 0.0
+    return a, draw(st.integers(1, f - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_array_cases())
+def test_one_array_twice_has_the_bits_of_two_equal_arrays(case):
+    """Given b is a, the blocks above the diagonal are mirrored: the bytes of a copy's matrix."""
+    a, rows = case
+    with blocks_of(rows, a.shape[0], a.shape[1]):
+        got = visual.chi_square_matrix(a, a)
+        want = visual.chi_square_matrix(a, a.copy())
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.diagonal(got) == 0.0)
+
+
+def test_one_array_twice_is_checked_once():
+    a = np.full((3, 3), 1 / 3)
+    with mock.patch.object(visual, "_check_entries", wraps=visual._check_entries) as check:
+        visual.chi_square_matrix(a, a)
+        assert check.call_count == 1
+        visual.chi_square_matrix(a, a.copy())
+        assert check.call_count == 3
 
 
 def test_negative_zero_and_subnormal_entries_are_read_as_the_one_shot_formula_reads_them():
     a = np.array([[-0.0, 5e-324, 0.5, 0.5 - 5e-324], [0.0, -0.0, 1.0, 0.0]])
     b = np.array([[0.0, 0.0, 1.0, 0.0], [5e-324, -0.0, 0.25, 0.75], [-0.0, -0.0, 0.0, 1.0]])
     assert visual.chi_square_matrix(a, b).tobytes() == one_shot(a, b).tobytes()
-    assert visual.pairwise_chi_square(b).tobytes() == one_shot(b, b).tobytes()
+    assert visual.chi_square_matrix(b, b).tobytes() == one_shot(b, b).tobytes()
 
 
 def test_default_budget_splits_large_inputs_into_blocks():
@@ -182,7 +217,7 @@ def test_default_budget_splits_large_inputs_into_blocks():
     a[a.sum(axis=1) == 0, 0] = 1.0
     a /= a.sum(axis=1, keepdims=True)
     assert visual._block_rows(300, 48) < 300
-    assert visual.pairwise_chi_square(a).tobytes() == one_shot(a, a).tobytes()
+    assert visual.chi_square_matrix(a, a).tobytes() == one_shot(a, a).tobytes()
     assert visual.chi_square_matrix(a, a[:40]).tobytes() == one_shot(a, a[:40]).tobytes()
 
 
@@ -207,7 +242,7 @@ def mmr_inputs(draw):
     flat = draw(histograms(m * fps, draw(widths)))
     features = SubshotFeatures(
         video_id="v",
-        bins_per_channel=1,
+        bins_per_channel=flat.shape[1] // 3,
         subshots=tuple(flat[s * fps : (s + 1) * fps] for s in range(m)),
     )
     lam = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))

@@ -276,7 +276,7 @@ def test_mmr_picks_are_the_fold_loop_s(monkeypatch):
         f = int(sizes.sum())
         dist = symmetric_distances(rng, f)
         features = SubshotFeatures("v", 1, tuple(np.full((k, 3), 1 / 3) for k in sizes))
-        monkeypatch.setattr(summarize, "pairwise_chi_square", lambda frames: dist)
+        monkeypatch.setattr(summarize, "chi_square_matrix", lambda a, b: dist)
         lam, n = float(rng.choice([0.0, 0.3, 0.5, 1.0])), int(rng.integers(1, m + 1))
         want = oracles.mmr_picks_loop(dist, features.owners(), n, lam)
         assert mmr_keyframes(features, n, lam) == want
@@ -285,7 +285,7 @@ def test_mmr_picks_are_the_fold_loop_s(monkeypatch):
 class TestVideoMmr:
     def test_first_step_tie_break(self):
         # f1 == f2, f3 orthogonal: f1 wins the tie at mean distance 0.5
-        features = make_features([[[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]])
+        features = make_features([[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]])
         keys = mmr_keyframes(features, 1, 0.5)
         assert keys[0] == 0
 

@@ -10,10 +10,10 @@ loaders must give what the checked path gives: read_json's parse
 followed by the field-by-field reader of that kind in ``oracles``, with
 the features' frame checks done one subshot and one frame at a time by
 ``oracles.frame_fault``. That is the same arrays and records, or the
-same exception class and message. ``validate_features`` is pinned to
-the same per-frame loop on features built directly, which the loader
-cannot produce (subshots without frames, a width that differs from the
-bins).
+same exception class and message. The ``SubshotFeatures`` constructor,
+the one check of a feature table, is pinned to the same per-frame loop
+on tables built directly, some of which the loader cannot produce
+(subshots without frames, 1-D subshots, a subshot of another width).
 """
 import json
 from unittest import mock
@@ -196,10 +196,12 @@ def test_first_fault_in_subshot_order_is_named(tmp_path, first, second, message)
 
 
 FRAME_FAULTS = ["negative", "nan", "inf", "sum_off", "near_tolerance"]
+# faults of a whole subshot: no frames, one frame as a 1-D array, frames of another width
+SUBSHOT_FAULTS = ["empty_subshot", "one_d_subshot", "other_width"]
 
 
 @st.composite
-def built_features(draw, kinds=st.lists(st.sampled_from(FRAME_FAULTS + ["empty_subshot"]),
+def built_features(draw, kinds=st.lists(st.sampled_from(FRAME_FAULTS + SUBSHOT_FAULTS),
                                         max_size=2)):
     """Per-subshot arrays with a fault of each drawn kind; the loader cannot make some of them."""
     bins = draw(st.sampled_from([1, 2, 16]))  # 48 bins sum pairwise in numpy
@@ -215,6 +217,15 @@ def built_features(draw, kinds=st.lists(st.sampled_from(FRAME_FAULTS + ["empty_s
         i = draw(st.integers(0, len(subshots) - 1))
         if kind == "empty_subshot" or not len(subshots[i]):
             subshots[i] = np.empty((0, width))
+            continue
+        if kind == "one_d_subshot":
+            subshots[i] = np.full(width, 1 / width)
+            continue
+        if kind == "other_width":  # frames that sum to 1, or no bins at all
+            other = width + draw(st.sampled_from([-width, -1, 1, 3]))
+            subshots[i] = np.full((draw(st.integers(1, 3)), other), 1 / max(other, 1))
+            continue
+        if subshots[i].ndim != 2 or subshots[i].shape[1] != width:
             continue
         j, k = draw(st.integers(0, len(subshots[i]) - 1)), draw(st.integers(0, width - 1))
         if kind == "negative":
@@ -233,35 +244,56 @@ def built_features(draw, kinds=st.lists(st.sampled_from(FRAME_FAULTS + ["empty_s
 
 @settings(max_examples=300, deadline=None)
 @given(built_features())
-def test_validate_features_names_what_the_per_frame_loop_names(case):
-    assert_validates_like_the_per_frame_loop(*case)
+def test_constructor_names_what_the_per_frame_loop_names(case):
+    assert_constructs_like_the_per_frame_loop(*case)
 
 
 @settings(max_examples=200, deadline=None)
 @given(built_features(st.tuples(st.sampled_from(FRAME_FAULTS),
-                                st.just("empty_subshot")).flatmap(st.permutations)))
-def test_validate_features_two_faults_name_what_the_per_frame_loop_names(case):
-    assert_validates_like_the_per_frame_loop(*case)
+                                st.sampled_from(SUBSHOT_FAULTS)).flatmap(st.permutations)))
+def test_constructor_two_faults_name_what_the_per_frame_loop_names(case):
+    assert_constructs_like_the_per_frame_loop(*case)
 
 
-def assert_validates_like_the_per_frame_loop(bins, subshots):
-    features = corpus.SubshotFeatures("v", bins, subshots)
+def assert_constructs_like_the_per_frame_loop(bins, subshots):
+    """The constructor raises exactly the per-frame loop's first fault, or accepts the table."""
     try:
-        corpus.validate_features(features)
+        features = corpus.SubshotFeatures("v", bins, subshots)
         got = None
     except corpus.CorpusValidationError as exc:
         got = str(exc)
     assert got == frame_fault(bins, subshots)
+    if got is None:
+        assert features.frames.tobytes() == np.concatenate(subshots).tobytes()
 
 
-def test_load_and_save_check_frames_through_validate_features(tmp_path):
-    features = corpus.SubshotFeatures("v", 1, [np.array([[0.5, 0.25, 0.0]])])
-    with mock.patch.object(corpus, "validate_features", wraps=corpus.validate_features) as check:
-        with pytest.raises(corpus.CorpusValidationError, match="sums to 0.75"):
-            corpus.save_features(tmp_path / "f.json", features)
-        two_subshot_file(tmp_path / "g.json", [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+def test_a_subshot_of_another_width_is_named():
+    with pytest.raises(corpus.CorpusValidationError) as info:
+        corpus.SubshotFeatures("v", 1, [np.ones((1, 3)) / 3, np.ones((1, 6)) / 6])
+    assert str(info.value) == "subshots[1].frames: histograms must have 3 bins, got 6"
+
+
+def test_a_huge_bin_count_is_named_without_allocating_its_width(tmp_path):
+    """No (0, 3 * bins) matrix is made for a first subshot of another width."""
+    message = "subshots[0].frames: histograms must have 30000000000000000000 bins, got 3"
+    with pytest.raises(corpus.CorpusValidationError) as info:
+        corpus.SubshotFeatures("v", 10**19, [np.full((1, 3), 1 / 3)])
+    assert str(info.value) == message
+    path = tmp_path / "f.json"
+    path.write_text('{"video_id": "v", "bins_per_channel": %d, "subshots": '
+                    '[{"index": 0, "frames": [[0.5, 0.5, 0.0]]}]}' % 10**19)
+    with pytest.raises(corpus.CorpusValidationError) as info:
+        corpus.load_features(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_the_loader_checks_frames_through_the_constructor(tmp_path):
+    with pytest.raises(corpus.CorpusValidationError, match="sums to 0.75"):
+        corpus.SubshotFeatures("v", 1, [np.array([[0.5, 0.25, 0.0]])])
+    two_subshot_file(tmp_path / "g.json", [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+    with mock.patch.object(corpus, "SubshotFeatures", wraps=corpus.SubshotFeatures) as build:
         corpus.load_features(tmp_path / "g.json")
-    assert check.call_count == 2
+    assert build.call_count == 1
 
 
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])

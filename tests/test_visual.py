@@ -12,6 +12,8 @@ from vtseval.visual import (
     compute_histogram,
     load_ppm,
     pixel_summary_distance,
+    pixel_summary_distances,
+    subshot_distances,
     subshot_min_distance,
 )
 
@@ -150,6 +152,14 @@ class TestComputeHistogram:
         with pytest.raises(ValueError):
             compute_histogram(Frame(0, 0, b""), 16)
 
+    @pytest.mark.parametrize("width, height, size", [(2, 2, 3), (1, 1, 2), (1, 1, 6), (2, 1, 3)])
+    def test_rejects_pixels_that_are_not_three_bytes_per_pixel(self, width, height, size):
+        """Binning part of a frame, or a partial pixel, would give a plausible-looking histogram."""
+        with pytest.raises(ValueError) as exc:
+            compute_histogram(Frame(width, height, bytes(size)), 16)
+        assert str(exc.value) == (
+            f"frame pixels: a {width}x{height} frame needs {3 * width * height} bytes, got {size}")
+
     def test_output_normalized(self):
         rng = random.Random(1)
         for _ in range(10):
@@ -185,8 +195,20 @@ class TestChiSquare:
         assert d == pytest.approx(0.0666667, abs=1e-6)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             chi_square(np.array([1.0]), np.array([0.5, 0.5]))
+        assert str(exc.value) == "histogram length mismatch: (1,) vs (2,)"
+
+    @pytest.mark.parametrize("a, b", [
+        (np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3)),  # one histogram of six bins before
+        (np.array(1.0), np.array(1.0)),
+        (np.array([0.5, 0.5]), np.array([[0.5, 0.5]])),
+    ], ids=["two_matrices", "two_scalars", "vector_and_matrix"])
+    def test_refuses_anything_but_two_1d_histograms(self, a, b):
+        with pytest.raises(ValueError) as exc:
+            chi_square(a, b)
+        assert str(exc.value) == (
+            f"chi_square takes two 1-D histograms, got shapes {a.shape} and {b.shape}")
 
     def test_properties_random(self):
         rng = random.Random(2)
@@ -288,6 +310,20 @@ class TestPixelSummaryDistance:
             pixel_summary_distance(empty, full, features)
         with pytest.raises(ValueError):
             pixel_summary_distance(full, empty, features)
+
+    def test_rejects_summaries_of_unequal_size(self, features12):
+        """In judge_summary_pair's words, not numpy's inhomogeneous-shape error."""
+        for picks, sizes in (([[0, 1], [2]], "2 and 1"), ([[0], [1], [2, 3]], "1 and 2")):
+            with pytest.raises(ValueError) as exc:
+                pixel_summary_distances(picks, [3], features12)
+            assert str(exc.value) == f"summaries must have equal size, got {sizes}"
+
+    @pytest.mark.parametrize("rows, cols, side", [([], [1], "rows"), ([1], [], "cols"),
+                                                  ([], [], "rows"), ([], [99], "rows")])
+    def test_subshot_distances_refuse_an_empty_side_by_name(self, features12, rows, cols, side):
+        with pytest.raises(ValueError) as exc:
+            subshot_distances(features12, rows, cols)
+        assert str(exc.value) == f"{side}: at least one subshot index required"
 
     @pytest.mark.parametrize("summary, gt, bad", [((-1,), (2, 5), -1), ((0, 3), (5, -12), -12),
                                                   ((11, 12), (0,), 12)])
