@@ -108,9 +108,7 @@ def chi_square(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError(f"chi_square takes two 1-D histograms, got shapes {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"histogram length mismatch: {a.shape} vs {b.shape}")
-    return float(chi_square_matrix(a[None], b[None])[0, 0])
+    return float(chi_square_matrix(a[None], b[None])[0, 0])  # which refuses unequal lengths
 
 
 # Byte budget of one buffer of the chi-square matrix kernel. A block takes
@@ -134,12 +132,17 @@ def _check_entries(a: np.ndarray) -> None:
 def _chi_square_block(a: np.ndarray, b: np.ndarray, work: tuple[np.ndarray, ...]) -> np.ndarray:
     shape = (a.shape[0], b.shape[0], a.shape[1])
     num, den = (buf[: shape[0] * shape[1] * shape[2]].reshape(shape) for buf in work)
-    np.subtract(a[:, None, :], b[None, :, :], out=num)
+    # den takes each row of the block once per row of b, so the subtraction and the addition
+    # below run over whole blocks rather than one histogram at a time. Its empty bins are
+    # raised to 2**-1074, the least positive double, which keeps every cell's bits. Where
+    # y = 0 too, the term is 0 / 2**-1074 = 0.0, as in the masked formula. Where
+    # y >= 2**-1020, y +- 2**-1074 rounds to y: that is at most half an ulp of y, and the
+    # tie at 2**-1020 rounds to even, to y. Where 0 < y < 2**-1020, y^2 and
+    # (2**-1074 - y)^2 both round to 0.0. A bin x > 0 is kept, and x + y > 0 there.
+    np.copyto(den, np.maximum(a, 2.0**-1074)[:, None, :])
+    np.subtract(den, b, out=num)
     np.square(num, out=num)
-    np.add(a[:, None, :], b[None, :, :], out=den)
-    # x + y is 0 only where both bins are, and then so is (x - y)^2: 0 / 2**-1074 adds 0.0
-    # there, and no positive sum is below 2**-1074
-    np.maximum(den, 2.0**-1074, out=den)
+    np.add(den, b, out=den)
     np.divide(num, den, out=num)
     return 0.5 * num.sum(axis=-1)
 
@@ -148,13 +151,21 @@ def chi_square_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chi-square distances of every row of a to every row of b, shape (len(a), len(b)).
 
     Each cell is 0.5 * sum over the histogram axis of (x-y)^2 / (x+y),
-    with empty bins contributing 0. A negative, NaN or infinite entry is
-    refused (ValueError). The result is computed in row blocks of at most
-    _BLOCK_BYTES per temporary, and every cell has the same bits as the
-    one-shot broadcast over all rows. Given one array twice (``b is a``),
-    only the blocks on and above the diagonal are computed and mirrored:
-    (x-y)^2 == (y-x)^2 and x+y == y+x hold exactly in floating point.
+    with empty bins contributing 0. An argument that is not 2-D is refused
+    by name, rows of unequal length as a ``histogram length mismatch``, and
+    a negative, NaN or infinite entry, all with ValueError. The result is
+    computed in row blocks of at most _BLOCK_BYTES per temporary, and every
+    cell has the same bits as the one-shot broadcast over all rows. Given
+    one array twice (``b is a``), only the blocks on and above the diagonal
+    are computed and mirrored: (x-y)^2 == (y-x)^2 and x+y == y+x hold
+    exactly in floating point.
     """
+    for name, side in (("a", a), ("b", b)):
+        if np.ndim(side) != 2:
+            raise ValueError(f"{name}: chi_square_matrix takes 2-D arrays of histograms, "
+                             f"got shape {np.shape(side)}")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"histogram length mismatch: {a.shape[1:]} vs {b.shape[1:]}")
     half = b is a
     _check_entries(a)
     if not half:
@@ -204,6 +215,8 @@ def pixel_summary_distances(picks, gt_indices, features: SubshotFeatures) -> np.
     ground-truth subshot, a left fold in pick order; lower is more visually similar. The k
     summaries are non-empty and of one size; each distinct pick is one row of one
     subshot_distances call."""
+    if not len(picks):
+        raise ValueError("picks: at least one summary required")
     for row in picks:  # sizes first, as judge_summary_pair checks them
         if len(row) != len(picks[0]):
             raise ValueError(f"summaries must have equal size, got {len(picks[0])} and {len(row)}")

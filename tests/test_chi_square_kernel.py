@@ -209,6 +209,29 @@ def test_negative_zero_and_subnormal_entries_are_read_as_the_one_shot_formula_re
     assert visual.chi_square_matrix(b, b).tobytes() == one_shot(b, b).tobytes()
 
 
+# zeros, subnormals, the binade edges around 2**-1020 where y +- 2**-1074 can tie, values whose
+# square underflows or just does not, and ordinary bins
+TINY_BINS = [0.0, -0.0, 2.0**-1074, 3 * 2.0**-1074, 2.0**-1022, 2.0**-1021, 1.5 * 2.0**-1021,
+             np.nextafter(2.0**-1020, 0.0), 2.0**-1020, 2.0**-1020 + 2.0**-1072, 2.0**-1019,
+             2.0**-538, 2.0**-537, 1e-300, 1e-160, 1e-154, 0.25, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2 * BLOCK + 3), st.integers(1, 2 * BLOCK + 3), st.sampled_from([1, 3, 12]),
+       st.data())
+def test_bins_near_underflow_have_the_one_shot_bits_across_blocks(fa, fb, width, data):
+    """The kernel raises a block's empty bins to 2**-1074; no cell may move for it."""
+    bins = st.sampled_from(TINY_BINS)
+    a = np.array(data.draw(st.lists(bins, min_size=fa * width, max_size=fa * width))).reshape(fa, width)
+    b = np.array(data.draw(st.lists(bins, min_size=fb * width, max_size=fb * width))).reshape(fb, width)
+    for rows in (1, BLOCK):
+        with blocks_of(rows, fb, width):
+            assert visual.chi_square_matrix(a, b).tobytes() == one_shot(a, b).tobytes()
+            assert visual.chi_square_matrix(b, a).tobytes() == one_shot(b, a).tobytes()
+        with blocks_of(rows, fa, width):
+            assert visual.chi_square_matrix(a, a).tobytes() == one_shot(a, a).tobytes()
+
+
 def test_default_budget_splits_large_inputs_into_blocks():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 3, size=(300, 48)).astype(np.float64)

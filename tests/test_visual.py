@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtseval import visual
 from vtseval.corpus import CorpusIOError, CorpusParseError, SubshotFeatures, SummarySelection
 from vtseval.visual import (
     Frame,
@@ -210,6 +211,21 @@ class TestChiSquare:
         assert str(exc.value) == (
             f"chi_square takes two 1-D histograms, got shapes {a.shape} and {b.shape}")
 
+    @pytest.mark.parametrize("a, b, message", [
+        (np.ones((2, 3)) / 3, np.ones((2, 4)) / 4, "histogram length mismatch: (3,) vs (4,)"),
+        (np.ones(3) / 3, np.ones(3) / 3,
+         "a: chi_square_matrix takes 2-D arrays of histograms, got shape (3,)"),
+        (np.ones((1, 3)) / 3, np.ones((1, 1, 3)) / 3,
+         "b: chi_square_matrix takes 2-D arrays of histograms, got shape (1, 1, 3)"),
+        (np.ones((1, 3)) / 3, np.array(1.0),
+         "b: chi_square_matrix takes 2-D arrays of histograms, got shape ()"),
+    ], ids=["unequal_widths", "two_vectors", "matrix_and_3d", "matrix_and_scalar"])
+    def test_the_matrix_refuses_a_malformed_argument_by_name(self, a, b, message):
+        """In chi_square's words, not numpy's broadcast error or an IndexError."""
+        with pytest.raises(ValueError) as exc:
+            visual.chi_square_matrix(a, b)
+        assert str(exc.value) == message
+
     def test_properties_random(self):
         rng = random.Random(2)
         for _ in range(200):
@@ -246,6 +262,12 @@ class TestSubshotMinDistance:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             subshot_min_distance([], [np.array([1.0])])
+
+    def test_rejects_frames_of_unequal_rank_by_name(self):
+        with pytest.raises(ValueError) as exc:
+            subshot_min_distance([[0.5, 0.5]], [[[0.5, 0.5]]])
+        assert str(exc.value) == (
+            "b: chi_square_matrix takes 2-D arrays of histograms, got shape (1, 1, 2)")
 
 
 class TestPixelSummaryDistance:
@@ -317,6 +339,11 @@ class TestPixelSummaryDistance:
             with pytest.raises(ValueError) as exc:
                 pixel_summary_distances(picks, [3], features12)
             assert str(exc.value) == f"summaries must have equal size, got {sizes}"
+
+    def test_rejects_zero_summaries_by_name(self, features12):
+        with pytest.raises(ValueError) as exc:
+            pixel_summary_distances([], [0], features12)
+        assert str(exc.value) == "picks: at least one summary required"
 
     @pytest.mark.parametrize("rows, cols, side", [([], [1], "rows"), ([1], [], "cols"),
                                                   ([], [], "rows"), ([], [99], "rows")])
