@@ -168,7 +168,8 @@ class SubshotFeatures:
     The one constructor copies one 2-D array per subshot into the matrix
     and is the one check of a feature table, on load and for a library
     caller alike. It raises CorpusValidationError naming the first fault:
-    bins_per_channel below 1, no subshot, then subshot by subshot its
+    a video_id that is not a str, a bins_per_channel that is not an int (a
+    bool is not one) or is below 1, no subshot, then subshot by subshot its
     shape (2-D, at least one frame, 3*bins_per_channel bins) before its
     frames (no negative entry, and a sum s that passes
     ``math.isclose(s, 1.0, abs_tol=1e-9)``, which refuses NaN and
@@ -186,6 +187,12 @@ class SubshotFeatures:
     offsets: np.ndarray = field(repr=False)
 
     def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
+        # the loader reads these two fields as JSON str and int, so a record it would refuse is not built
+        if not isinstance(video_id, str):
+            raise CorpusValidationError(f"video_id: expected str, got {type(video_id).__name__}")
+        if type(bins_per_channel) is not int:
+            raise CorpusValidationError(
+                f"bins_per_channel: expected int, got {type(bins_per_channel).__name__}")
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
         dim = 3 * bins_per_channel
         if bins_per_channel < 1:

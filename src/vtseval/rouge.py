@@ -12,14 +12,20 @@ token to the small int its stem is interned to, or to -1 for a stopword.
 So stopword removal, stemming and interning are one lookup per token, and
 ``textproc.stem`` runs only the first time the table meets a token; the
 ids are those of ``textproc.preprocess``'s stems. The table keeps the
-sentence's units of that kind as an int array, one entry per occurrence.
+sentence's units of that kind as an int array, one entry per occurrence,
+in ascending id order: a row is sorted once, when it is compiled.
 A unigram's id is its stem id; an ordered pair (skip-bigram or contiguous
 bigram) of stem ids a, b has the id (a + 1) * 2**32 + b, which no stem id
 reaches and which fits the signed 64-bit rows while a table holds fewer
 than 2**31 stems, so pair ids need no second intern dict.
 
 A text's bag is two int64 arrays: the sorted distinct unit ids of its
-pooled rows and their counts. ``match_matrix`` scores many texts against
+pooled rows and their counts. ``postings`` copies a text's rows into one
+pooled array; a one-sentence text is then already sorted, and a longer
+one is sorted in place, in that copy, never in a cached row. Several
+texts are each one ascending run, so one stable argsort (timsort, which
+finds the runs) merges them and keeps each id's run in text order; one
+text needs no argsort. ``match_matrix`` scores many texts against
 many at once. It lays the bags of the references end to end, sorted by
 unit id (``postings``), once. Then, for each candidate in turn, two
 ``searchsorted`` calls find the runs of postings that hold the
@@ -119,17 +125,18 @@ class UnitTable:
         return ids
 
     def row(self, kind, sentence: str) -> array:
-        """Unit ids of one sentence under kind ``SU``, 1 or 2, one entry per occurrence."""
+        """Unit ids of one sentence under kind ``SU``, 1 or 2, one entry per occurrence, ascending."""
         key = (kind, sentence)
         row = self._rows.get(key)
         if row is None:
+            if kind not in (SU, 1, 2):
+                raise ValueError(f"unit kind must be {SU!r}, 1 or 2, got {kind!r}")
             ids = self.stem_ids(sentence)
             if kind == SU:
                 ids += [((a + 1) << 32) | b for a, b in combinations(ids, 2)]
             elif kind == 2:
                 ids = [((a + 1) << 32) | b for a, b in zip(ids, ids[1:])]
-            elif kind != 1:
-                raise ValueError(f"unit kind must be {SU!r}, 1 or 2, got {kind!r}")
+            ids.sort()
             row = array("q", ids)
             self._rows[key] = row
             self._units += len(row)
@@ -165,15 +172,23 @@ def postings(
     """
     pooled = array("q")
     lengths = []
+    unsorted = []  # (start, stop) in pooled of each text of more than one sentence
     for text in texts:
         start = len(pooled)
         for s in text:
             pooled += table.row(kind, s)
         lengths.append(len(pooled) - start)
+        if len(text) > 1:
+            unsorted.append((start, len(pooled)))
+    # a view of pooled, the one copy of the rows: sorting it in place leaves every cached row as it is
     ids = np.asarray(pooled, dtype=np.int64)
-    # the occurrences come text by text, so a stable sort by id keeps each id's run in text order
-    order = np.argsort(ids, kind="stable")
-    ids, owners = ids[order], np.repeat(np.arange(len(texts)), lengths)[order]
+    for start, stop in unsorted:
+        ids[start:stop].sort()
+    owners = np.repeat(np.arange(len(texts)), lengths)
+    if len(texts) > 1:
+        # each text is one ascending run, so a stable sort merges the runs, each id's run in text order
+        order = np.argsort(ids, kind="stable")
+        ids, owners = ids[order], owners[order]
     first = np.ones(len(ids), dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (owners[1:] != owners[:-1])
     starts = np.flatnonzero(first)

@@ -41,6 +41,15 @@ def su_unit_lists(sentences, prep=split_tokens):
     return unigrams, bigrams
 
 
+def bag_postings(texts) -> list[tuple[int, int, int]]:
+    """(unit, count, text) of each distinct unit of each text, in order of unit and then text.
+
+    Each text is a list of its unit occurrences in any order, counted by its own Counter.
+    """
+    rows = [(unit, count, t) for t, units in enumerate(texts) for unit, count in Counter(units).items()]
+    return sorted(rows, key=lambda row: (row[0], row[2]))
+
+
 def naive_rouge_su(candidate, reference, prep=split_tokens):
     """(precision, recall, f) by explicit enumeration and pairing."""
     cand_uni, cand_bi = su_unit_lists(candidate, prep)

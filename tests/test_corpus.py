@@ -291,6 +291,19 @@ class TestFeatures:
         with pytest.raises(CorpusValidationError, match="bins_per_channel: must be positive"):
             corpus.load_features(path)
 
+    @pytest.mark.parametrize("video_id, bins, message", [
+        ("v", 1.0, "bins_per_channel: expected int, got float"),
+        ("v", True, "bins_per_channel: expected int, got bool"),
+        ("v", np.int64(1), "bins_per_channel: expected int, got int64"),
+        (42, 1, "video_id: expected str, got int"),
+        (None, 1.0, "video_id: expected str, got NoneType"),
+    ])
+    def test_a_field_of_another_type_is_refused_by_name(self, video_id, bins, message):
+        """save_features would write the field, and load_features would refuse the file."""
+        with pytest.raises(CorpusValidationError) as exc:
+            SubshotFeatures(video_id, bins, [[[1.0, 0.0, 0.0]]])
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("bins", [10**19, 10**400], ids=["past_int64", "400_digits"])
     def test_a_huge_width_without_subshots_is_refused_by_name(self, tmp_path, bins):
         """numpy once refused the empty matrix first: Maximum allowed dimension exceeded."""

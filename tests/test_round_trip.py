@@ -116,3 +116,25 @@ def test_features(tmp_path_factory, feats):
     loaded = assert_stable(tmp_path_factory.mktemp("features"), save, corpus.load_features)
     assert (loaded.video_id, loaded.bins_per_channel) == (feats.video_id, feats.bins_per_channel)
     assert all(np.array_equal(a, b) for a, b in zip(loaded.subshots, feats.subshots, strict=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(features(),
+       st.one_of(texts, st.integers(), st.floats(), st.booleans(), st.none(), st.binary()),
+       st.sampled_from([int, float, bool, np.int64, str]))
+def test_a_feature_record_is_refused_or_loads_back_equal(tmp_path_factory, feats, video_id, as_bins):
+    """A record that builds is one the loader reads back; one it would refuse does not build."""
+    bins = as_bins(feats.bins_per_channel)
+    try:
+        record = SubshotFeatures(video_id, bins, feats.subshots)
+    except corpus.CorpusValidationError as exc:
+        field = "video_id" if not isinstance(video_id, str) else "bins_per_channel"
+        assert str(exc).startswith(f"{field}: expected ")
+        assert not isinstance(video_id, str) or type(bins) is not int
+        return
+    path = tmp_path_factory.mktemp("fields") / "features.json"
+    corpus.save_features(path, record)
+    loaded = corpus.load_features(path)
+    assert (loaded.video_id, loaded.bins_per_channel) == (video_id, bins)
+    assert np.array_equal(loaded.frames, record.frames)
+    assert np.array_equal(loaded.offsets, record.offsets)

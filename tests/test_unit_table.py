@@ -37,6 +37,7 @@ from vtseval.summarize import sentence_dp
 from vtseval.textproc import default_stopwords, preprocess, stem
 
 from oracles import (
+    bag_postings,
     clip_count,
     exhaustive_ordered_assignment,
     greedy_bow_loop,
@@ -374,7 +375,19 @@ def test_an_unknown_unit_kind_is_refused(kind):
     table = UnitTable()
     with pytest.raises(ValueError, match=f"unit kind must be 'su', 1 or 2, got {kind!r}"):
         match_matrix(table, kind, [["the dog runs fast"]], [["a dog runs slowly"]])
-    assert not table._rows
+    assert table.held == 0
+
+
+def test_an_unknown_unit_kind_is_refused_before_anything_compiles():
+    table = UnitTable()
+    with pytest.raises(ValueError, match="unit kind must be 'su', 1 or 2, got 'x'"):
+        table.row("x", "dogs walking in the park")
+    assert table.held == 0
+    table.row(SU, "a lake")
+    held = table.held
+    with pytest.raises(ValueError, match="unit kind must be 'su', 1 or 2, got 'x'"):
+        table.row("x", "dogs walking in the park")
+    assert table.held == held
 
 
 @SETTINGS
@@ -484,6 +497,73 @@ def test_each_token_is_stemmed_once_per_table(monkeypatch):
     assert sorted(calls) == ["dogs", "walked"]
     postings(UnitTable(), 1, [["dogs"]])
     assert sorted(calls) == ["dogs", "dogs", "walked"]
+
+
+def occurrence_ids(table, kind, sentence):
+    """A sentence's unit ids in token order, from its stem ids and the pair id formula, not ``row``."""
+    stems = table.stem_ids(sentence)
+    pairs = {SU: combinations(stems, 2), 1: [], 2: zip(stems, stems[1:])}[kind]
+    return ([] if kind == 2 else stems) + [(a + 1) * 2**32 + b for a, b in pairs]
+
+
+@st.composite
+def posting_cases(draw):
+    """A kind and a list of texts over one pool of sentences, which holds an empty one.
+
+    The list is empty, one text, many one-sentence texts, or texts of any
+    length in which a sentence may repeat.
+    """
+    pool = draw(texts(draw(vocabularies), min_sentences=1, max_sentences=5)) + ["", ALL_STOPWORDS]
+    sentence = st.sampled_from(pool)
+    shape = st.one_of(
+        st.just([]),
+        st.lists(st.lists(sentence, max_size=6), min_size=1, max_size=1),
+        st.lists(st.lists(sentence, min_size=1, max_size=1), min_size=2, max_size=12),
+        st.lists(st.lists(sentence, max_size=6), min_size=2, max_size=6),
+    )
+    return draw(st.sampled_from([SU, 1, 2])), draw(shape)
+
+
+@SETTINGS
+@given(posting_cases())
+def test_postings_match_a_counter_per_text(case):
+    kind, text_list = case
+    table = UnitTable()
+    # a cold table, then every row cached; then each text alone, which merges nothing
+    for batch in [text_list, text_list] + [[text] for text in text_list]:
+        ids, counts, owners = postings(table, kind, batch)
+        assert ids.dtype == counts.dtype == owners.dtype == np.int64
+        want = bag_postings([[u for s in text for u in occurrence_ids(table, kind, s)]
+                             for text in batch])
+        assert list(zip(ids.tolist(), counts.tolist(), owners.tolist())) == want
+
+
+@SETTINGS
+@given(posting_cases())
+def test_rows_are_ascending_permutations_of_their_occurrences(case):
+    _, text_list = case
+    table = UnitTable()
+    for sentence in {s for text in text_list for s in text}:
+        for kind in (SU, 1, 2):
+            row = table.row(kind, sentence)
+            assert list(row) == sorted(row)
+            assert Counter(row) == Counter(occurrence_ids(table, kind, sentence))
+
+
+@SETTINGS
+@given(posting_cases())
+def test_postings_leave_cached_rows_unchanged(case):
+    _, text_list = case
+    table = UnitTable()
+    for kind in (SU, 1, 2):
+        postings(table, kind, text_list)
+    rows = {key: (row, row.tobytes()) for key, row in table._rows.items()}
+    held = table.held
+    for kind in (SU, 1, 2):
+        postings(table, kind, text_list)
+        postings(table, kind, text_list[:1])
+    assert table.held == held
+    assert all(table._rows[key] is row and row.tobytes() == raw for key, (row, raw) in rows.items())
 
 
 @SETTINGS
