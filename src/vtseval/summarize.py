@@ -63,6 +63,9 @@ class ClusterResult:
     centroids: np.ndarray
     objectives: list[float]
     """Total assigned chi-square distance after each assignment pass."""
+    distances: np.ndarray
+    """Each frame's chi-square distance to its centroid, from the last assignment pass:
+    the bits of ``chi_square_matrix(frames, centroids)[arange(f), assignments]``."""
 
 
 def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
@@ -83,13 +86,17 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
     if not 1 <= n <= f:
         raise ValueError(f"cannot form {n} clusters from {f} frames")
     rng = SplitMix64(seed)
+    # column k: each frame's distance to center k. A kernel cell has the same bits
+    # whatever the call's other columns, so this is the first pass's distance matrix
+    seeding = np.empty((f, n))
 
-    def column(i: int) -> np.ndarray:
-        return chi_square_matrix(frames, frames[i : i + 1])[:, 0]
+    def column(k: int, i: int) -> np.ndarray:
+        seeding[:, k] = chi_square_matrix(frames, frames[i : i + 1])[:, 0]
+        return seeding[:, k]
 
     centers = [rng.next_below(f)]
     # distance to the nearest chosen center, kept up to date per draw
-    nearest = column(centers[0])
+    nearest = column(0, centers[0])
     while len(centers) < n:
         d2 = nearest**2
         total = float(d2.sum())
@@ -98,12 +105,11 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
             idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), f - 1)
         else:
             idx = min(i for i in range(f) if i not in centers)
+        nearest = np.minimum(nearest, column(len(centers), idx))
         centers.append(idx)
-        nearest = np.minimum(nearest, column(idx))
     centroids = frames[centers].copy()
 
-    def assign(cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dists = chi_square_matrix(frames, cents)
+    def assign(cents: np.ndarray, dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         labels = np.argmin(dists, axis=1)
         per_frame = dists[np.arange(f), labels]
         # in cluster order: a reseed can empty a later cluster
@@ -115,19 +121,20 @@ def lloyd_cluster(frames: np.ndarray, n: int, seed: int) -> ClusterResult:
                 per_frame[far] = 0.0
         return labels, per_frame
 
-    assignments, per_frame = assign(centroids)
+    assignments, per_frame = assign(centroids, seeding)
+    del seeding  # each later pass computes its own matrix
     objectives = [left_sum(per_frame.tolist())]
     for _ in range(100):
         for c in range(n):
             members = assignments == c
             if members.any():  # reseeding may have stolen a singleton's frame
                 centroids[c] = frames[members].mean(axis=0)
-        new_assignments, per_frame = assign(centroids)
+        new_assignments, per_frame = assign(centroids, chi_square_matrix(frames, centroids))
         objectives.append(left_sum(per_frame.tolist()))
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-    return ClusterResult(assignments.tolist(), centroids, objectives)
+    return ClusterResult(assignments.tolist(), centroids, objectives, per_frame)
 
 
 def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySelection:
@@ -148,9 +155,8 @@ def histogram_cluster(features: SubshotFeatures, n: int, seed: int) -> SummarySe
         members = np.flatnonzero(labels == c)
         if not len(members):
             continue
-        dists = chi_square_matrix(hists[members], result.centroids[c : c + 1])[:, 0]
         # a stable sort keeps equally near members in frame order
-        for pos in np.argsort(dists, kind="stable"):
+        for pos in np.argsort(result.distances[members], kind="stable"):
             subshot = owners[members[pos]]
             if subshot not in chosen:
                 chosen.add(subshot)
@@ -178,6 +184,7 @@ def mmr_keyframes(features: SubshotFeatures, n: int, lambda_: float) -> list[int
     _check_count(n, len(features))
     owners = features.owners()
     f = len(owners)
+    # this call's own matrix: a selected frame's row is zeroed once it is read
     dist = chi_square_matrix(features.frames, features.frames)
 
     selected: list[int] = []
@@ -190,12 +197,15 @@ def mmr_keyframes(features: SubshotFeatures, n: int, lambda_: float) -> list[int
         r = remaining.size
         if r == 0:
             raise ValueError(f"ran out of frames before reaching {n} distinct subshots")
-        # The masked reduction adds the unselected rows in index order, a
-        # strict left fold down each column. dist is exactly symmetric, so
-        # that is the left fold along row i over the unselected frames, and
-        # the zero diagonal cell adds nothing: each mean has the bits of the
-        # plain left-fold sum over the others (a last frame's sum is 0.0).
-        sums = np.add.reduce(dist, axis=0, where=keep[:, None], initial=0.0)
+        # The axis-0 sum adds the rows in index order, a strict left fold down
+        # each column, and the selected rows are zeroed: x + 0.0 == x for every
+        # x but -0.0, and no kernel cell is -0.0 (0.5 times a sum of +0 or
+        # positive terms), so each column sum has the bits of the left fold over
+        # the unselected rows alone. dist is exactly symmetric, so that is the
+        # left fold along row i over the unselected frames, and the zero
+        # diagonal cell adds nothing: each mean has the bits of the plain
+        # left-fold sum over the others (a last frame's sum is 0.0).
+        sums = dist.sum(axis=0)
         score = lambda_ * (sums[remaining] / max(r - 1, 1))
         if selected:
             score -= (1.0 - lambda_) * nearest[remaining]
@@ -205,6 +215,7 @@ def mmr_keyframes(features: SubshotFeatures, n: int, lambda_: float) -> list[int
         selected.append(best_idx)
         keep[best_idx] = False
         nearest = np.minimum(nearest, dist[best_idx])
+        dist[best_idx] = 0.0
         covered.add(owners[best_idx])
     return selected
 

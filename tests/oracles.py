@@ -698,9 +698,9 @@ def average_ranks_loop(values):
 # Rules the package states as one call or table, written out as the loops
 # they replaced: the PPM header tokenizer (a regex), Porter's step 1a (a
 # suffix table), the per-channel histogram (one bincount), MMR's column
-# sums (a masked reduction), the medoid order (a stable argsort) and the
-# record dicts of TripleRecords (its canonical JSON). The tests require
-# the same frames, errors, stems, bits and picks.
+# sums (one reduction over zeroed rows), the medoid order (a stable
+# argsort) and the record dicts of TripleRecords (its canonical JSON). The
+# tests require the same frames, errors, stems, bits and picks.
 
 
 def ppm_frame(blob: bytes, path):
@@ -924,4 +924,4 @@ def lloyd_loop(frames, n, seed):
         if new_assignments == assignments:
             break
         assignments = new_assignments
-    return ClusterResult(assignments, centroids, objectives), reseeds
+    return ClusterResult(assignments, centroids, objectives, np.array(per_frame)), reseeds

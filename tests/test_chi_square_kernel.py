@@ -3,7 +3,8 @@
 The kernel must give the same bits as the one-shot broadcast formula
 (inlined below) whatever the block size, including on block edges, empty
 bins and duplicated rows, and given one array twice its half-computed,
-mirrored matrix must have the bits of the full one; MMR must pick what the
+mirrored matrix must have the bits of the full one; no cell may be -0.0,
+which MMR's sums over zeroed rows rely on; MMR must pick what the
 brute-force oracle picks at every step; and neither may hold an f x f x 3B
 temporary.
 """
@@ -230,6 +231,22 @@ def test_bins_near_underflow_have_the_one_shot_bits_across_blocks(fa, fb, width,
             assert visual.chi_square_matrix(b, a).tobytes() == one_shot(b, a).tobytes()
         with blocks_of(rows, fa, width):
             assert visual.chi_square_matrix(a, a).tobytes() == one_shot(a, a).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2 * BLOCK + 3), st.integers(1, 2 * BLOCK + 3), st.sampled_from([1, 3, 12]),
+       st.data())
+def test_no_cell_has_its_sign_bit_set(fa, fb, width, data):
+    """mmr_keyframes zeroes a picked frame's row and sums whole columns. That keeps the bits of the
+    fold over the other rows only if no cell is -0.0: x + 0.0 is x for every other x."""
+    bins = st.one_of(st.sampled_from(TINY_BINS), st.floats(0.0, 1.0))
+    a = np.array(data.draw(st.lists(bins, min_size=fa * width, max_size=fa * width))).reshape(fa, width)
+    b = np.array(data.draw(st.lists(bins, min_size=fb * width, max_size=fb * width))).reshape(fb, width)
+    for rows in (1, BLOCK):
+        with blocks_of(rows, fb, width):
+            assert not np.signbit(visual.chi_square_matrix(a, b)).any()
+        with blocks_of(rows, fa, width):
+            assert not np.signbit(visual.chi_square_matrix(a, a)).any()
 
 
 def test_default_budget_splits_large_inputs_into_blocks():

@@ -27,6 +27,7 @@ from vtseval.summarize import (
     uniform_sample,
     video_mmr,
 )
+from vtseval.visual import chi_square_matrix
 
 import oracles
 from oracles import (
@@ -200,7 +201,8 @@ def duplicated_frames(draw):
 
 
 def test_lloyd_passes_are_the_list_loop_s():
-    """Assignments, objectives and centroids have the bits of the list passes, reseeds too."""
+    """Assignments, objectives, centroids and distances have the bits of the list passes, reseeds
+    too; distances has those of a fresh kernel call at the returned centroids."""
     reseeded = []
 
     @settings(max_examples=300, deadline=None)
@@ -215,9 +217,86 @@ def test_lloyd_passes_are_the_list_loop_s():
         assert all(type(label) is int for label in got.assignments)
         assert np.array(got.objectives).tobytes() == np.array(want.objectives).tobytes()
         assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.distances.tobytes() == want.distances.tobytes()
+        assert_last_pass_distances(frames, got)
 
     check()
     assert any(reseeded), "no drawn case reached the reseed branch"
+
+
+def assert_last_pass_distances(frames, result):
+    f = frames.shape[0]
+    want = chi_square_matrix(frames, result.centroids)[np.arange(f), result.assignments]
+    assert result.distances.tobytes() == want.tobytes()
+
+
+# eleven frames that make seven clusters cycle through reseeds until the 100-pass cap
+CAPPED = np.array([[1, 2, 1], [1, 2, 1], [3, 0, 0], [0, 2, 0], [1, 3, 1], [2, 0, 3],
+                   [1, 1, 3], [2, 0, 0], [1, 1, 3], [1, 1, 3], [2, 0, 0]], dtype=np.float64)
+CAPPED /= CAPPED.sum(axis=1, keepdims=True)
+
+
+def test_lloyd_distances_at_the_pass_cap():
+    result = lloyd_cluster(CAPPED, 7, 312)
+    want, reseeds = oracles.lloyd_loop(CAPPED, 7, 312)
+    assert len(result.objectives) == 101 and reseeds > 0
+    assert_last_pass_distances(CAPPED, result)
+    assert result.distances.tobytes() == want.distances.tobytes()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (a, b) shapes of every chi_square_matrix call summarize makes."""
+    calls = []
+    real = summarize.chi_square_matrix
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(summarize, "chi_square_matrix", counted)
+    return calls
+
+
+def test_mmr_calls_the_kernel_once(kernel_calls):
+    rng = random.Random(67)
+    for _ in range(10):
+        m = rng.randint(2, 8)
+        features = random_features(rng, m, frames_per_subshot=rng.randint(1, 3))
+        kernel_calls.clear()
+        mmr_keyframes(features, rng.randint(1, m), rng.choice([0.0, 0.5, 1.0]))
+        assert kernel_calls == [(features.frames.shape, features.frames.shape)]
+
+
+def test_lloyd_seeds_with_n_calls_then_one_per_later_pass(kernel_calls):
+    rng = random.Random(71)
+    cases = [(CAPPED, 7, 312)]
+    for _ in range(10):
+        frames = random_features(rng, rng.randint(2, 8)).frames
+        cases.append((frames, rng.randint(1, frames.shape[0]), rng.randrange(1000)))
+    for frames, n, seed in cases:
+        kernel_calls.clear()
+        result = lloyd_cluster(frames, n, seed)
+        f, width = frames.shape
+        seeding = [((f, width), (1, width))] * n
+        assert kernel_calls == seeding + [((f, width), (n, width))] * (len(result.objectives) - 1)
+
+
+def test_histogram_cluster_calls_the_kernel_only_through_lloyd(kernel_calls, monkeypatch):
+    at_return = []
+
+    def lloyd(*args):
+        result = lloyd_cluster(*args)
+        at_return.append(len(kernel_calls))
+        return result
+
+    monkeypatch.setattr(summarize, "lloyd_cluster", lloyd)
+    rng = random.Random(73)
+    for _ in range(10):
+        features = random_features(rng, rng.randint(2, 8))
+        kernel_calls.clear()
+        histogram_cluster(features, rng.randint(1, len(features)), rng.randrange(1000))
+        assert at_return[-1] == len(kernel_calls) > 0
 
 
 def pooled_features(rng, m, pool=4, dim=6):
@@ -256,15 +335,17 @@ def symmetric_distances(rng, f):
     return dist
 
 
-def test_masked_column_sums_are_the_fold_loop():
-    """The reduction mmr_keyframes makes adds the kept rows one after another, bit for bit."""
+def test_zeroed_row_column_sums_are_the_fold_loop():
+    """mmr_keyframes zeroes the rows outside keep and sums whole columns: the kept rows added
+    one after another, bit for bit. x + 0.0 is x for every cell, none being -0.0."""
     rng = np.random.default_rng(59)
     for _ in range(80):
         f = int(rng.integers(1, 300))
         dist = symmetric_distances(rng, f)
         keep = rng.random(f) < rng.uniform(0.0, 1.0)
-        got = np.add.reduce(dist, axis=0, where=keep[:, None], initial=0.0)
-        assert got.tobytes() == oracles.column_sums_loop(dist, keep).tobytes()
+        zeroed = dist.copy()
+        zeroed[~keep] = 0.0
+        assert zeroed.sum(axis=0).tobytes() == oracles.column_sums_loop(dist, keep).tobytes()
 
 
 def test_mmr_picks_are_the_fold_loop_s(monkeypatch):
