@@ -2,22 +2,22 @@
 
 All interchange files are UTF-8 JSON with sorted keys, two-space indent
 and a trailing newline; saving a loaded record reproduces the original
-bytes. Loading validates every type invariant and raises an error that
-names the path, then the offending field and index; given the annotated
-video, a loader also checks that the file is for it. One reader, ``_rows``,
-reads each row of annotation subshots, ground-truth sentences, summary spans,
-scores, features and human judgments as a tuple of its fields; Subshot
-and GroundTruthSentence are NamedTuples built from those tuples. Human
-judgments are read here too, by ``load_human_verdicts``, as Verdicts.
-Non-finite numbers are refused on read and on write. Each load parses
-its file once, in ``_parse_json``, which refuses the literals NaN and
-Infinity by name; a literal that overflows, such as 1e999, reads as an
-infinite float, and the field that reads it refuses it by name. A field
-that no loader reads goes unchecked, in every loader alike. A feature
-file is read once, subshot by subshot, into one SubshotFeatures, whose
-constructor is the one check of a feature table, on load and for a
-library caller alike: it checks every frame in numpy and names the first
-bad subshot and frame. Every input file, the stopword lists of
+bytes. A record's constructor is its one check, on load and for a library
+caller alike: VideoRecord, GroundTruthSummary, SummarySelection and
+SubshotFeatures (every frame in numpy) refuse a field not typed as a
+loader reads it (exact str or int, finite float, tuple) or against a rule
+of their file, naming the first fault, after the path on load; a loader
+given the annotated video also checks that the file is for it. One
+reader, ``_rows``, reads each row of annotation subshots, ground-truth
+sentences, summary spans, scores, features and human judgments as a tuple
+of its fields; Subshot and GroundTruthSentence are NamedTuples built from
+those tuples. Human judgments are read here too, by
+``load_human_verdicts``, as Verdicts. Non-finite numbers are refused on
+read and on write. Each load parses its file once, in ``_parse_json``,
+which refuses the literals NaN and Infinity by name; a literal that
+overflows, such as 1e999, reads as an infinite float, and the field that
+reads it refuses it by name. A field that no loader reads goes unchecked,
+in every loader alike. Every input file, the stopword lists of
 ``textproc.load_stopwords`` and the frames of ``visual.load_ppm``
 included, is read by ``read_bytes`` (or ``read_text``, its UTF-8 text):
 a file that cannot be read raises CorpusIOError and one that is not
@@ -102,11 +102,38 @@ class Subshot(NamedTuple):
     annotation: str
 
 
+# each row type's fields, as its file spells them and as its constructor and the loaders type them
+_SUBSHOT_FIELDS = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
+_SENTENCE_FIELDS = (("temporal_pos", int), ("rank", int), ("text", str))
+
+
 @dataclass(frozen=True)
 class VideoRecord:
+    """A video's annotated subshots; the constructor runs the rules of an annotation file."""
+
     video_id: str
     subshot_seconds: float
     subshots: tuple[Subshot, ...]
+
+    def __post_init__(self) -> None:
+        _check_types((self.video_id, self.subshot_seconds, self.subshots),
+                     (("video_id", str), ("subshot_seconds", float), ("subshots", tuple)))
+        _check_types(self.subshots, (("", Subshot),), "subshots")
+        _check_types(list(chain.from_iterable(self.subshots)), _SUBSHOT_FIELDS, "subshots")
+        if len(self.subshots) < 1:
+            raise CorpusValidationError("subshots: at least one subshot required")
+        if self.subshot_seconds <= 0:
+            raise CorpusValidationError("subshot_seconds: must be positive")
+        for i, shot in enumerate(self.subshots):
+            where = f"subshots[{i}]"
+            if shot.index != i:
+                raise CorpusValidationError(f"{where}.index: expected {i}, got {shot.index}")
+            if not shot.end_s > shot.start_s:
+                raise CorpusValidationError(f"{where}.end_s: must exceed start_s ({shot.start_s})")
+            if not shot.annotation:
+                raise CorpusValidationError(f"{where}.text: annotation must be non-empty")
+            if i > 0 and shot.start_s < self.subshots[i - 1].start_s:
+                raise CorpusValidationError(f"{where}.start_s: subshots not sorted by start time")
 
     def __len__(self) -> int:
         return len(self.subshots)
@@ -114,8 +141,19 @@ class VideoRecord:
 
 @dataclass(frozen=True)
 class SummarySelection:
+    """Subshot indices, none negative, strictly increasing; checked against a video where given."""
+
     video_id: str
     indices: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_types((self.video_id, self.indices), (("video_id", str), ("indices", tuple)))
+        _check_types(self.indices, (("", int),), "indices")
+        for i, idx in enumerate(self.indices):
+            if idx < 0:
+                raise CorpusValidationError(f"indices[{i}]: negative subshot index {idx}")
+            if i > 0 and idx <= self.indices[i - 1]:
+                raise CorpusValidationError(f"indices[{i}]: indices must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -138,8 +176,25 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class GroundTruthSummary:
+    """One author's ranked sentences; the constructor runs the rules of a ground-truth summary."""
+
     author_id: str
     sentences: tuple[GroundTruthSentence, ...]
+
+    def __post_init__(self) -> None:
+        _check_types((self.author_id, self.sentences), (("author_id", str), ("sentences", tuple)))
+        where, sentences = f"summaries[{self.author_id}].sentences", self.sentences
+        _check_types(sentences, (("", GroundTruthSentence),), where)
+        _check_types(list(chain.from_iterable(sentences)), _SENTENCE_FIELDS, where)
+        if not sentences:
+            raise CorpusValidationError(f"{where}: must be non-empty")
+        if sorted(s.rank for s in sentences) != list(range(1, len(sentences) + 1)):
+            raise CorpusValidationError(f"{where}: ranks must be a permutation of 1..{len(sentences)}")
+        for i, sent in enumerate(sentences):
+            if i > 0 and sent.temporal_pos <= sentences[i - 1].temporal_pos:
+                raise CorpusValidationError(f"{where}[{i}].temporal_pos: must be strictly increasing")
+            if not sent.text:
+                raise CorpusValidationError(f"{where}[{i}].text: must be non-empty")
 
     @cached_property
     def by_time(self) -> tuple[tuple[int, str], ...]:
@@ -187,12 +242,7 @@ class SubshotFeatures:
     offsets: np.ndarray = field(repr=False)
 
     def __init__(self, video_id: str, bins_per_channel: int, subshots) -> None:
-        # the loader reads these two fields as JSON str and int, so a record it would refuse is not built
-        if not isinstance(video_id, str):
-            raise CorpusValidationError(f"video_id: expected str, got {type(video_id).__name__}")
-        if type(bins_per_channel) is not int:
-            raise CorpusValidationError(
-                f"bins_per_channel: expected int, got {type(bins_per_channel).__name__}")
+        _check_types((video_id, bins_per_channel), (("video_id", str), ("bins_per_channel", int)))
         arrays = [np.asarray(frames, dtype=np.float64) for frames in subshots]
         dim = 3 * bins_per_channel
         if bins_per_channel < 1:
@@ -246,51 +296,24 @@ def _check_frames(frames: np.ndarray, offsets: np.ndarray) -> None:
 # validation
 
 
-def validate_video(video: VideoRecord) -> None:
-    if len(video.subshots) < 1:
-        raise CorpusValidationError("subshots: at least one subshot required")
-    if video.subshot_seconds <= 0:
-        raise CorpusValidationError("subshot_seconds: must be positive")
-    for i, shot in enumerate(video.subshots):
-        where = f"subshots[{i}]"
-        if shot.index != i:
-            raise CorpusValidationError(f"{where}.index: expected {i}, got {shot.index}")
-        if not shot.end_s > shot.start_s:
-            raise CorpusValidationError(f"{where}.end_s: must exceed start_s ({shot.start_s})")
-        if not shot.annotation:
-            raise CorpusValidationError(f"{where}.text: annotation must be non-empty")
-        if i > 0 and shot.start_s < video.subshots[i - 1].start_s:
-            raise CorpusValidationError(f"{where}.start_s: subshots not sorted by start time")
+def _typed(values, types: list) -> bool:
+    """Whether values, rows of len(types) end to end, are each exactly of its type, each float
+    field summing to a finite float (one that overflows reads as a fault): one bulk type test."""
+    return (list(map(type, values)) == types * (len(values) // len(types)) and all(
+        math.isfinite(sum(values[j::len(types)])) for j, kind in enumerate(types) if kind is float))
 
 
-def validate_selection(summary: SummarySelection, video: VideoRecord | None = None) -> None:
-    for i, idx in enumerate(summary.indices):
-        where = f"indices[{i}]"
-        if idx < 0:
-            raise CorpusValidationError(f"{where}: negative subshot index {idx}")
-        if i > 0 and idx <= summary.indices[i - 1]:
-            raise CorpusValidationError(f"{where}: indices must be strictly increasing")
-        if video is not None and idx >= len(video):
-            raise CorpusValidationError(
-                f"{where}: index {idx} out of range for video with {len(video)} subshots"
-            )
-
-
-def validate_ground_truth(gt: GroundTruthSummary) -> None:
-    k = len(gt.sentences)
-    if k < 1:
-        raise CorpusValidationError(f"summaries[{gt.author_id}].sentences: must be non-empty")
-    ranks = sorted(s.rank for s in gt.sentences)
-    if ranks != list(range(1, k + 1)):
-        raise CorpusValidationError(
-            f"summaries[{gt.author_id}].sentences: ranks must be a permutation of 1..{k}"
-        )
-    for i, sent in enumerate(gt.sentences):
-        where = f"summaries[{gt.author_id}].sentences[{i}]"
-        if i > 0 and sent.temporal_pos <= gt.sentences[i - 1].temporal_pos:
-            raise CorpusValidationError(f"{where}.temporal_pos: must be strictly increasing")
-        if not sent.text:
-            raise CorpusValidationError(f"{where}.text: must be non-empty")
+def _check_types(values, fields: tuple, where: str = "") -> None:
+    """Refuse the first of values (rows of fields' types, end to end) not exactly of its type (a
+    bool is no int) or a float not finite, naming ``{where}[row].{name}``, or ``name`` alone."""
+    if not _typed(values, [kind for _, kind in fields]):
+        for k, value in enumerate(values):
+            name, kind = fields[k % len(fields)]
+            at = ".".join(filter(None, (where and f"{where}[{k // len(fields)}]", name)))
+            if type(value) is not kind:
+                raise CorpusValidationError(f"{at}: expected {kind.__name__}, got {type(value).__name__}")
+            if kind is float and not math.isfinite(value):
+                raise CorpusValidationError(f"{at}: must be finite")
 
 
 def validate_ground_truths(gts) -> None:
@@ -595,15 +618,12 @@ def _rows(items: list, fields: tuple, where: str):
     of row i comes before any fault of row i + 1.
     """
     get = itemgetter(*(name for name, _ in fields))
-    types = [kind for _, kind in fields]
     try:
         rows = list(map(get, items))
     except (KeyError, TypeError):
         rows = None
     # a sum of finite floats that overflows only sends the list the checked way
-    if (rows is not None and list(map(type, chain.from_iterable(rows))) == types * len(rows)
-            and all(math.isfinite(sum(row[j] for row in rows))
-                    for j, kind in enumerate(types) if kind is float)):
+    if rows is not None and _typed(list(chain.from_iterable(rows)), [kind for _, kind in fields]):
         return rows
     return _checked_rows(items, fields, where)
 
@@ -621,8 +641,6 @@ def _row_dicts(rows, fields: tuple) -> list[dict]:
     return [dict(zip(names, row)) for row in rows]
 
 
-_SUBSHOT_FIELDS = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
-_SENTENCE_FIELDS = (("temporal_pos", int), ("rank", int), ("text", str))
 _SPAN_FIELDS = (("start_s", float), ("end_s", float))
 _SCORE_FIELDS = (("item_id", str), ("score", float))
 _FEATURE_FIELDS = (("index", int), ("frames", list))
@@ -639,17 +657,11 @@ def load_annotations(path: str | Path) -> VideoRecord:
 def _annotations_of(data: dict, ctx: str) -> VideoRecord:
     rows = _rows(_get(data, "subshots", list, ctx), _SUBSHOT_FIELDS, f"{ctx}: subshots")
     shots = tuple(map(Subshot._make, rows))
-    video = VideoRecord(
-        video_id=_get(data, "video_id", str, ctx),
-        subshot_seconds=_get(data, "subshot_seconds", float, ctx),
-        subshots=shots,
-    )
-    _on_load(ctx, validate_video, video)
-    return video
+    return _on_load(ctx, VideoRecord, _get(data, "video_id", str, ctx),
+                    _get(data, "subshot_seconds", float, ctx), shots)
 
 
 def save_annotations(path: str | Path, video: VideoRecord) -> None:
-    validate_video(video)
     write_canonical(
         path,
         {
@@ -687,16 +699,13 @@ def _ground_truths_of(data: dict, ctx: str) -> tuple[str, tuple[GroundTruthSumma
         # an entry is not read through _rows: its sentence rows are checked before its author_id
         rows = _rows(_get(raw, "sentences", list, where), _SENTENCE_FIELDS, f"{where}.sentences")
         sentences = tuple(map(GroundTruthSentence._make, rows))
-        gt = GroundTruthSummary(author_id=_get(raw, "author_id", str, where), sentences=sentences)
-        _on_load(ctx, validate_ground_truth, gt)
-        result.append(gt)
+        result.append(_on_load(ctx, GroundTruthSummary, _get(raw, "author_id", str, where),
+                               sentences))
     _on_load(ctx, validate_ground_truths, result)  # after each summary's own checks
     return video_id, tuple(result)
 
 
 def save_ground_truths(path: str | Path, gts: list[GroundTruthSummary], video_id: str) -> None:
-    for gt in gts:
-        validate_ground_truth(gt)
     validate_ground_truths(gts)
     write_canonical(
         path,
@@ -769,13 +778,16 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
             hit |= (starts < end) & (start < ends)
         indices = tuple(np.flatnonzero(hit).tolist())  # a subshot's index is its position
 
-    summary = SummarySelection(video_id=video_id, indices=indices)
-    _on_load(ctx, validate_selection, summary, video)
+    # the first out of the video's range, n, is named after the faults of indices[:n + 1]
+    n = next((i for i, idx in enumerate(indices) if video and idx >= len(video)), len(indices))
+    summary = _on_load(ctx, SummarySelection, video_id, indices[:n + 1])
+    if n < len(indices):
+        raise CorpusValidationError(f"{ctx}: indices[{n}]: index {indices[n]} out of range "
+                                    f"for video with {len(video)} subshots")
     return summary
 
 
 def save_summary(path: str | Path, summary: SummarySelection) -> None:
-    validate_selection(summary)
     write_canonical(path, {"video_id": summary.video_id, "indices": list(summary.indices)})
 
 

@@ -56,7 +56,7 @@ class EvaluationReport:
 def text_representation(summary: SummarySelection, video: VideoRecord) -> list[str]:
     """Annotations of the selected subshots, ascending temporal order."""
     for idx in summary.indices:
-        if idx < 0 or idx >= len(video):
+        if idx >= len(video):
             raise ValueError(f"subshot index {idx} out of range for {len(video)}-subshot video")
     return [video.subshots[i].annotation for i in summary.indices]
 

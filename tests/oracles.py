@@ -374,8 +374,9 @@ SAFE_VOCAB = [
 # for corpus's one row reader. Each takes read_json's parse of a file and
 # the loader's path text, reads every row and field on its own through
 # get_field, and raises what the loader raises, in its order, except where
-# tests/test_row_reader.py documents a departure. The record types, the
-# validators and the frame check (frame_fault) are the only shared parts.
+# tests/test_row_reader.py documents a departure. Each record's rules are
+# stated here too (video_fault, ground_truth_fault, selection_fault and
+# frame_fault); a record type is built only once its rules have passed.
 
 
 def get_field(data, key, kind, context):
@@ -405,14 +406,65 @@ def checked_row(raw, fields, where):
     return [get_field(raw, key, kind, where) for key, kind in fields]
 
 
-def validated(ctx, check, *args):
-    """check(*args), a shared validator, its refusal worded as a loader's: after the path."""
+def refused(ctx, fault):
+    """fault, the message of a record rule or None, raised as a loader words it: after the path."""
     from vtseval.corpus import CorpusValidationError
 
-    try:
-        check(*args)
-    except CorpusValidationError as exc:
-        raise CorpusValidationError(f"{ctx}: {exc}") from None
+    if fault is not None:
+        raise CorpusValidationError(f"{ctx}: {fault}")
+
+
+def video_fault(subshot_seconds, shots):
+    """The first fault of an annotation record's rules as a message, or None: some subshot, a
+    positive subshot_seconds, then each (index, start_s, end_s, text) row in turn."""
+    if not shots:
+        return "subshots: at least one subshot required"
+    if not subshot_seconds > 0:
+        return "subshot_seconds: must be positive"
+    previous_start = -math.inf
+    for i, (index, start_s, end_s, text) in enumerate(shots):
+        where = f"subshots[{i}]"
+        if index != i:
+            return f"{where}.index: expected {i}, got {index}"
+        if end_s <= start_s:
+            return f"{where}.end_s: must exceed start_s ({start_s})"
+        if text == "":
+            return f"{where}.text: annotation must be non-empty"
+        if start_s < previous_start:
+            return f"{where}.start_s: subshots not sorted by start time"
+        previous_start = start_s
+    return None
+
+
+def ground_truth_fault(author_id, sentences):
+    """The first fault of one author's (temporal_pos, rank, text) rows as a message, or None:
+    some sentence, ranks each of 1..k once, then each row's position and text in turn."""
+    where = f"summaries[{author_id}].sentences"
+    k = len(sentences)
+    if k == 0:
+        return f"{where}: must be non-empty"
+    if Counter(rank for _, rank, _ in sentences) != Counter(range(1, k + 1)):
+        return f"{where}: ranks must be a permutation of 1..{k}"
+    for i, (pos, _, text) in enumerate(sentences):
+        if i and pos <= sentences[i - 1][0]:
+            return f"{where}[{i}].temporal_pos: must be strictly increasing"
+        if text == "":
+            return f"{where}[{i}].text: must be non-empty"
+    return None
+
+
+def selection_fault(indices, video=None):
+    """The first fault of a summary's indices as a message, or None: index by index, a negative
+    value, then one not above the previous index, then, given the video, one out of its range."""
+    for i, idx in enumerate(indices):
+        where = f"indices[{i}]"
+        if idx < 0:
+            return f"{where}: negative subshot index {idx}"
+        if i and idx <= indices[i - 1]:
+            return f"{where}: indices must be strictly increasing"
+        if video is not None and idx >= len(video.subshots):
+            return f"{where}: index {idx} out of range for video with {len(video.subshots)} subshots"
+    return None
 
 
 def check_video(ctx, video_id, video):
@@ -425,26 +477,22 @@ def check_video(ctx, video_id, video):
 
 
 def annotations_of(data, ctx):
-    from vtseval.corpus import Subshot, VideoRecord, validate_video
+    from vtseval.corpus import Subshot, VideoRecord
 
     fields = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
     shots = []
     for i, raw in enumerate(get_field(data, "subshots", list, ctx)):
         index, start_s, end_s, text = checked_row(raw, fields, f"{ctx}: subshots[{i}]")
         shots.append(Subshot(index, start_s, end_s, text))
-    video = VideoRecord(
-        video_id=get_field(data, "video_id", str, ctx),
-        subshot_seconds=get_field(data, "subshot_seconds", float, ctx),
-        subshots=tuple(shots),
-    )
-    validated(ctx, validate_video, video)
-    return video
+    video_id = get_field(data, "video_id", str, ctx)
+    subshot_seconds = get_field(data, "subshot_seconds", float, ctx)
+    refused(ctx, video_fault(subshot_seconds, shots))
+    return VideoRecord(video_id=video_id, subshot_seconds=subshot_seconds, subshots=tuple(shots))
 
 
 def ground_truths_of(data, ctx, video=None):
     from vtseval.corpus import (
         CorpusParseError, CorpusValidationError, GroundTruthSentence, GroundTruthSummary,
-        validate_ground_truth,
     )
 
     fields = (("temporal_pos", int), ("rank", int), ("text", str))
@@ -457,12 +505,9 @@ def ground_truths_of(data, ctx, video=None):
         for j, s in enumerate(get_field(raw, "sentences", list, f"{ctx}: summaries[{i}]")):
             pos, rank, text = checked_row(s, fields, f"{ctx}: summaries[{i}].sentences[{j}]")
             sentences.append(GroundTruthSentence(pos, rank, text))
-        gt = GroundTruthSummary(
-            author_id=get_field(raw, "author_id", str, f"{ctx}: summaries[{i}]"),
-            sentences=tuple(sentences),
-        )
-        validated(ctx, validate_ground_truth, gt)
-        result.append(gt)
+        author_id = get_field(raw, "author_id", str, f"{ctx}: summaries[{i}]")
+        refused(ctx, ground_truth_fault(author_id, sentences))
+        result.append(GroundTruthSummary(author_id=author_id, sentences=tuple(sentences)))
     if not result:
         raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
     for i, gt in enumerate(result):
@@ -476,9 +521,7 @@ def ground_truths_of(data, ctx, video=None):
 
 def summary_of(data, ctx, video=None):
     """A summary file in any of its three forms; spans through span_indices_scan."""
-    from vtseval.corpus import (
-        CorpusParseError, CorpusValidationError, SummarySelection, validate_selection,
-    )
+    from vtseval.corpus import CorpusParseError, CorpusValidationError, SummarySelection
 
     forms = ("indices", "keyframe_times_s", "spans")
     video_id = get_field(data, "video_id", str, ctx)
@@ -515,9 +558,8 @@ def summary_of(data, ctx, video=None):
         if video is None:
             raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
         indices = span_indices_scan(data, video, ctx)
-    summary = SummarySelection(video_id=video_id, indices=indices)
-    validated(ctx, validate_selection, summary, video)
-    return summary
+    refused(ctx, selection_fault(indices, video))
+    return SummarySelection(video_id=video_id, indices=indices)
 
 
 def scores_of(data, ctx):
@@ -558,9 +600,7 @@ def features_of(data, ctx, video=None):
         if arr.ndim != 2:
             raise CorpusParseError(f"{where}.frames: expected a list of histograms")
         subshots.append(arr)
-    fault = frame_fault(bins, subshots)
-    if fault is not None:
-        raise CorpusValidationError(f"{ctx}: {fault}")
+    refused(ctx, frame_fault(bins, subshots))
     # last, the video: the file's own faults come first
     check_video(ctx, video_id, video)
     if video is not None and len(subshots) != len(video):

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtseval import visual
-from vtseval.corpus import SubshotFeatures, SummarySelection
+from vtseval.corpus import CorpusValidationError, SubshotFeatures, SummarySelection
 from vtseval.summarize import mmr_keyframes
 
 import oracles
@@ -419,7 +419,7 @@ def test_each_row_of_the_k_summary_distances_is_that_summary_alone(case):
     check_range's message, before bincount could read it: the first in the order of scoring
     one summary at a time, its picks and then the ground truth, on both paths."""
     features, picks, gt = case
-    m, gt_sel = len(features), SummarySelection("v", gt)
+    m = len(features)
 
     def outside(*rows):
         return next((i for row in rows for i in row if not 0 <= i < m), None)
@@ -429,13 +429,21 @@ def test_each_row_of_the_k_summary_distances_is_that_summary_alone(case):
             call()
         assert str(exc.value) == f"subshot index {index} not covered by features ({m} subshots)"
 
+    def one_row(summary):
+        """pixel_summary_distance of summary; a row or ground truth that no selection holds (a
+        negative index, or one out of order) takes the one-row raw call instead."""
+        try:
+            one, gt_sel = SummarySelection("v", summary), SummarySelection("v", gt)
+        except CorpusValidationError:
+            return visual.pixel_summary_distances([summary], gt, features)[0]
+        return visual.pixel_summary_distance(one, gt_sel, features)
+
     first = next((bad for row in picks if (bad := outside(row, gt)) is not None), None)
     if first is not None:
         refuses(lambda: visual.pixel_summary_distances(picks, gt, features), first)
         for summary in picks:
             if (bad := outside(summary, gt)) is not None:
-                one = SummarySelection("v", summary)
-                refuses(lambda: visual.pixel_summary_distance(one, gt_sel, features), bad)
+                refuses(lambda: one_row(summary), bad)
         return
     kernel = visual.chi_square_matrix
     calls = []
@@ -446,8 +454,7 @@ def test_each_row_of_the_k_summary_distances_is_that_summary_alone(case):
     assert len(calls) == 1 and got.shape == (len(picks),)
     frames = [f.tolist() for f in features.subshots]
     for row, summary in zip(got.tolist(), picks):
-        one = visual.pixel_summary_distance(SummarySelection("v", summary), gt_sel, features)
-        assert row.hex() == one.hex()
+        assert row.hex() == one_row(summary).hex()
         want = oracles.naive_pixel_distance(summary, gt, frames)
         if features.bins_per_channel == 1:
             assert row.hex() == want.hex()

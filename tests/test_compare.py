@@ -334,9 +334,17 @@ class TestComparePairs:
     @pytest.mark.parametrize("bad", [12, 40, -1])
     def test_a_ground_truth_index_outside_the_features_is_refused(self, video12, gts12,
                                                                   features12, count, bad):
+        """No selection holds a negative index: check_range, compare_pairs' own range check of
+        the ground truth, refuses it on the raw indices."""
+        if bad < 0:
+            with pytest.raises(CorpusValidationError, match=rf"^indices\[1\]: negative subshot index {bad}$"):
+                SummarySelection("video12", (3, bad))
+            call = lambda: visual.check_range(features12, (3, bad))
+        else:
+            call = lambda: analysis.compare_pairs(video12, gts12, 4, count, 1, features=features12,
+                                                  gt_subshots=SummarySelection("video12", (3, bad)))
         with pytest.raises(ValueError) as exc:
-            analysis.compare_pairs(video12, gts12, 4, count, 1, features=features12,
-                                   gt_subshots=SummarySelection("video12", (3, bad)))
+            call()
         assert str(exc.value) == f"subshot index {bad} not covered by features (12 subshots)"
 
     @pytest.mark.parametrize("given_, missing", [("features", "gt_subshots"),
@@ -450,15 +458,15 @@ def test_pairs_refuse_an_out_of_range_pair(tmp_path_factory, count, good, bad, d
 def pixel_pair_cases(draw):
     """compare_pairs inputs with pixel judgments: a video of 3-8 subshots and its features
     (1-3 frames per subshot, widths 3 and 12, frames copied so that minima tie), count 0-6
-    pairs of n-subshot summaries, a ground-truth selection in any order and a block size."""
+    pairs of n-subshot summaries, a ground-truth selection and a block size."""
     m = draw(st.integers(3, 8))
     words = st.lists(st.sampled_from(oracles.SAFE_VOCAB[:5]), min_size=1, max_size=4)
     video = make_video([" ".join(draw(words)) for _ in range(m)])
     gts = [make_gt([(p, r, " ".join(draw(words))) for r, p in enumerate(
         sorted(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True))), 1)])]
     features = draw(features_of(m))
-    gt_subshots = SummarySelection("v", tuple(draw(st.lists(
-        st.integers(0, m - 1), min_size=1, max_size=m, unique=True))))
+    gt_subshots = SummarySelection("v", tuple(sorted(draw(st.lists(
+        st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))))
     n, count, seed = draw(st.integers(1, m)), draw(st.integers(0, 6)), draw(st.integers(0, 2**32))
     return video, gts, n, count, seed, features, gt_subshots, draw(st.integers(1, 4))
 

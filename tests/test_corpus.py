@@ -147,6 +147,42 @@ class TestLoadSummary:
         with pytest.raises(CorpusParseError, match="exactly one"):
             corpus.load_summary(path)
 
+    @pytest.mark.parametrize("indices, message", [
+        ([20, 5], "indices[0]: index 20 out of range for video with 12 subshots"),
+        ([5, 3, 20], "indices[1]: indices must be strictly increasing"),
+        ([3, -1], "indices[1]: negative subshot index -1"),
+        ([0, 12], "indices[1]: index 12 out of range for video with 12 subshots"),
+    ])
+    def test_the_first_fault_is_named_index_by_index(self, tmp_path, video12, indices, message):
+        """At each index in turn: negative, then not increasing, then out of the video's range;
+        the selection's own rules run as it is built, the range after it."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"video_id": "video12", "indices": indices}))
+        with pytest.raises(CorpusValidationError) as exc:
+            corpus.load_summary(path, video12)
+        assert str(exc.value) == f"{path}: {message}"
+
+
+def _video(starts):
+    return VideoRecord("v", 5.0, tuple(Subshot(i, s, s + 5.0, "dog") for i, s in enumerate(starts)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SummarySelection("v", (1, 0, 1)), "indices[1]: indices must be strictly increasing"),
+    (lambda: GroundTruthSummary("a", (GroundTruthSentence(0, 1, "dog"),
+                                      GroundTruthSentence(3, 1, "lake"))),
+     "summaries[a].sentences: ranks must be a permutation of 1..2"),
+    (lambda: _video([5.0, 0.0]), "subshots[1].start_s: subshots not sorted by start time"),
+    (lambda: SummarySelection("v", (True, 2.0)), "indices[0]: expected int, got bool"),
+    (lambda: SummarySelection("v", (0, 2.0)), "indices[1]: expected int, got float"),
+], ids=["unsorted_indices", "two_rank_1_sentences", "start_times_backwards", "bool_index",
+        "float_index"])
+def test_a_record_its_loader_would_refuse_is_not_built(build, message):
+    """Each was once built, and scored or saved: the constructor runs the loader's rules."""
+    with pytest.raises(CorpusValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
 
 class TestGroundTruths:
     def test_loads_fixture(self, gts12):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtseval import visual
-from vtseval.corpus import CorpusIOError, CorpusParseError, SubshotFeatures, SummarySelection
+from vtseval.corpus import (
+    CorpusIOError, CorpusParseError, CorpusValidationError, SubshotFeatures, SummarySelection,
+)
 from vtseval.visual import (
     Frame,
     chi_square,
@@ -355,8 +357,15 @@ class TestPixelSummaryDistance:
     @pytest.mark.parametrize("summary, gt, bad", [((-1,), (2, 5), -1), ((0, 3), (5, -12), -12),
                                                   ((11, 12), (0,), 12)])
     def test_rejects_an_index_outside_the_features(self, features12, summary, gt, bad):
-        """A negative index is refused as the text side refuses it, not read from the end."""
+        """A negative index is refused as the text side refuses it, not read from the end. No
+        selection holds one, so those cases take the one-row raw-index call."""
+        if bad < 0:
+            with pytest.raises(CorpusValidationError, match=f"negative subshot index {bad}$"):
+                SummarySelection("video12", summary if bad in summary else gt)
+            call = lambda: visual.pixel_summary_distances([summary], gt, features12)
+        else:
+            call = lambda: pixel_summary_distance(SummarySelection("video12", summary),
+                                                  SummarySelection("video12", gt), features12)
         with pytest.raises(ValueError) as exc:
-            pixel_summary_distance(SummarySelection("video12", summary),
-                                   SummarySelection("video12", gt), features12)
+            call()
         assert str(exc.value) == f"subshot index {bad} not covered by features (12 subshots)"
