@@ -2,60 +2,59 @@
 
 All interchange files are UTF-8 JSON with sorted keys, two-space indent
 and a trailing newline; saving a loaded record reproduces the original
-bytes. A record's constructor is its one check, on load and for a library
-caller alike: VideoRecord, GroundTruthSummary, SummarySelection and
-SubshotFeatures (every frame in numpy) refuse a field not typed as a
-loader reads it (exact str or int, finite float, tuple) or against a rule
-of their file, naming the first fault, after the path on load; a loader
-given the annotated video also checks that the file is for it. One
-reader, ``_rows``, reads each row of annotation subshots, ground-truth
-sentences, summary spans, scores, features and human judgments as a tuple
-of its fields; Subshot and GroundTruthSentence are NamedTuples built from
-those tuples. Human judgments are read here too, by
-``load_human_verdicts``, as Verdicts. Non-finite numbers are refused on
-read and on write. Each load parses its file once, in ``_parse_json``,
-which refuses the literals NaN and Infinity by name; a literal that
-overflows, such as 1e999, reads as an infinite float, and the field that
-reads it refuses it by name. A field that no loader reads goes unchecked,
-in every loader alike. Every input file, the stopword lists of
-``textproc.load_stopwords`` and the frames of ``visual.load_ppm``
-included, is read by ``read_bytes`` (or ``read_text``, its UTF-8 text):
-a file that cannot be read raises CorpusIOError and one that is not
-UTF-8 CorpusParseError, naming the path.
+bytes.
 
-Each load reads its file once, as bytes, and parses those bytes once. The
-annotation, ground-truth and feature loaders share one process-wide memo,
-module state behind one lock, keyed on the loader kind and the file's
-exact bytes, not on its path or mtime: a file rewritten in place is a miss
-even at the same size and mtime. A miss parses the file and runs the
-checks of the file alone, and holds the record only if all passed; the
-checks against the ``video`` argument run after every load, hit or miss,
-so a file refused only for its video is still held. The memo holds at most
-``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, summed over the files it
-holds, least recently used evicted, and never a larger file. The key is
-the bytes themselves rather than a digest: a dict compares them exactly,
-and ``hashlib`` would load OpenSSL, a few MB of resident memory. A
-one-shot CLI process loads each file once and gains nothing from the memo;
-a process that scores many summaries of one video, such as the
-benchmark's, parses its references once. Held feature matrices are
-read-only, and ``load_ground_truths`` returns a new list on every call, so
-no caller can change a held record. Summaries, score files and human
+Refusals. A fault is refused once, by one rule, naming its field and the
+file's path (the CLI exits 2 with it). A loader reads only JSON's
+structure, refused as CorpusParseError: the text is JSON (NaN and
+Infinity refused by name) and an object, each field is present, each
+container (a file's rows, a summary's sentences, a row's frames) is a
+list and each row an object. An int literal in a float field reads as a
+float, and one beyond float range, as 1e999 does, as an infinite float.
+Every other check is a record constructor's, the one check of its record
+on load and for a library caller alike, raised as CorpusValidationError:
+VideoRecord, GroundTruthSummary, SummarySelection and SubshotFeatures
+refuse first a field not exactly of its type, through ``_check_types``,
+the one type rule (it names the type wanted and the type found, or a
+float not finite; a bool is no int), then a rule of their file, naming
+the fault relative to the record (``sentences[2].rank``); a loader
+prefixes the path and a ground-truth summary's place
+(``summaries[1].``). Score files, human judgments, keyframe times and
+spans, which no record holds, go through ``_check_types`` directly, then
+their loader's rules. One order serves every file: its JSON structure,
+whole; then the record's types and rules in its constructor's order (a
+feature row's index and frame shape, which it does not hold, before it);
+then the checks against a ``video`` argument: the file is for it, covers
+it, and indexes within it, an index out of its range named after the
+faults of the indices before it. A field no loader reads goes unchecked.
+``_rows`` reads the rows of every file as tuples of their fields. Every
+input file, stopword lists and PPM frames included, is read by
+``read_bytes`` (or ``read_text``): one that cannot be read raises
+CorpusIOError, one not UTF-8 CorpusParseError, naming the path.
+
+Each load reads its file once, as bytes, and parses them once. The
+annotation, ground-truth and feature loaders share one process-wide memo
+behind one lock, keyed on the loader kind and the file's exact bytes: not
+on a digest (``hashlib`` would load OpenSSL's few MB), nor on the path or
+mtime, so a file rewritten in place is a miss. A miss runs the checks of
+the file alone and holds the record only if all passed; the checks
+against the ``video`` argument run after every load, hit or miss, so a
+file refused only for its video is still held. The memo holds at most
+``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, least recently used evicted,
+and never a larger file: a one-shot CLI process gains nothing from it, a
+process that scores many summaries of one video parses its references
+once. Held feature matrices are read-only and ``load_ground_truths``
+returns a new list on every call. Summaries, score files and human
 judgments are not memoized.
 
-Every file is written by one writer, ``write_canonical``. It streams the
-text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2,
-allow_nan=False)`` plus a newline, byte for byte, without the stdlib's
-pure-Python indent encoder: lists of plain numbers are written in one
-piece, and a value with a ``canonical(indent)`` method writes its own
-text. Two such values write per-value text: ``float_texts`` makes the
-text of each distinct value of an array once, and each entry is gathered
-from it. ``save_features`` writes one piece per subshot that way, and
-analysis.TripleRecords, which holds the two m x m score matrices and the
-codes of every triple, each record's scores. ``canonical_dumps`` returns
-the same text as a string. Writes go to a uniquely named temporary file
-in the target directory that is renamed into place, so a failed save
-never leaves a partial file and concurrent writers never clobber each
-other's temporary file.
+Every file is written by one writer, ``write_canonical``: byte for byte
+the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True,
+indent=2, allow_nan=False)`` plus a newline, streamed (``_emit``) into a
+uniquely named temporary file renamed into place, so a failed save never
+leaves a partial file and concurrent writers never clobber each other's
+temporary file. A value with a ``canonical(indent)`` method writes its
+own text: ``save_features``' subshots and analysis.TripleRecords' scores,
+each gathered from ``float_texts``' text of each distinct value.
 """
 from __future__ import annotations
 
@@ -176,25 +175,26 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class GroundTruthSummary:
-    """One author's ranked sentences; the constructor runs the rules of a ground-truth summary."""
+    """One author's ranked sentences; the constructor runs the rules of a ground-truth summary,
+    naming a fault relative to the summary (``sentences[2].rank``)."""
 
     author_id: str
     sentences: tuple[GroundTruthSentence, ...]
 
     def __post_init__(self) -> None:
         _check_types((self.author_id, self.sentences), (("author_id", str), ("sentences", tuple)))
-        where, sentences = f"summaries[{self.author_id}].sentences", self.sentences
-        _check_types(sentences, (("", GroundTruthSentence),), where)
-        _check_types(list(chain.from_iterable(sentences)), _SENTENCE_FIELDS, where)
+        sentences = self.sentences
+        _check_types(sentences, (("", GroundTruthSentence),), "sentences")
+        _check_types(list(chain.from_iterable(sentences)), _SENTENCE_FIELDS, "sentences")
         if not sentences:
-            raise CorpusValidationError(f"{where}: must be non-empty")
+            raise CorpusValidationError("sentences: must be non-empty")
         if sorted(s.rank for s in sentences) != list(range(1, len(sentences) + 1)):
-            raise CorpusValidationError(f"{where}: ranks must be a permutation of 1..{len(sentences)}")
+            raise CorpusValidationError(f"sentences: ranks must be a permutation of 1..{len(sentences)}")
         for i, sent in enumerate(sentences):
             if i > 0 and sent.temporal_pos <= sentences[i - 1].temporal_pos:
-                raise CorpusValidationError(f"{where}[{i}].temporal_pos: must be strictly increasing")
+                raise CorpusValidationError(f"sentences[{i}].temporal_pos: must be strictly increasing")
             if not sent.text:
-                raise CorpusValidationError(f"{where}[{i}].text: must be non-empty")
+                raise CorpusValidationError(f"sentences[{i}].text: must be non-empty")
 
     @cached_property
     def by_time(self) -> tuple[tuple[int, str], ...]:
@@ -220,19 +220,15 @@ class SubshotFeatures:
     ``frames`` holds every frame's 3*bins_per_channel-bin histogram, in
     subshot order, as one C-contiguous float64 array; subshot i owns rows
     ``offsets[i]:offsets[i + 1]``, and ``subshots[i]`` is a view of them.
-    The one constructor copies one 2-D array per subshot into the matrix
-    and is the one check of a feature table, on load and for a library
-    caller alike. It raises CorpusValidationError naming the first fault:
-    a video_id that is not a str, a bins_per_channel that is not an int (a
-    bool is not one) or is below 1, no subshot, then subshot by subshot its
-    shape (2-D, at least one frame, 3*bins_per_channel bins) before its
-    frames (no negative entry, and a sum s that passes
-    ``math.isclose(s, 1.0, abs_tol=1e-9)``, which refuses NaN and
-    infinity). The subshots before the first of another shape are stacked
-    and their frames checked in one numpy pass; a row's sum along the
-    matrix has the bits of the sum of that row alone. ``frames``,
-    ``offsets`` and every view are read-only: the loaders hand one record
-    to every load of the same file. Records compare and hash by identity.
+    The one constructor copies one 2-D array per subshot into the matrix.
+    After the field types, it refuses a bins_per_channel below 1, no
+    subshot, then subshot by subshot a shape (2-D, a frame, 3*bins_per_channel
+    bins) before the frames: a negative entry, or a sum s failing
+    ``math.isclose(s, 1.0, abs_tol=1e-9)``, as NaN and infinity do. The
+    subshots before the first of another shape are checked in one numpy
+    pass; a row's sum along the matrix has the bits of that row's own sum.
+    ``frames``, ``offsets`` and every view are read-only: the loaders hand
+    one record to every load of a file. Records compare and hash by identity.
     """
 
     video_id: str
@@ -327,13 +323,13 @@ def validate_ground_truths(gts) -> None:
                 f"summaries[{i}].author_id: {ids[i]!r} repeats summaries[{j}]")
 
 
-def _on_load(ctx: str, check, *args):
+def _on_load(ctx: str, check, *args, at: str = ""):
     """check(*args) on a load of the file at ctx, and its value; its CorpusValidationError names
-    the path."""
+    the path, then at, the place in the file of the record checked."""
     try:
         return check(*args)
     except CorpusValidationError as exc:
-        raise CorpusValidationError(f"{ctx}: {exc}") from None
+        raise CorpusValidationError(f"{ctx}: {at}{exc}") from None
 
 
 def _check_video(ctx: str, video_id: str, video: VideoRecord | None) -> None:
@@ -518,11 +514,7 @@ def read_json(path: str | Path) -> dict:
 
 
 def _parse_json(raw: bytes, path: str | Path) -> dict:
-    """raw, the bytes of the file at path, as a JSON object; NaN and Infinity refused by name.
-
-    A literal that overflows, such as 1e999, reads as an infinite float:
-    the field that reads it refuses it by name.
-    """
+    """raw, the bytes of the file at path, as a JSON object; NaN and Infinity refused by name."""
 
     def refuse(literal: str):
         raise CorpusParseError(f"{path}: non-finite number {literal} is not allowed")
@@ -564,13 +556,8 @@ def load_memo_info() -> dict:
 
 
 def _load_memoized(kind: str, path: str | Path, load):
-    """The record of the file at path, load(data) of its parse on a miss.
-
-    The file is read once. On a miss its bytes are parsed once and load
-    runs every check of the file alone; the record is held only if every
-    check passed and the file is within ``LOAD_MEMO_BYTES``, read at each
-    store, and then least recently used records go until all held are within it.
-    """
+    """The record of the file at path, load(data) of its parse on a miss; held if load passed
+    and the file is within ``LOAD_MEMO_BYTES``, read at each store, evicting the oldest."""
     raw = read_bytes(path)
     key = (kind, raw)
     with _lock:
@@ -589,50 +576,47 @@ def _load_memoized(kind: str, path: str | Path, load):
     return record
 
 
+def _as_float(value):
+    """value, an int (not a bool) read as a float: beyond float range, an infinite one."""
+    try:
+        return float(value) if type(value) is int else value
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _get(data: dict, key: str, kind, context: str):
+    """data[key] as a loader reads it: present, a list where kind is list, an int read as a float
+    where kind is float; any other type is left for the record's type rule."""
     if key not in data:
         raise CorpusParseError(f"{context}: missing field {key!r}")
     value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise CorpusParseError(f"{context}.{key}: number out of float range") from None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise CorpusParseError(f"{context}.{key}: expected {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise CorpusParseError(f"{context}.{key}: must be finite")
-    return value
+    if kind is list and not isinstance(value, list):
+        raise CorpusParseError(f"{context}.{key} must be a list")
+    return _as_float(value) if kind is float else value
 
 
-def _rows(items: list, fields: tuple, where: str):
-    """The rows of the JSON list items, each as the tuple of its values of fields, in order.
+def _rows(items: list, fields: tuple, where: str) -> list:
+    """The rows of the JSON list items, each the tuple of its values of fields (two or more).
 
-    fields holds two or more (name, type) pairs. When every row is an
-    object whose values have exactly the field types, floats finite, the
-    rows are taken as they are, checked all at once: one itemgetter, one
-    compare of the values' types, one sum per float field. Any other list
-    goes row by row, field by field, through ``_get``, so an int literal in
-    a float field reads as a float and each error names ``{where}[i]`` and
-    the field; its rows are read as they are consumed, so a caller's check
-    of row i comes before any fault of row i + 1.
+    Rows of exactly the field types, floats finite, are taken as they are:
+    one itemgetter, one compare of the values' types, one sum per float
+    field. Any other list is read row by row through ``_get``, naming
+    ``{where}[i]`` of the first row that is not an object or lacks a field.
     """
     get = itemgetter(*(name for name, _ in fields))
     try:
         rows = list(map(get, items))
     except (KeyError, TypeError):
         rows = None
-    # a sum of finite floats that overflows only sends the list the checked way
+    # a sum of finite floats that overflows only sends the list the slow way
     if rows is not None and _typed(list(chain.from_iterable(rows)), [kind for _, kind in fields]):
         return rows
-    return _checked_rows(items, fields, where)
-
-
-def _checked_rows(items: list, fields: tuple, where: str):
+    rows = []
     for i, row in enumerate(items):
         if not isinstance(row, dict):
             raise CorpusParseError(f"{where}[{i}] must be an object")
-        yield tuple(_get(row, name, kind, f"{where}[{i}]") for name, kind in fields)
+        rows.append(tuple(_get(row, name, kind, f"{where}[{i}]") for name, kind in fields))
+    return rows
 
 
 def _row_dicts(rows, fields: tuple) -> list[dict]:
@@ -641,6 +625,7 @@ def _row_dicts(rows, fields: tuple) -> list[dict]:
     return [dict(zip(names, row)) for row in rows]
 
 
+_AUTHOR_FIELDS = (("author_id", str), ("sentences", list))
 _SPAN_FIELDS = (("start_s", float), ("end_s", float))
 _SCORE_FIELDS = (("item_id", str), ("score", float))
 _FEATURE_FIELDS = (("index", int), ("frames", list))
@@ -691,16 +676,13 @@ def load_ground_truths(
 
 def _ground_truths_of(data: dict, ctx: str) -> tuple[str, tuple[GroundTruthSummary, ...]]:
     video_id = _get(data, "video_id", str, ctx)
-    result = []
-    for i, raw in enumerate(_get(data, "summaries", list, ctx)):
-        where = f"{ctx}: summaries[{i}]"
-        if not isinstance(raw, dict):
-            raise CorpusParseError(f"{where} must be an object")
-        # an entry is not read through _rows: its sentence rows are checked before its author_id
-        rows = _rows(_get(raw, "sentences", list, where), _SENTENCE_FIELDS, f"{where}.sentences")
-        sentences = tuple(map(GroundTruthSentence._make, rows))
-        result.append(_on_load(ctx, GroundTruthSummary, _get(raw, "author_id", str, where),
-                               sentences))
+    entries = _rows(_get(data, "summaries", list, ctx), _AUTHOR_FIELDS, f"{ctx}: summaries")
+    sentences = [_rows(rows, _SENTENCE_FIELDS, f"{ctx}: summaries[{i}].sentences")
+                 for i, (_, rows) in enumerate(entries)]
+    _on_load(ctx, _check_types, (video_id,), (("video_id", str),))  # no record holds it
+    result = [_on_load(ctx, GroundTruthSummary, author, tuple(map(GroundTruthSentence._make, rows)),
+                       at=f"summaries[{i}].")
+              for i, ((author, _), rows) in enumerate(zip(entries, sentences))]
     _on_load(ctx, validate_ground_truths, result)  # after each summary's own checks
     return video_id, tuple(result)
 
@@ -735,52 +717,50 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
     data = read_json(path)
     ctx = str(path)
     video_id = _get(data, "video_id", str, ctx)
-    _check_video(ctx, video_id, video)
     present = [k for k in _SUMMARY_KEYS if k in data]
     if len(present) != 1:
         raise CorpusParseError(
             f"{ctx}: exactly one of {', '.join(_SUMMARY_KEYS)} required, found {present or 'none'}"
         )
+    form = present[0]
+    if form != "indices" and video is None:
+        kind = "keyframe" if form == "keyframe_times_s" else "span"
+        raise CorpusParseError(f"{ctx}: {kind} summaries need the video record to resolve")
+    items = _get(data, form, list, ctx)
+    if form == "spans":
+        items = _rows(items, _SPAN_FIELDS, f"{ctx}: spans")
 
-    if present[0] == "indices":
-        raw = _get(data, "indices", list, ctx)
-        for i, idx in enumerate(raw):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise CorpusParseError(f"{ctx}: indices[{i}] must be an integer")
-        indices = tuple(raw)
-    elif present[0] == "keyframe_times_s":
-        if video is None:
-            raise CorpusParseError(f"{ctx}: keyframe summaries need the video record to resolve")
-        times = _get(data, "keyframe_times_s", list, ctx)
+    if form == "indices":
+        indices = tuple(items)
+    elif form == "keyframe_times_s":
+        times = list(map(_as_float, items))
+        _on_load(ctx, _check_types, times, (("", float),), "keyframe_times_s")
         seen = set()
         for i, t in enumerate(times):
             where = f"{ctx}: keyframe_times_s[{i}]"
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise CorpusParseError(f"{where} must be a number")
-            if isinstance(t, float) and not math.isfinite(t):
-                raise CorpusParseError(f"{where}: must be finite")
             if t < 0:
                 raise CorpusValidationError(f"{where}: negative time {t}")
-            try:
-                seen.add(int(float(t) // video.subshot_seconds))
-            except OverflowError:
-                raise CorpusParseError(f"{where}: number out of float range") from None
+            index = t // video.subshot_seconds
+            if index == math.inf:  # past any video: no int index to name
+                raise CorpusValidationError(
+                    f"{where}: time {t} out of range for video with {len(video)} subshots")
+            seen.add(int(index))
         indices = tuple(sorted(seen))
     else:
-        if video is None:
-            raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
+        _on_load(ctx, _check_types, list(chain.from_iterable(items)), _SPAN_FIELDS, "spans")
         starts, ends = np.array([(shot.start_s, shot.end_s) for shot in video.subshots]).T
         hit = np.zeros(len(video), dtype=bool)
-        spans = _rows(_get(data, "spans", list, ctx), _SPAN_FIELDS, f"{ctx}: spans")
-        for i, (start, end) in enumerate(spans):
+        for i, (start, end) in enumerate(items):
             if not end > start:
                 raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
             hit |= (starts < end) & (start < ends)
         indices = tuple(np.flatnonzero(hit).tolist())  # a subshot's index is its position
 
-    # the first out of the video's range, n, is named after the faults of indices[:n + 1]
-    n = next((i for i, idx in enumerate(indices) if video and idx >= len(video)), len(indices))
+    # the first int out of the video's range, n, is named after the faults of indices[:n + 1]
+    n = next((i for i, idx in enumerate(indices)
+              if video and type(idx) is int and idx >= len(video)), len(indices))
     summary = _on_load(ctx, SummarySelection, video_id, indices[:n + 1])
+    _check_video(ctx, video_id, video)
     if n < len(indices):
         raise CorpusValidationError(f"{ctx}: indices[{n}]: index {indices[n]} out of range "
                                     f"for video with {len(video)} subshots")
@@ -796,14 +776,12 @@ def save_summary(path: str | Path, summary: SummarySelection) -> None:
 
 
 def load_scores(path: str | Path) -> dict[str, float]:
-    """Scores of a correlate input, ``{"scores": [{"item_id": ..., "score": ...}]}``, by item.
-
-    Each row goes through the field rules of the other files, and each
-    item_id is scored once.
-    """
+    """Scores of a correlate input, ``{"scores": [{"item_id": ..., "score": ...}]}``, by item;
+    each item_id is scored once."""
     ctx = str(path)
     out = {}
     rows = _rows(_get(read_json(path), "scores", list, ctx), _SCORE_FIELDS, f"{ctx}: scores")
+    _on_load(ctx, _check_types, list(chain.from_iterable(rows)), _SCORE_FIELDS, "scores")
     for i, (item_id, score) in enumerate(rows):
         if item_id in out:
             raise CorpusValidationError(f"{ctx}: scores[{i}].item_id: {item_id!r} is scored twice")
@@ -812,15 +790,13 @@ def load_scores(path: str | Path) -> dict[str, float]:
 
 
 def load_human_verdicts(path: str | Path, keys: tuple[str, ...]) -> dict[tuple, Verdict]:
-    """Human verdicts of a ``{"judgments": [...]}`` file, keyed by the int fields named in keys.
-
-    Rows are read as in every other file, so 1.7, "3" and true are refused
-    as keys; ``verdict`` must be a Verdict's value, and each key is judged once.
-    """
+    """Human verdicts of a ``{"judgments": [...]}`` file, keyed by the int fields named in keys;
+    ``verdict`` must be a Verdict's value, and each key is judged once."""
     ctx = str(path)
     fields = tuple((key, int) for key in keys) + (("verdict", str),)
     out = {}
     rows = _rows(_get(read_json(path), "judgments", list, ctx), fields, f"{ctx}: judgments")
+    _on_load(ctx, _check_types, list(chain.from_iterable(rows)), fields, "judgments")
     for i, row in enumerate(rows):
         key = row[:-1]
         try:
@@ -842,7 +818,9 @@ def load_features(path: str | Path, video: VideoRecord | None = None) -> Subshot
     ctx = str(path)
     features = _load_memoized("features", path, lambda data: _features_of(data, ctx))
     _check_video(ctx, features.video_id, video)
-    _check_coverage(ctx, len(features), video)
+    if video is not None and len(features) != len(video):
+        raise CorpusValidationError(
+            f"subshots: {ctx} covers {len(features)} subshots, the video has {len(video)}")
     return features
 
 
@@ -851,10 +829,11 @@ def _features_of(data: dict, ctx: str) -> SubshotFeatures:
     bins = _get(data, "bins_per_channel", int, ctx)
     subshots = []
     rows = _rows(_get(data, "subshots", list, ctx), _FEATURE_FIELDS, f"{ctx}: subshots")
+    _on_load(ctx, _check_types, list(chain.from_iterable(rows)), _FEATURE_FIELDS, "subshots")
     for i, (index, frames) in enumerate(rows):
         where = f"{ctx}: subshots[{i}]"
         if index != i:
-            raise CorpusValidationError(f"{where}.index: expected {i}")
+            raise CorpusValidationError(f"{where}.index: expected {i}, got {index}")
         # every entry a JSON number, not a bool: numpy would read "0.5" as 0.5
         entries = chain.from_iterable(f for f in frames if isinstance(f, list))
         numeric = set(map(type, entries)) <= {int, float}
@@ -865,16 +844,9 @@ def _features_of(data: dict, ctx: str) -> SubshotFeatures:
         if not numeric:
             raise CorpusParseError(f"{where}.frames: ragged or non-numeric")
         if arr.ndim != 2:
-            raise CorpusParseError(f"{where}.frames: expected a list of histograms")
+            raise CorpusParseError(f"{where}.frames: must be a list of histograms")
         subshots.append(arr)
     return _on_load(ctx, SubshotFeatures, video_id, bins, subshots)
-
-
-def _check_coverage(ctx: str, m: int, video: VideoRecord | None) -> None:
-    if video is not None and m != len(video):
-        raise CorpusValidationError(
-            f"subshots: {ctx} covers {m} subshots, the video has {len(video)}"
-        )
 
 
 class _SubshotTexts:

@@ -277,19 +277,14 @@ def fisher_yates(items, rng) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def span_indices_scan(data, video, ctx) -> tuple[int, ...]:
-    """Subshot indices of a span summary's ``spans``, scanning every subshot for every span.
-
-    The errors are corpus.load_summary's, in its order.
-    """
-    from vtseval.corpus import CorpusParseError, CorpusValidationError
+def span_indices_scan(spans, video, ctx) -> tuple[int, ...]:
+    """Subshot indices of a span summary's (start_s, end_s) rows, scanning every subshot for
+    every span; a span that does not end after its start is refused as corpus.load_summary
+    refuses it."""
+    from vtseval.corpus import CorpusValidationError
 
     seen = set()
-    for i, raw in enumerate(get_field(data, "spans", list, ctx)):
-        if not isinstance(raw, dict):
-            raise CorpusParseError(f"{ctx}: spans[{i}] must be an object")
-        start = get_field(raw, "start_s", float, f"{ctx}: spans[{i}]")
-        end = get_field(raw, "end_s", float, f"{ctx}: spans[{i}]")
+    for i, (start, end) in enumerate(spans):
         if not end > start:
             raise CorpusValidationError(f"{ctx}: spans[{i}].end_s: must exceed start_s")
         for shot in video.subshots:
@@ -371,39 +366,68 @@ SAFE_VOCAB = [
 
 # ---------------------------------------------------------------------------
 # input files, row by row: one hand-written reader per kind, the reference
-# for corpus's one row reader. Each takes read_json's parse of a file and
-# the loader's path text, reads every row and field on its own through
-# get_field, and raises what the loader raises, in its order, except where
-# tests/test_row_reader.py documents a departure. Each record's rules are
-# stated here too (video_fault, ground_truth_fault, selection_fault and
-# frame_fault); a record type is built only once its rules have passed.
+# for corpus's loaders. Each takes read_json's parse of a file and the
+# loader's path text and raises what the loader raises, in its order: the
+# JSON structure of the whole file first (get_field and checked_row: a
+# field present, a container a list, a row an object), then the record's
+# field types (type_fault) and rules (video_fault, ground_truth_fault,
+# selection_fault and frame_fault), then the checks against the video. A
+# record type is built only once its types and rules have passed.
+
+SUBSHOT_FIELDS = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
+SENTENCE_FIELDS = (("temporal_pos", int), ("rank", int), ("text", str))
+SPAN_FIELDS = (("start_s", float), ("end_s", float))
+SCORE_FIELDS = (("item_id", str), ("score", float))
+FEATURE_FIELDS = (("index", int), ("frames", list))
+
+
+def as_float(value):
+    """An int literal (not a bool) as a float field reads it: beyond float range, infinite."""
+    if type(value) is not int:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def get_field(data, key, kind, context):
-    """data[key] as kind: an int literal reads as a float where kind is float, a bool never."""
+    """data[key], which must be present, and a list where kind is list; an int literal reads as
+    a float where kind is float. Any other value is kept as it is, whatever its type."""
     from vtseval.corpus import CorpusParseError
 
     if key not in data:
         raise CorpusParseError(f"{context}: missing field {key!r}")
     value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise CorpusParseError(f"{context}.{key}: number out of float range") from None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise CorpusParseError(f"{context}.{key}: expected {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise CorpusParseError(f"{context}.{key}: must be finite")
-    return value
+    if kind is list and not isinstance(value, list):
+        raise CorpusParseError(f"{context}.{key} must be a list")
+    return as_float(value) if kind is float else value
 
 
 def checked_row(raw, fields, where):
+    """The values of fields in raw, which must be an object holding each, as get_field reads."""
     from vtseval.corpus import CorpusParseError
 
     if not isinstance(raw, dict):
         raise CorpusParseError(f"{where} must be an object")
     return [get_field(raw, key, kind, where) for key, kind in fields]
+
+
+def type_fault(named):
+    """The first (name, value, kind) of named whose value is not exactly of kind (a bool is no
+    int, an np.float64 no float), or is a float that is not finite, as a message; or None."""
+    for name, value, kind in named:
+        if type(value) is not kind:
+            return f"{name}: expected {kind.__name__}, got {type(value).__name__}"
+        if kind is float and not math.isfinite(value):
+            return f"{name}: must be finite"
+    return None
+
+
+def row_types(rows, fields, where):
+    """(where[i].name, value, kind) of each field of each row, in order."""
+    return [(f"{where}[{i}].{name}", value, kind)
+            for i, row in enumerate(rows) for (name, kind), value in zip(fields, row)]
 
 
 def refused(ctx, fault):
@@ -414,11 +438,17 @@ def refused(ctx, fault):
         raise CorpusValidationError(f"{ctx}: {fault}")
 
 
-def video_fault(subshot_seconds, shots):
-    """The first fault of an annotation record's rules as a message, or None: some subshot, a
-    positive subshot_seconds, then each (index, start_s, end_s, text) row in turn."""
-    if not shots:
-        return "subshots: at least one subshot required"
+def video_fault(video_id, subshot_seconds, shots):
+    """The first fault of an annotation record as a message, or None: its field types (a tuple
+    of Subshot rows), some subshot, a positive subshot_seconds, then each row in turn."""
+    from vtseval.corpus import Subshot
+
+    fault = (type_fault([("video_id", video_id, str), ("subshot_seconds", subshot_seconds, float),
+                         ("subshots", shots, tuple)])
+             or type_fault([(f"subshots[{i}]", shot, Subshot) for i, shot in enumerate(shots)])
+             or type_fault(row_types(shots, SUBSHOT_FIELDS, "subshots")))
+    if fault or not shots:
+        return fault or "subshots: at least one subshot required"
     if not subshot_seconds > 0:
         return "subshot_seconds: must be positive"
     previous_start = -math.inf
@@ -437,25 +467,36 @@ def video_fault(subshot_seconds, shots):
 
 
 def ground_truth_fault(author_id, sentences):
-    """The first fault of one author's (temporal_pos, rank, text) rows as a message, or None:
-    some sentence, ranks each of 1..k once, then each row's position and text in turn."""
-    where = f"summaries[{author_id}].sentences"
+    """The first fault of one author's summary as a message relative to it, or None: its field
+    types (a tuple of GroundTruthSentence rows), some sentence, ranks each of 1..k once, then
+    each row's position and text in turn."""
+    from vtseval.corpus import GroundTruthSentence
+
+    fault = (type_fault([("author_id", author_id, str), ("sentences", sentences, tuple)])
+             or type_fault([(f"sentences[{i}]", s, GroundTruthSentence)
+                            for i, s in enumerate(sentences)])
+             or type_fault(row_types(sentences, SENTENCE_FIELDS, "sentences")))
     k = len(sentences)
-    if k == 0:
-        return f"{where}: must be non-empty"
+    if fault or k == 0:
+        return fault or "sentences: must be non-empty"
     if Counter(rank for _, rank, _ in sentences) != Counter(range(1, k + 1)):
-        return f"{where}: ranks must be a permutation of 1..{k}"
+        return f"sentences: ranks must be a permutation of 1..{k}"
     for i, (pos, _, text) in enumerate(sentences):
         if i and pos <= sentences[i - 1][0]:
-            return f"{where}[{i}].temporal_pos: must be strictly increasing"
+            return f"sentences[{i}].temporal_pos: must be strictly increasing"
         if text == "":
-            return f"{where}[{i}].text: must be non-empty"
+            return f"sentences[{i}].text: must be non-empty"
     return None
 
 
-def selection_fault(indices, video=None):
-    """The first fault of a summary's indices as a message, or None: index by index, a negative
-    value, then one not above the previous index, then, given the video, one out of its range."""
+def selection_fault(video_id, indices, video=None):
+    """The first fault of a summary's fields as a message, or None: their types (a tuple of
+    ints), then index by index a negative value, one not above the previous and, given the
+    video, one out of its range."""
+    fault = type_fault([("video_id", video_id, str), ("indices", indices, tuple)]
+                       + [(f"indices[{i}]", idx, int) for i, idx in enumerate(indices)])
+    if fault:
+        return fault
     for i, idx in enumerate(indices):
         where = f"indices[{i}]"
         if idx < 0:
@@ -463,7 +504,8 @@ def selection_fault(indices, video=None):
         if i and idx <= indices[i - 1]:
             return f"{where}: indices must be strictly increasing"
         if video is not None and idx >= len(video.subshots):
-            return f"{where}: index {idx} out of range for video with {len(video.subshots)} subshots"
+            m = len(video.subshots)
+            return f"{where}: index {idx} out of range for video with {m} subshots"
     return None
 
 
@@ -479,35 +521,30 @@ def check_video(ctx, video_id, video):
 def annotations_of(data, ctx):
     from vtseval.corpus import Subshot, VideoRecord
 
-    fields = (("index", int), ("start_s", float), ("end_s", float), ("text", str))
-    shots = []
-    for i, raw in enumerate(get_field(data, "subshots", list, ctx)):
-        index, start_s, end_s, text = checked_row(raw, fields, f"{ctx}: subshots[{i}]")
-        shots.append(Subshot(index, start_s, end_s, text))
+    shots = tuple(Subshot(*checked_row(raw, SUBSHOT_FIELDS, f"{ctx}: subshots[{i}]"))
+                  for i, raw in enumerate(get_field(data, "subshots", list, ctx)))
     video_id = get_field(data, "video_id", str, ctx)
     subshot_seconds = get_field(data, "subshot_seconds", float, ctx)
-    refused(ctx, video_fault(subshot_seconds, shots))
-    return VideoRecord(video_id=video_id, subshot_seconds=subshot_seconds, subshots=tuple(shots))
+    refused(ctx, video_fault(video_id, subshot_seconds, shots))
+    return VideoRecord(video_id=video_id, subshot_seconds=subshot_seconds, subshots=shots)
 
 
 def ground_truths_of(data, ctx, video=None):
-    from vtseval.corpus import (
-        CorpusParseError, CorpusValidationError, GroundTruthSentence, GroundTruthSummary,
-    )
+    from vtseval.corpus import CorpusValidationError, GroundTruthSentence, GroundTruthSummary
 
-    fields = (("temporal_pos", int), ("rank", int), ("text", str))
     video_id = get_field(data, "video_id", str, ctx)
+    entries = [checked_row(raw, (("author_id", str), ("sentences", list)), f"{ctx}: summaries[{i}]")
+               for i, raw in enumerate(get_field(data, "summaries", list, ctx))]
+    sentences = [tuple(GroundTruthSentence(*checked_row(
+                     raw, SENTENCE_FIELDS, f"{ctx}: summaries[{i}].sentences[{j}]"))
+                       for j, raw in enumerate(rows))
+                 for i, (_, rows) in enumerate(entries)]
+    refused(ctx, type_fault([("video_id", video_id, str)]))
     result = []
-    for i, raw in enumerate(get_field(data, "summaries", list, ctx)):
-        if not isinstance(raw, dict):
-            raise CorpusParseError(f"{ctx}: summaries[{i}] must be an object")
-        sentences = []
-        for j, s in enumerate(get_field(raw, "sentences", list, f"{ctx}: summaries[{i}]")):
-            pos, rank, text = checked_row(s, fields, f"{ctx}: summaries[{i}].sentences[{j}]")
-            sentences.append(GroundTruthSentence(pos, rank, text))
-        author_id = get_field(raw, "author_id", str, f"{ctx}: summaries[{i}]")
-        refused(ctx, ground_truth_fault(author_id, sentences))
-        result.append(GroundTruthSummary(author_id=author_id, sentences=tuple(sentences)))
+    for i, ((author_id, _), rows) in enumerate(zip(entries, sentences)):
+        fault = ground_truth_fault(author_id, rows)
+        refused(ctx, fault and f"summaries[{i}].{fault}")
+        result.append(GroundTruthSummary(author_id=author_id, sentences=rows))
     if not result:
         raise CorpusValidationError(f"{ctx}: summaries: must contain at least one ground truth")
     for i, gt in enumerate(result):
@@ -525,52 +562,58 @@ def summary_of(data, ctx, video=None):
 
     forms = ("indices", "keyframe_times_s", "spans")
     video_id = get_field(data, "video_id", str, ctx)
-    check_video(ctx, video_id, video)
     present = [k for k in forms if k in data]
     if len(present) != 1:
         raise CorpusParseError(
             f"{ctx}: exactly one of {', '.join(forms)} required, found {present or 'none'}"
         )
-    if present[0] == "indices":
-        raw = get_field(data, "indices", list, ctx)
-        for i, idx in enumerate(raw):
-            if not isinstance(idx, int) or isinstance(idx, bool):
-                raise CorpusParseError(f"{ctx}: indices[{i}] must be an integer")
-        indices = tuple(raw)
-    elif present[0] == "keyframe_times_s":
-        if video is None:
-            raise CorpusParseError(f"{ctx}: keyframe summaries need the video record to resolve")
+    form = present[0]
+    if form == "keyframe_times_s" and video is None:
+        raise CorpusParseError(f"{ctx}: keyframe summaries need the video record to resolve")
+    if form == "spans" and video is None:
+        raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
+    items = get_field(data, form, list, ctx)
+    if form == "spans":
+        items = [checked_row(raw, SPAN_FIELDS, f"{ctx}: spans[{i}]") for i, raw in enumerate(items)]
+    if form == "indices":
+        indices = tuple(items)
+    elif form == "keyframe_times_s":
+        times = [as_float(t) for t in items]
+        refused(ctx, type_fault([(f"keyframe_times_s[{i}]", t, float)
+                                 for i, t in enumerate(times)]))
         seen = set()
-        for i, t in enumerate(get_field(data, "keyframe_times_s", list, ctx)):
+        for i, t in enumerate(times):
             where = f"{ctx}: keyframe_times_s[{i}]"
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise CorpusParseError(f"{where} must be a number")
-            if isinstance(t, float) and not math.isfinite(t):
-                raise CorpusParseError(f"{where}: must be finite")
             if t < 0:
                 raise CorpusValidationError(f"{where}: negative time {t}")
-            try:
-                seen.add(int(float(t) // video.subshot_seconds))
-            except OverflowError:
-                raise CorpusParseError(f"{where}: number out of float range") from None
+            index = t // video.subshot_seconds
+            if index == math.inf:
+                raise CorpusValidationError(
+                    f"{where}: time {t} out of range for video with {len(video.subshots)} subshots")
+            seen.add(int(index))
         indices = tuple(sorted(seen))
     else:
-        if video is None:
-            raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
-        indices = span_indices_scan(data, video, ctx)
-    refused(ctx, selection_fault(indices, video))
+        refused(ctx, type_fault(row_types(items, SPAN_FIELDS, "spans")))
+        indices = span_indices_scan(items, video, ctx)
+    # the indices read end at the first int out of the video's range
+    read = next((indices[:i + 1] for i, idx in enumerate(indices)
+                 if video is not None and type(idx) is int and idx >= len(video.subshots)), indices)
+    refused(ctx, selection_fault(video_id, read))
+    check_video(ctx, video_id, video)  # then the video: the file's own faults come first
+    refused(ctx, selection_fault(video_id, read, video))
     return SummarySelection(video_id=video_id, indices=indices)
 
 
 def scores_of(data, ctx):
     from vtseval.corpus import CorpusValidationError
 
+    rows = [checked_row(row, SCORE_FIELDS, f"{ctx}: scores[{i}]")
+            for i, row in enumerate(get_field(data, "scores", list, ctx))]
+    refused(ctx, type_fault(row_types(rows, SCORE_FIELDS, "scores")))
     out = {}
-    for i, row in enumerate(get_field(data, "scores", list, ctx)):
-        where = f"{ctx}: scores[{i}]"
-        item_id, score = checked_row(row, (("item_id", str), ("score", float)), where)
+    for i, (item_id, score) in enumerate(rows):
         if item_id in out:
-            raise CorpusValidationError(f"{where}.item_id: {item_id!r} is scored twice")
+            raise CorpusValidationError(f"{ctx}: scores[{i}].item_id: {item_id!r} is scored twice")
         out[item_id] = score
     return out
 
@@ -582,14 +625,14 @@ def features_of(data, ctx, video=None):
 
     video_id = get_field(data, "video_id", str, ctx)
     bins = get_field(data, "bins_per_channel", int, ctx)
+    rows = [checked_row(raw, FEATURE_FIELDS, f"{ctx}: subshots[{i}]")
+            for i, raw in enumerate(get_field(data, "subshots", list, ctx))]
+    refused(ctx, type_fault(row_types(rows, FEATURE_FIELDS, "subshots")))
     subshots = []
-    for i, raw in enumerate(get_field(data, "subshots", list, ctx)):
+    for i, (index, frames) in enumerate(rows):
         where = f"{ctx}: subshots[{i}]"
-        if not isinstance(raw, dict):
-            raise CorpusParseError(f"{where} must be an object")
-        if get_field(raw, "index", int, where) != i:
-            raise CorpusValidationError(f"{where}.index: expected {i}")
-        frames = get_field(raw, "frames", list, where)
+        if index != i:
+            raise CorpusValidationError(f"{where}.index: expected {i}, got {index}")
         entries = [x for frame in frames if isinstance(frame, list) for x in frame]
         try:
             arr = np.asarray(frames, dtype=np.float64)
@@ -598,9 +641,10 @@ def features_of(data, ctx, video=None):
         if arr is None or any(type(x) not in (int, float) for x in entries):
             raise CorpusParseError(f"{where}.frames: ragged or non-numeric")
         if arr.ndim != 2:
-            raise CorpusParseError(f"{where}.frames: expected a list of histograms")
+            raise CorpusParseError(f"{where}.frames: must be a list of histograms")
         subshots.append(arr)
-    refused(ctx, frame_fault(bins, subshots))
+    refused(ctx, type_fault([("video_id", video_id, str), ("bins_per_channel", bins, int)])
+            or frame_fault(bins, subshots))
     # last, the video: the file's own faults come first
     check_video(ctx, video_id, video)
     if video is not None and len(subshots) != len(video):
@@ -611,24 +655,20 @@ def features_of(data, ctx, video=None):
 
 
 def human_verdicts_of(data, ctx, keys):
-    """Human verdicts by key, in the wording of the judgment reader of its own."""
+    """Human verdicts by key: rows read as in every other file, then each verdict's value."""
     from vtseval.corpus import CorpusParseError, CorpusValidationError, Verdict
 
-    rows = data.get("judgments")
-    if not isinstance(rows, list):
-        raise CorpusParseError(f"{ctx}: missing 'judgments' list")
+    fields = [(key, int) for key in keys] + [("verdict", str)]
+    rows = [checked_row(row, fields, f"{ctx}: judgments[{i}]")
+            for i, row in enumerate(get_field(data, "judgments", list, ctx))]
+    refused(ctx, type_fault(row_types(rows, fields, "judgments")))
     out = {}
     for i, row in enumerate(rows):
+        key = tuple(row[:-1])
         try:
-            key = tuple(row[k] for k in keys)
-            for k, value in zip(keys, key):
-                if type(value) is not int:
-                    raise CorpusParseError(
-                        f"{ctx}: judgments[{i}].{k}: expected an integer, got {value!r}"
-                    )
-            verdict = Verdict(row["verdict"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusParseError(f"{ctx}: judgments[{i}]: {exc}") from exc
+            verdict = Verdict(row[-1])
+        except ValueError as exc:
+            raise CorpusParseError(f"{ctx}: judgments[{i}].verdict: {exc}") from exc
         if key in out:
             raise CorpusValidationError(f"{ctx}: judgments[{i}]: {key} is judged twice")
         out[key] = verdict

@@ -451,10 +451,11 @@ class TestCorrelate:
                 {"item_id": "z", "score": 0.6}]
         code, message = self.run_on_rows(tmp_path, capsys, rows)
         assert code == 2
-        assert message == f"{tmp_path / 'b.json'}: scores[1].score: expected float"
+        assert message == (
+            f"{tmp_path / 'b.json'}: scores[1].score: expected float, got {type(bad).__name__}")
 
     @pytest.mark.parametrize("row,tail", [
-        ({"item_id": 7, "score": 0.5}, "scores[0].item_id: expected str"),
+        ({"item_id": 7, "score": 0.5}, "scores[0].item_id: expected str, got int"),
         ({"item_id": "x"}, "scores[0]: missing field 'score'"),
         ("x", "scores[0] must be an object"),
     ])
@@ -509,7 +510,7 @@ class TestBadNumbers:
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["message"] == (
-            f"{annotations}: subshots[0].end_s: number out of float range"
+            f"{annotations}: subshots[0].end_s: must be finite"
         )
 
     def test_keyframe_time_beyond_float_range_exits_2_naming_it(self, paths, tmp_path, capsys):
@@ -521,8 +522,8 @@ class TestBadNumbers:
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err) == {
-            "error": "CorpusParseError",
-            "message": f"{summary}: keyframe_times_s[1]: number out of float range",
+            "error": "CorpusValidationError",
+            "message": f"{summary}: keyframe_times_s[1]: must be finite",
         }
         assert not (tmp_path / "r.json").exists()
 
@@ -534,7 +535,7 @@ class TestBadNumbers:
                      "--output", str(tmp_path / "r.json")])
         assert code == 2
         assert json.loads(capsys.readouterr().err) == {
-            "error": "CorpusParseError",
+            "error": "CorpusValidationError",
             "message": f"{summary}: keyframe_times_s[1]: must be finite",
         }
         assert not (tmp_path / "r.json").exists()
@@ -950,8 +951,9 @@ class TestCompareHumanVerdicts:
         code, data = self.run(paths, tmp_path, "pairs", rows)
         assert code == 2 and data is None
         error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "CorpusParseError"
-        assert error["message"].endswith("judgments[1].pair: expected int")
+        assert error["error"] == "CorpusValidationError"
+        assert error["message"].endswith(
+            f"judgments[1].pair: expected int, got {type(bad).__name__}")
 
     def test_triples_file_with_unjudged_rows_names_the_first(self, paths, tmp_path, capsys):
         rows = [{"ref": r, "x": x, "y": y, "verdict": "both_zero"}

@@ -171,7 +171,7 @@ def _video(starts):
     (lambda: SummarySelection("v", (1, 0, 1)), "indices[1]: indices must be strictly increasing"),
     (lambda: GroundTruthSummary("a", (GroundTruthSentence(0, 1, "dog"),
                                       GroundTruthSentence(3, 1, "lake"))),
-     "summaries[a].sentences: ranks must be a permutation of 1..2"),
+     "sentences: ranks must be a permutation of 1..2"),
     (lambda: _video([5.0, 0.0]), "subshots[1].start_s: subshots not sorted by start time"),
     (lambda: SummarySelection("v", (True, 2.0)), "indices[0]: expected int, got bool"),
     (lambda: SummarySelection("v", (0, 2.0)), "indices[1]: expected int, got float"),
@@ -261,7 +261,7 @@ class TestGroundTruths:
         path.write_text(json.dumps(data))
         with pytest.raises(CorpusValidationError) as exc:
             corpus.load_ground_truths(path)
-        assert str(exc.value) == f"{path}: summaries[gt_a].sentences: must be non-empty"
+        assert str(exc.value) == f"{path}: summaries[2].sentences: must be non-empty"
 
 
 class TestFeatures:
@@ -441,13 +441,13 @@ class TestNonFinite:
         path.write_text(_annotations_text("v").replace("5.0", literal, 1))  # subshot_seconds
         if "e999" in literal:
             assert corpus.read_json(path)["subshot_seconds"] == float(literal)
-            message = f"{path}.subshot_seconds: must be finite"
+            error, message = CorpusValidationError, f"{path}: subshot_seconds: must be finite"
         else:
-            message = f"{path}: non-finite number {literal} is not allowed"
+            error, message = CorpusParseError, f"{path}: non-finite number {literal} is not allowed"
             with pytest.raises(CorpusParseError) as info:
                 corpus.read_json(path)
             assert str(info.value) == message
-        with pytest.raises(CorpusParseError) as info:
+        with pytest.raises(error) as info:
             corpus.load_annotations(path)
         assert str(info.value) == message
 
@@ -495,15 +495,19 @@ def _ground_truths(tmp_path, sentence):
     return path
 
 
-def _parse_error(load, path) -> str:
-    with pytest.raises(CorpusParseError) as info:
+def _parse_error(load, path, error=CorpusParseError) -> str:
+    with pytest.raises(error) as info:
         load(path)
     return str(info.value)
 
 
+def _type_error(load, path) -> str:
+    return _parse_error(load, path, CorpusValidationError)
+
+
 class TestRowErrors:
-    """Each malformed row field is named exactly; rows whose values have other types fall
-    back to the field-by-field check, which words the error."""
+    """Each malformed row field is named exactly: a row's structure by the loader, a value of
+    another type by the record's type rule, after every row's structure is read."""
 
     @pytest.mark.parametrize("key", list(_ROW))
     def test_annotation_missing_field(self, tmp_path, key):
@@ -516,8 +520,8 @@ class TestRowErrors:
     @pytest.mark.parametrize("key,value,kind", _ROW_TYPES)
     def test_annotation_wrong_type(self, tmp_path, key, value, kind):
         path = _annotations(tmp_path, {**_ROW, key: value})
-        assert _parse_error(corpus.load_annotations, path) == (
-            f"{path}: subshots[1].{key}: expected {kind}"
+        assert _type_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1].{key}: expected {kind}, got {type(value).__name__}"
         )
 
     @pytest.mark.parametrize("raw", _NOT_OBJECTS)
@@ -544,8 +548,8 @@ class TestRowErrors:
     @pytest.mark.parametrize("key,value,kind", _SENTENCE_TYPES)
     def test_sentence_wrong_type(self, tmp_path, key, value, kind):
         path = _ground_truths(tmp_path, {**_SENTENCE, key: value})
-        assert _parse_error(corpus.load_ground_truths, path) == (
-            f"{path}: summaries[1].sentences[1].{key}: expected {kind}"
+        assert _type_error(corpus.load_ground_truths, path) == (
+            f"{path}: summaries[1].sentences[1].{key}: expected {kind}, got {type(value).__name__}"
         )
 
     @pytest.mark.parametrize("raw", _NOT_OBJECTS)
@@ -569,22 +573,22 @@ class TestRowErrors:
         path = _annotations(tmp_path, _ROW)
         path.write_text(path.read_text().replace(
             f'"{key}": {_ROW[key]}', f'"{key}": 1' + "0" * 400))
-        assert _parse_error(corpus.load_annotations, path) == (
-            f"{path}: subshots[1].{key}: number out of float range"
+        assert _type_error(corpus.load_annotations, path) == (
+            f"{path}: subshots[1].{key}: must be finite"
         )
 
     def test_keyframe_time_beyond_float_range_is_named(self, tmp_path, video12):
         path = tmp_path / "s.json"
         path.write_text('{"video_id": "video12", "keyframe_times_s": [0, 1%s]}' % ("0" * 400))
-        assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
-            f"{path}: keyframe_times_s[1]: number out of float range"
+        assert _type_error(lambda p: corpus.load_summary(p, video12), path) == (
+            f"{path}: keyframe_times_s[1]: must be finite"
         )
 
     @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
     def test_keyframe_time_that_overflows_is_named(self, tmp_path, video12, literal):
         path = tmp_path / "s.json"
         path.write_text('{"video_id": "video12", "keyframe_times_s": [0, %s]}' % literal)
-        assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
+        assert _type_error(lambda p: corpus.load_summary(p, video12), path) == (
             f"{path}: keyframe_times_s[1]: must be finite"
         )
 
@@ -592,8 +596,8 @@ class TestRowErrors:
         path = tmp_path / "s.json"
         path.write_text('{"video_id": "video12", "spans": [{"start_s": 0.0, "end_s": 1%s}]}'
                         % ("0" * 400))
-        assert _parse_error(lambda p: corpus.load_summary(p, video12), path) == (
-            f"{path}: spans[0].end_s: number out of float range"
+        assert _type_error(lambda p: corpus.load_summary(p, video12), path) == (
+            f"{path}: spans[0].end_s: must be finite"
         )
 
 
@@ -621,7 +625,7 @@ def test_span_bisection_matches_the_scan(case):
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps({"video_id": "v", "spans": spans}))
         try:
-            want = oracles.span_indices_scan({"spans": spans}, video, str(path))
+            want = oracles.summary_of({"video_id": "v", "spans": spans}, str(path), video).indices
         except (CorpusParseError, CorpusValidationError) as e:
             with pytest.raises(type(e)) as got:
                 corpus.load_summary(path, video)
@@ -678,8 +682,9 @@ REFUSED = {  # a file each loader refuses: 1e999 in a field it reads
 }
 # the error each refusal raises, the path written as {}: the field is named
 REFUSAL = {
-    "annotations": (CorpusParseError, "{}.subshot_seconds: must be finite"),
-    "ground_truths": (CorpusParseError, "{}: summaries[0].sentences[0].rank: expected int"),
+    "annotations": (CorpusValidationError, "{}: subshot_seconds: must be finite"),
+    "ground_truths": (CorpusValidationError,
+                      "{}: summaries[0].sentences[0].rank: expected int, got float"),
     "features": (CorpusValidationError,
                  "{}: subshots[1].frames[0]: histogram sums to inf, expected 1"),
 }
@@ -773,7 +778,7 @@ def test_a_file_broken_in_place_fails_then_loads_once_fixed(tmp_path):
     path.write_text(_gts_text("v", ranks=(1, 3)))
     with pytest.raises(CorpusValidationError) as info:
         corpus.load_ground_truths(path)
-    assert str(info.value) == f"{path}: summaries[a].sentences: ranks must be a permutation of 1..2"
+    assert str(info.value) == f"{path}: summaries[0].sentences: ranks must be a permutation of 1..2"
     path.write_text('{"video_id": "v", "summaries": [')
     assert _memo_outcome(corpus.load_ground_truths, path) == (
         "CorpusParseError", f"{path}: invalid JSON: Expecting value: line 1 column 33 (char 32)")

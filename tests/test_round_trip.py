@@ -8,7 +8,6 @@ same fields, or load back equal.
 """
 import json
 import math
-import re
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -150,13 +149,17 @@ def test_a_feature_record_is_refused_or_loads_back_equal(tmp_path_factory, feats
 
 # ---------------------------------------------------------------------------
 # each record type either refuses to be built or loads back equal, and refuses what its
-# loader refuses, in the same words; the rules are those stated in oracles
+# loader refuses, in the same words, type faults included; the types and rules are those
+# stated in oracles
 
 
-# values of another type than a str, int or float field's, as a caller might pass them
-WRONG = {str: [1, None], int: [True, 1.0, np.int64(1)],
-         float: [1, True, np.float64(1.5), math.nan, math.inf]}
-TYPE_REFUSAL = re.compile(r": (expected \w+, got \w+|must be finite)$")
+# values of another type than a str, int or float field's, as a caller might pass them, each
+# with the value a file holds in its place: JSON writes a numpy scalar as its number, and has
+# no literal for a non-finite float, so the file holds an int beyond float range, which the
+# loader reads as an infinite float
+WRONG = {str: [(1, 1), (None, None)], int: [(True, True), (1.0, 1.0), (np.int64(1), 1)],
+         float: [(1, 1), (True, True), (np.float64(1.5), 1.5), (math.nan, 10**400),
+                 (math.inf, 10**400), (-math.inf, -10**400)]}
 
 
 def spots(value, path=()):
@@ -176,19 +179,19 @@ def replaced(value, path, new):
 @st.composite
 def mistyped(draw, args):
     """args, or args with one value given another type: a list for a tuple, a plain tuple for a
-    row, or a value of WRONG; and whether it was."""
-    paths = list(spots(args))
+    row, or a value of WRONG. Also the args as a file holds them (JSON has one kind of list and
+    of row), and as the loader reads that file back (an int in a float field as a float)."""
     if not draw(st.booleans()):
-        return args, False
-    path = draw(st.sampled_from(paths))
+        return args, args, args
+    path = draw(st.sampled_from(list(spots(args))))
     old = args
     for i in path:
         old = old[i]
     if isinstance(old, tuple):
-        new = list(old) if type(old) is tuple else tuple(old)
-    else:
-        new = draw(st.sampled_from(WRONG[type(old)]))
-    return replaced(args, path, new), True
+        return replaced(args, path, list(old) if type(old) is tuple else tuple(old)), args, args
+    new, held = draw(st.sampled_from(WRONG[type(old)]))
+    read = oracles.as_float(held) if type(old) is float else held
+    return tuple(replaced(args, path, value) for value in (new, held, read))
 
 
 def outcome(call, *args):
@@ -199,22 +202,23 @@ def outcome(call, *args):
         return None, str(exc)
 
 
-def check_record(tmp_path, make, case, rule_fault, save, load, doc):
-    """make(*args) refuses a value of another type by name. With every type exact it refuses
-    rule_fault, the oracle's statement, and a file of the same fields, written without make,
-    is refused in the same words after its path. A record that builds loads back equal."""
-    args, mistyped_ = case
+def check_record(tmp_path, make, case, rule_fault, save, load, doc, at=""):
+    """make(*args) refuses what rule_fault, the oracle's statement of the record's types and
+    rules, refuses, in its words; a record that builds loads back equal. A file of the args as
+    JSON holds them, written without make, loads as make builds the args as the loader reads
+    them back: the same record, or the same refusal after the path and at, the record's place
+    in its file."""
+    args, held, read = case
     path = tmp_path / "record.json"
     record, refusal = outcome(make, *args)
+    assert refusal == rule_fault(*args)
     if record is not None:
         save(path, record)
         assert load(path) == record
-    if mistyped_:
-        assert refusal is not None and TYPE_REFUSAL.search(refusal), refusal
-        return
-    assert refusal == rule_fault(*args)
-    path.write_text(json.dumps(doc(*args)))
-    assert outcome(load, path) == (record, None if refusal is None else f"{path}: {refusal}")
+    record, refusal = outcome(make, *read)
+    assert refusal == rule_fault(*read)
+    path.write_text(json.dumps(doc(*held)))
+    assert outcome(load, path) == (record, None if refusal is None else f"{path}: {at}{refusal}")
 
 
 # mostly valid values, so that a record's later rules are reached
@@ -236,11 +240,11 @@ def video_args(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(video_args().flatmap(mistyped))
-@example(case=(("v", 5.0, (Subshot(0, 5.0, 10.0, "dog"), Subshot(1, 0.0, 5.0, ""))), False))
+@example(case=(("v", 5.0, (Subshot(0, 5.0, 10.0, "dog"), Subshot(1, 0.0, 5.0, ""))),) * 3)
 def test_a_video_record_is_refused_or_loads_back_equal(tmp_path_factory, case):
     check_record(
         tmp_path_factory.mktemp("video"), VideoRecord, case,
-        lambda video_id, seconds, shots: oracles.video_fault(seconds, shots),
+        oracles.video_fault,
         corpus.save_annotations, corpus.load_annotations,
         lambda video_id, seconds, shots: {
             "video_id": video_id, "subshot_seconds": seconds,
@@ -263,7 +267,7 @@ def ground_truth_args(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ground_truth_args().flatmap(mistyped))
-@example(case=(("a", (GroundTruthSentence(2, 1, "dog"), GroundTruthSentence(2, 2, ""))), False))
+@example(case=(("a", (GroundTruthSentence(2, 1, "dog"), GroundTruthSentence(2, 2, ""))),) * 3)
 def test_a_ground_truth_is_refused_or_loads_back_equal(tmp_path_factory, case):
     check_record(
         tmp_path_factory.mktemp("gt"), GroundTruthSummary, case, oracles.ground_truth_fault,
@@ -271,7 +275,8 @@ def test_a_ground_truth_is_refused_or_loads_back_equal(tmp_path_factory, case):
         lambda path: corpus.load_ground_truths(path)[0],
         lambda author_id, sentences: {"video_id": "v", "summaries": [{
             "author_id": author_id,
-            "sentences": [{"temporal_pos": p, "rank": r, "text": t} for p, r, t in sentences]}]})
+            "sentences": [{"temporal_pos": p, "rank": r, "text": t} for p, r, t in sentences]}]},
+        at="summaries[0].")
 
 
 @st.composite
@@ -289,6 +294,6 @@ def selection_args(draw):
 def test_a_selection_is_refused_or_loads_back_equal(tmp_path_factory, case):
     check_record(
         tmp_path_factory.mktemp("selection"), SummarySelection, case,
-        lambda video_id, indices: oracles.selection_fault(indices),
+        oracles.selection_fault,
         corpus.save_summary, corpus.load_summary,
         lambda video_id, indices: {"video_id": video_id, "indices": list(indices)})

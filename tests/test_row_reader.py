@@ -7,15 +7,8 @@ literal in a float field, a row that is not an object, a non-finite
 literal in place of a number) and loads it both ways: through corpus,
 and through the field-by-field reader in ``oracles`` on read_json's
 parse. The two must give an equal record, or the same exception class
-and message. Two departures are documented, and asserted as documented:
-
-- a feature row with a wrong ``index`` and a missing or non-list
-  ``frames`` names ``frames`` (CorpusParseError) where the reference
-  names ``index`` (CorpusValidationError): field types before values, as
-  for every other kind;
-- a human judgment file takes the wording of the other files. The class
-  and the row are the reference's; the message names the row's first
-  faulty field, in the order of the key fields and then ``verdict``.
+and message: the file's JSON structure first, then its field types and
+rules, for every kind alike.
 """
 import copy
 import json
@@ -174,45 +167,29 @@ def features_doc(m):
         {"index": i, "frames": [[1.0, 0.0, 0.0], [0.25, 0.25, 0.5]]} for i in range(m)]}
 
 
-def documented_features_outcome(want, path):
-    """want, except for a row with a wrong index and a missing or non-list frames:
-    that row's frames error."""
-    if want[0] != "CorpusValidationError":
-        return want
-    index_fault = re.fullmatch(r".*: subshots\[(\d+)\]\.index: expected \d+", want[1])
-    if index_fault:
-        i = int(index_fault[1])
-        row, where = json.loads(path.read_text())["subshots"][i], f"{path}: subshots[{i}]"
-        if "frames" not in row:
-            return "CorpusParseError", f"{where}: missing field 'frames'"
-        if not isinstance(row["frames"], list):
-            return "CorpusParseError", f"{where}.frames: expected list"
-    return want
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 4).map(features_doc).flatmap(faulty_text), st.sampled_from([None, VIDEO]))
 def test_features_read_as_the_reference_reads(tmp_path_factory, text, video):
     path = write(tmp_path_factory, text)
-    want = outcome(referenced(oracles.features_of, video), path)
-    assert outcome(lambda p: corpus.load_features(p, video), path) == (
-        documented_features_outcome(want, path))
+    assert outcome(lambda p: corpus.load_features(p, video), path) == outcome(
+        referenced(oracles.features_of, video), path)
 
 
 def test_a_wrong_index_with_bad_frames_names_the_frames(tmp_path):
+    """The structure of every row is read before any value: a missing or non-list frames is
+    named before a wrong index, by both readers."""
     path = tmp_path / "f.json"
     for frames, message in [(None, "subshots[1]: missing field 'frames'"),
-                            ("x", "subshots[1].frames: expected list")]:
+                            ("x", "subshots[1].frames must be a list")]:
         doc = features_doc(2)
-        doc["subshots"][1]["index"] = 5
+        doc["subshots"][0]["index"] = 5
         if frames is None:
             del doc["subshots"][1]["frames"]
         else:
             doc["subshots"][1]["frames"] = frames
         path.write_text(json.dumps(doc))
-        assert outcome(referenced(oracles.features_of), path) == (
-            "CorpusValidationError", f"{path}: subshots[1].index: expected 1")
-        assert outcome(corpus.load_features, path) == ("CorpusParseError", f"{path}: {message}")
+        for load in (referenced(oracles.features_of), corpus.load_features):
+            assert outcome(load, path) == ("CorpusParseError", f"{path}: {message}")
 
 
 HUMAN_KEYS = {("pair",): [(0,), (1,), (2,)], ("ref", "x", "y"): [(0, 1, 2), (1, 0, 2), (2, 0, 1)]}
@@ -222,30 +199,6 @@ def human_doc(keys):
     verdicts = ["both_zero", "first_closer", "second_closer"]
     return {"judgments": [{**dict(zip(keys, key)), "verdict": verdict}
                           for key, verdict in zip(HUMAN_KEYS[keys], verdicts)]}
-
-
-def documented_human_outcome(want, path, keys):
-    """want, in the wording of the other files: the same class and row, the row's first
-    faulty field named as corpus names it."""
-    ctx = str(path)
-    if want == ("CorpusParseError", f"{ctx}: missing 'judgments' list"):
-        if "judgments" not in json.loads(path.read_text()):
-            return "CorpusParseError", f"{ctx}: missing field 'judgments'"
-        return "CorpusParseError", f"{ctx}.judgments: expected list"
-    row_fault = want[0] == "CorpusParseError" and re.match(
-        re.escape(ctx) + r": judgments\[(\d+)\]", want[1])
-    if not row_fault:
-        return want  # a judged-twice refusal, or read_json's
-    i = int(row_fault[1])
-    row, where = json.loads(path.read_text())["judgments"][i], f"{ctx}: judgments[{i}]"
-    if not isinstance(row, dict):
-        return "CorpusParseError", f"{where} must be an object"
-    for field, kind in [(key, int) for key in keys] + [("verdict", str)]:
-        if field not in row:
-            return "CorpusParseError", f"{where}: missing field {field!r}"
-        if type(row[field]) is not kind:
-            return "CorpusParseError", f"{where}.{field}: expected {kind.__name__}"
-    return "CorpusParseError", f"{where}.verdict: {row['verdict']!r} is not a valid Verdict"
 
 
 @st.composite
@@ -259,31 +212,33 @@ def human_files(draw):
 def test_human_judgments_read_as_the_reference_reads(tmp_path_factory, case):
     keys, text = case
     path = write(tmp_path_factory, text)
-    want = outcome(referenced(oracles.human_verdicts_of, keys), path)
-    assert outcome(lambda p: corpus.load_human_verdicts(p, keys), path) == (
-        documented_human_outcome(want, path, keys))
+    assert outcome(lambda p: corpus.load_human_verdicts(p, keys), path) == outcome(
+        referenced(oracles.human_verdicts_of, keys), path)
 
 
 def test_human_file_refusals_take_the_shared_wording(tmp_path):
     path = tmp_path / "h.json"
     judged = {"pair": 0, "verdict": "both_zero"}
+    parse, validation = "CorpusParseError", "CorpusValidationError"
     cases = [
         ({"judgments": [judged, {"pair": 1.7, "verdict": "both_zero"}]},
-         "judgments[1].pair: expected int"),
-        ({"judgments": [judged, {"verdict": "both_zero"}]}, "judgments[1]: missing field 'pair'"),
-        ({"judgments": [judged, [1, "both_zero"]]}, "judgments[1] must be an object"),
-        ({"judgments": [judged, {"pair": 1, "verdict": 3}]}, "judgments[1].verdict: expected str"),
+         validation, "judgments[1].pair: expected int, got float"),
+        ({"judgments": [judged, {"verdict": "both_zero"}]},
+         parse, "judgments[1]: missing field 'pair'"),
+        ({"judgments": [judged, [1, "both_zero"]]}, parse, "judgments[1] must be an object"),
+        ({"judgments": [judged, {"pair": 1, "verdict": 3}]},
+         validation, "judgments[1].verdict: expected str, got int"),
         ({"judgments": [judged, {"pair": 1, "verdict": "maybe"}]},
-         "judgments[1].verdict: 'maybe' is not a valid Verdict"),
-        ({"judgment": []}, "missing field 'judgments'"),
+         parse, "judgments[1].verdict: 'maybe' is not a valid Verdict"),
+        ({"judgment": []}, parse, "missing field 'judgments'"),
     ]
-    for doc, message in cases:
+    for doc, kind, message in cases:
         path.write_text(json.dumps(doc))
         assert outcome(lambda p: corpus.load_human_verdicts(p, ("pair",)), path) == (
-            "CorpusParseError", f"{path}: {message}")
+            kind, f"{path}: {message}")
     path.write_text(json.dumps({"judgments": {}}))
     assert outcome(lambda p: corpus.load_human_verdicts(p, ("pair",)), path) == (
-        "CorpusParseError", f"{path}.judgments: expected list")
+        "CorpusParseError", f"{path}.judgments must be a list")
 
 
 # every loader on a file of its kind; summaries in each of their three forms
@@ -298,8 +253,9 @@ NON_FINITE_CASES = {
                         lambda p, keys=keys: corpus.load_human_verdicts(p, keys))
        for keys in HUMAN_KEYS},
 }
-# a field as a message names it: ".end_s: must be finite", "indices[1] must be an integer"
-FIELD = re.compile(r"(\.[a-z_]+|\[\d+\])(:| must)")
+# a field as a message names it: "subshots[0].end_s: must be finite", "subshot_seconds: must be
+# finite"
+FIELD = re.compile(r"(^: [a-z_]+|\.[a-z_]+|\[\d+\])(:| must)")
 
 
 @st.composite

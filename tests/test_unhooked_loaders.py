@@ -392,10 +392,10 @@ def test_ground_truths_load_equals_the_checked_path(tmp_path_factory, values):
 
 
 def test_annotations_non_finite_literal_is_named(tmp_path):
-    """An overflowing time reads as infinite, and the row reader names its field."""
+    """An overflowing time reads as infinite, and the record's type rule names its field."""
     path = tmp_path / "a.json"
     path.write_text('{"video_id": "v", "subshot_seconds": 5.0, "subshots": '
                     '[{"index": 0, "start_s": 0.0, "end_s": 1e999, "text": "a"}]}')
-    with pytest.raises(corpus.CorpusParseError) as info:
+    with pytest.raises(corpus.CorpusValidationError) as info:
         corpus.load_annotations(path)
     assert str(info.value) == f"{path}: subshots[0].end_s: must be finite"
