@@ -9,8 +9,8 @@ file's path (the CLI exits 2 with it). A loader reads only JSON's
 structure, refused as CorpusParseError: the text is JSON (NaN and
 Infinity refused by name) and an object, each field is present, each
 container (a file's rows, a summary's sentences, a row's frames) is a
-list and each row an object. An int literal in a float field reads as a
-float, and one beyond float range, as 1e999 does, as an infinite float.
+list and each row an object. An int in a float field or a frame reads as
+a float, and one beyond float range, as 1e999 does, as an infinite one.
 Every other check is a record constructor's, the one check of its record
 on load and for a library caller alike, raised as CorpusValidationError:
 VideoRecord, GroundTruthSummary, SummarySelection and SubshotFeatures
@@ -25,8 +25,9 @@ their loader's rules. One order serves every file: its JSON structure,
 whole; then the record's types and rules in its constructor's order (a
 feature row's index and frame shape, which it does not hold, before it);
 then the checks against a ``video`` argument: the file is for it, covers
-it, and indexes within it, an index out of its range named after the
-faults of the indices before it. A field no loader reads goes unchecked.
+it, and indexes within it, an index out of its range (or a keyframe time
+past any video) named after the faults of the indices (times) before it.
+A field no loader reads goes unchecked.
 ``_rows`` reads the rows of every file as tuples of their fields. Every
 input file, stopword lists and PPM frames included, is read by
 ``read_bytes`` (or ``read_text``): one that cannot be read raises
@@ -34,18 +35,19 @@ CorpusIOError, one not UTF-8 CorpusParseError, naming the path.
 
 Each load reads its file once, as bytes, and parses them once. The
 annotation, ground-truth and feature loaders share one process-wide memo
-behind one lock, keyed on the loader kind and the file's exact bytes: not
-on a digest (``hashlib`` would load OpenSSL's few MB), nor on the path or
-mtime, so a file rewritten in place is a miss. A miss runs the checks of
-the file alone and holds the record only if all passed; the checks
-against the ``video`` argument run after every load, hit or miss, so a
-file refused only for its video is still held. The memo holds at most
-``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, least recently used evicted,
-and never a larger file: a one-shot CLI process gains nothing from it, a
-process that scores many summaries of one video parses its references
-once. Held feature matrices are read-only and ``load_ground_truths``
-returns a new list on every call. Summaries, score files and human
-judgments are not memoized.
+behind one lock, keyed on the loader kind and the path; a hit needs the
+file's bytes to equal the held bytes (one memcmp: no file byte is hashed,
+and no digest taken, as ``hashlib`` would load OpenSSL's few MB), so a
+file rewritten in place is a miss, whatever its mtime. A miss drops the
+path's entry, runs the checks of the file alone and holds the record only
+if all passed; the checks against the ``video`` argument run after every
+load, hit or miss, so a file refused only for its video is still held. The
+memo holds at most ``LOAD_MEMO_BYTES`` (16 MiB) of file bytes, least
+recently used evicted, and never a larger file: a one-shot CLI process
+gains nothing from it, a process that scores many summaries of one video
+parses its references once. Held feature matrices are read-only and
+``load_ground_truths`` returns a new list on every call. Summaries, score
+files and human judgments are not memoized.
 
 Every file is written by one writer, ``write_canonical``: byte for byte
 the text of ``json.dumps(obj, ensure_ascii=False, sort_keys=True,
@@ -532,9 +534,9 @@ def _parse_json(raw: bytes, path: str | Path) -> dict:
 # load memo
 
 LOAD_MEMO_BYTES = 16 << 20
-# checked records by (loader kind, file bytes), least recently used first, the loads
+# (file bytes, checked record) by (loader kind, path), least recently used first, the loads
 # counted by (loader kind, hit), and the lock that guards both
-_records: OrderedDict[tuple[str, bytes], object] = OrderedDict()
+_records: OrderedDict[tuple[str, str], tuple[bytes, object]] = OrderedDict()
 _loads: Counter[tuple[str, bool]] = Counter()
 _lock = threading.Lock()
 
@@ -552,26 +554,27 @@ def load_memo_info() -> dict:
         hits, misses = ({kind: k for (kind, hit), k in _loads.items() if hit is side}
                         for side in (True, False))
         return {"hits": hits, "misses": misses, "files": len(_records),
-                "bytes": sum(len(file) for _, file in _records)}
+                "bytes": sum(len(file) for file, _ in _records.values())}
 
 
 def _load_memoized(kind: str, path: str | Path, load):
-    """The record of the file at path, load(data) of its parse on a miss; held if load passed
-    and the file is within ``LOAD_MEMO_BYTES``, read at each store, evicting the oldest."""
+    """The record of the file at path: the held one if its bytes equal the held bytes, else
+    load(data) of their parse, held if load passed and the file is within ``LOAD_MEMO_BYTES``."""
     raw = read_bytes(path)
-    key = (kind, raw)
+    key = (kind, str(path))
     with _lock:
-        record = _records.get(key)
-        _loads[kind, record is not None] += 1
-        if record is not None:
-            _records.move_to_end(key)
-            return record
+        held = _records.pop(key, None)  # a miss drops the path's entry
+        hit = held is not None and held[0] == raw  # one memcmp: no file byte is hashed
+        _loads[kind, hit] += 1
+        if hit:
+            _records[key] = held  # now the most recently used
+            return held[1]
     record = load(_parse_json(raw, path))
     budget = LOAD_MEMO_BYTES
     if len(raw) <= budget:
         with _lock:
-            _records[key] = record
-            while sum(len(file) for _, file in _records) > budget:
+            _records[key] = (raw, record)
+            while sum(len(file) for file, _ in _records.values()) > budget:
                 _records.popitem(last=False)
     return record
 
@@ -727,9 +730,7 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
         kind = "keyframe" if form == "keyframe_times_s" else "span"
         raise CorpusParseError(f"{ctx}: {kind} summaries need the video record to resolve")
     items = _get(data, form, list, ctx)
-    if form == "spans":
-        items = _rows(items, _SPAN_FIELDS, f"{ctx}: spans")
-
+    past = ""  # a keyframe time past any video
     if form == "indices":
         indices = tuple(items)
     elif form == "keyframe_times_s":
@@ -737,16 +738,16 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
         _on_load(ctx, _check_types, times, (("", float),), "keyframe_times_s")
         seen = set()
         for i, t in enumerate(times):
-            where = f"{ctx}: keyframe_times_s[{i}]"
             if t < 0:
-                raise CorpusValidationError(f"{where}: negative time {t}")
+                raise CorpusValidationError(f"{ctx}: keyframe_times_s[{i}]: negative time {t}")
             index = t // video.subshot_seconds
-            if index == math.inf:  # past any video: no int index to name
-                raise CorpusValidationError(
-                    f"{where}: time {t} out of range for video with {len(video)} subshots")
+            if index == math.inf:  # past any video: named after the video's id, as an index is
+                past = f"keyframe_times_s[{i}]: time {t}"
+                break
             seen.add(int(index))
         indices = tuple(sorted(seen))
     else:
+        items = _rows(items, _SPAN_FIELDS, f"{ctx}: spans")
         _on_load(ctx, _check_types, list(chain.from_iterable(items)), _SPAN_FIELDS, "spans")
         starts, ends = np.array([(shot.start_s, shot.end_s) for shot in video.subshots]).T
         hit = np.zeros(len(video), dtype=bool)
@@ -757,13 +758,13 @@ def load_summary(path: str | Path, video: VideoRecord | None = None) -> SummaryS
         indices = tuple(np.flatnonzero(hit).tolist())  # a subshot's index is its position
 
     # the first int out of the video's range, n, is named after the faults of indices[:n + 1]
-    n = next((i for i, idx in enumerate(indices)
-              if video and type(idx) is int and idx >= len(video)), len(indices))
+    m = math.inf if video is None else len(video)
+    n = next((i for i, idx in enumerate(indices) if type(idx) is int and idx >= m), len(indices))
     summary = _on_load(ctx, SummarySelection, video_id, indices[:n + 1])
     _check_video(ctx, video_id, video)
-    if n < len(indices):
-        raise CorpusValidationError(f"{ctx}: indices[{n}]: index {indices[n]} out of range "
-                                    f"for video with {len(video)} subshots")
+    if past or n < len(indices):
+        fault = past or f"indices[{n}]: index {indices[n]}"
+        raise CorpusValidationError(f"{ctx}: {fault} out of range for video with {m} subshots")
     return summary
 
 
@@ -838,7 +839,11 @@ def _features_of(data: dict, ctx: str) -> SubshotFeatures:
         entries = chain.from_iterable(f for f in frames if isinstance(f, list))
         numeric = set(map(type, entries)) <= {int, float}
         try:
-            arr = np.asarray(frames, dtype=np.float64)
+            try:
+                arr = np.asarray(frames, dtype=np.float64)
+            except OverflowError:  # an int beyond float range reads as inf, as 1e999 does
+                arr = np.asarray([list(map(_as_float, f)) if isinstance(f, list) else _as_float(f)
+                                  for f in frames], dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             numeric = False
         if not numeric:

@@ -1,18 +1,20 @@
 """Summary scoring: text representation, length adjustment, best-reference score.
 
-A summary's text representation is the annotation of each selected
-subshot in temporal order. Before scoring, each human reference is
-length-adjusted to the summary's subshot count: its top-n ranked
-sentences, re-sorted temporally. The summary score is the maximum
-F-measure over the adjusted references. Scores come from a
-``rouge.UnitTable``, which also carries the stopword set: pass one table
-to many calls and each annotation and reference sentence is compiled once.
-A call without ``table=`` uses its thread's ``rouge.shared_table``, as
-every CLI command does, so that holds across the calls of a process.
-``best_scores`` scores many summaries of one length in one
-``rouge.match_matrix`` call, building each reference's bag once.
-Nothing here reads or writes files: the CLI writes a report's ``to_dict()``
-with ``corpus.write_canonical``.
+A summary's text representation is the annotation of each selected subshot
+in temporal order. Before scoring, each human reference is length-adjusted
+to the summary's subshot count: its top-n ranked sentences, re-sorted
+temporally. The summary score is the maximum F-measure over the adjusted
+references. Scores come from a ``rouge.UnitTable``, the stopword set's
+carrier, which compiles each annotation and reference sentence once (without
+``table=``, the thread's ``rouge.shared_table``, as in every CLI command).
+``score_summary`` makes one 1 x g ``rouge.match_matrix`` call against the g
+length-adjusted references, and ``best_scores`` one for many summaries of
+one length (the 2*count of ``compare --mode pairs``), building each
+reference's bag once. ``length_adjust`` sorts nothing per call: it reads
+``GroundTruthSummary.by_time``, worked out on a record's first read, and the
+load memo hands one record to every load of a file, so a process reads each
+reference's order once. Nothing here reads or writes files: the CLI writes a
+report's ``to_dict()`` with ``corpus.write_canonical``.
 """
 from __future__ import annotations
 
@@ -55,9 +57,10 @@ class EvaluationReport:
 
 def text_representation(summary: SummarySelection, video: VideoRecord) -> list[str]:
     """Annotations of the selected subshots, ascending temporal order."""
+    m = len(video)
     for idx in summary.indices:
-        if idx >= len(video):
-            raise ValueError(f"subshot index {idx} out of range for {len(video)}-subshot video")
+        if idx >= m:
+            raise ValueError(f"subshot index {idx} out of range for {m}-subshot video")
     return [video.subshots[i].annotation for i in summary.indices]
 
 

@@ -5,59 +5,65 @@ pooled over each text, and matched with per-unit clipping: each distinct
 unit contributes min(candidate count, reference count). For ROUGE-SU,
 unigrams and skip-bigrams share a single pool and count equally.
 
-Every score goes through a ``UnitTable``. The table compiles a sentence
-the first time it is scored under a unit kind: it tokenizes the sentence
-and maps each token to its stem id through one dict per table, from raw
-token to the small int its stem is interned to, or to -1 for a stopword.
-So stopword removal, stemming and interning are one lookup per token, and
-``textproc.stem`` runs only the first time the table meets a token; the
-ids are those of ``textproc.preprocess``'s stems. The table keeps the
-sentence's units of that kind as an int array, one entry per occurrence,
-in ascending id order: a row is sorted once, when it is compiled.
-A unigram's id is its stem id; an ordered pair (skip-bigram or contiguous
-bigram) of stem ids a, b has the id (a + 1) * 2**32 + b, which no stem id
-reaches and which fits the signed 64-bit rows while a table holds fewer
-than 2**31 stems, so pair ids need no second intern dict.
+Scoring re-reads the same sentences many times (every summary of a video
+shares its annotations, every summary of size n its length-adjusted
+references), and one cache keeps that cheap: the ``UnitTable``, through
+which every score goes. It compiles a sentence the first time it is scored
+under a unit kind (only scored sentences are: an n=25 ``evaluate`` on a
+2,000-subshot video touches about 125). It tokenizes the sentence and maps
+each token through one dict per table, from raw token to the small int its
+stem is interned to, or to -1 for a stopword: stopword removal, stemming and
+interning are one lookup per token, ``textproc.stem`` (which holds no memo)
+runs only the first time the table meets a token, and the ids are those of
+``textproc.preprocess``'s stems. ``preprocess`` stays as the reference
+statement of the pipeline: the tests check that each row, decoded back to
+stems, holds the units built from it. A row is the sentence's units of one
+kind as an int array, one entry per occurrence, sorted once, when it is
+compiled. A unigram's id is its stem id; an ordered pair (skip-bigram or
+contiguous bigram) of stem ids a, b has the id (a + 1) * 2**32 + b, which no
+stem id reaches and which fits the signed 64-bit rows while a table holds
+fewer than 2**31 stems, so pair ids need no second intern dict.
 
-A text's bag is two int64 arrays: the sorted distinct unit ids of its
-pooled rows and their counts. ``postings`` copies a text's rows into one
-pooled array; a one-sentence text is then already sorted, and a longer
-one is sorted in place, in that copy, never in a cached row. Several
-texts are each one ascending run, so one stable argsort (timsort, which
-finds the runs) merges them and keeps each id's run in text order; one
-text needs no argsort. ``match_matrix`` scores many texts against
-many at once. It lays the bags of the references end to end, sorted by
-unit id (``postings``), once. Then, for each candidate in turn, two
-``searchsorted`` calls find the runs of postings that hold the
-candidate's units (``find``), the minimum of the two counts is taken on
-every one of them, and one ``bincount`` sums the minima per reference. ``prf`` turns the integer counts
-into precision, recall and F elementwise; numpy's float64 division,
-multiplication and addition are the IEEE operations Python's floats use,
-so every score is bit-identical to counting string-keyed units one by
-one.
+A text's bag is two int64 arrays: the sorted distinct unit ids of its pooled
+rows and their counts. ``postings`` copies a text's rows into one pooled
+array, each held row taken with one lookup in the table's row dict
+(``UnitTable.row`` compiles the others); a one-sentence text is then already
+sorted, and a longer one is sorted in place, in that copy, never in a cached
+row. Several texts are each one ascending run, so one stable argsort
+(timsort, which finds the runs) merges them and keeps each id's run in text
+order. ``match_matrix`` lays the bags of the references end to end, sorted
+by unit id, once; then, for each candidate in turn, two ``searchsorted``
+calls find the runs of postings that hold the candidate's units (``find``),
+the minimum of the two counts is taken on every one of them, and one
+``bincount`` sums the minima per reference. ``summarize.greedy_bow``
+likewise keeps the annotations' postings of the reference words and takes
+each step's gains from one ``bincount``. ``prf`` turns the counts into
+precision, recall and F elementwise, with the zero branches of the scalar
+formula; numpy's float64 division, multiplication and addition are the IEEE
+operations Python's floats use, so every score is bit-identical to counting
+string-keyed units one by one.
 
-The table is the only place where text turns into units and the only
-way to choose stopwords: every text entry point (here, in ``evaluator``,
-``summarize`` and ``analysis``) takes ``table=`` and no stopword set, so
-two stopword sets can never meet in one score. Compilation is lazy: only
-sentences that are actually scored are compiled. ``shared_table`` holds
-one table per thread: the CLI hands it to every command the thread runs,
-and every library call without ``table=`` uses it, so a process that runs
-many commands or calls (the benchmark's, or a service) compiles each
-reference sentence and annotation once, and the table's dict is the only
-memo of stems. The held table is replaced by a fresh one when a call asks
-for another stopword set, or once it holds more than ``TABLE_ENTRIES``
-entries (rows, the units in them and words); that bound also keeps its
+The table is the only place where text turns into units and the only way to
+choose stopwords: every text entry point takes ``table=`` and no stopword
+set, and each CLI command takes one table, for ``--stopwords`` or the
+bundled list. ``shared_table`` holds one table per thread, which the CLI
+hands to every command the thread runs and every library call without
+``table=`` uses, so a process that runs many commands or calls compiles each
+reference sentence and annotation once. The held table is replaced by a
+fresh one when a call asks for another stopword set (compared by content),
+or once it holds more than ``TABLE_ENTRIES`` (2**22) entries, counting its
+rows, the units in them and its words; a ``score-paper`` round of the
+benchmark fills about 5,200 rows with 74,000 units, and the bound keeps the
 stems far below the 2**31 that pair ids need. Both checks run only when a
-call takes its table, once, before it compiles anything, so a replacement
-never falls inside a call and no call mixes the ids of two tables; scores
-depend only on unit counts, never on the ids, so no output depends on
-when a table was replaced. The slot is per thread rather than locked,
-because a stem id must stay valid for a whole call and a lock held that
-long would serialise concurrent calls. A one-shot process holds only what
-its one command compiled. ``su_f_matrix`` is the one matrix of
-one-sentence ROUGE-SU scores, for the ordered-assignment summarizer and
-for triples.
+call takes its table, once, before it compiles anything, so no call mixes
+the ids of two tables; scores depend only on unit counts, never on the ids,
+so no output depends on when a table was replaced. The slot is per thread
+rather than locked, because a stem id must stay valid for a whole call and a
+lock held that long would serialise concurrent calls. A one-shot process
+holds only what its one command compiled. ``su_f_matrix`` is the one float64
+matrix of one-sentence ROUGE-SU F scores: ``summarize.sentence_dp`` builds
+its sentence x annotation matrix with it, and ``analysis.compare_triples``
+its annotation x annotation matrix.
 """
 from __future__ import annotations
 
@@ -173,10 +179,11 @@ def postings(
     pooled = array("q")
     lengths = []
     unsorted = []  # (start, stop) in pooled of each text of more than one sentence
+    held = table._rows  # one lookup per compiled sentence; table.row compiles the others
     for text in texts:
         start = len(pooled)
         for s in text:
-            pooled += table.row(kind, s)
+            pooled += held.get((kind, s)) or table.row(kind, s)  # an empty row takes the call
         lengths.append(len(pooled) - start)
         if len(text) > 1:
             unsorted.append((start, len(pooled)))
@@ -214,8 +221,9 @@ def match_matrix(
     Returns the k x r int64 matrix of match counts (cell [j, i] sums
     min(count in candidate j, count in reference i) over the shared
     units) and the unit totals of the k candidates and the r references.
-    The references' postings are built once; each candidate's bag is built
-    in turn, so only one candidate bag is held at a time.
+    The references' postings are built once and each candidate's bag in
+    turn: one candidate bag is held at a time, so memory grows with the
+    references, not with the number of candidates.
     """
     ids, counts, owners = postings(table, kind, references)
     matches = np.zeros((len(candidates), len(references)), dtype=np.int64)

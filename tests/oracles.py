@@ -573,6 +573,7 @@ def summary_of(data, ctx, video=None):
     if form == "spans" and video is None:
         raise CorpusParseError(f"{ctx}: span summaries need the video record to resolve")
     items = get_field(data, form, list, ctx)
+    past = None  # a keyframe time past any video, refused after the video's id
     if form == "spans":
         items = [checked_row(raw, SPAN_FIELDS, f"{ctx}: spans[{i}]") for i, raw in enumerate(items)]
     if form == "indices":
@@ -583,13 +584,12 @@ def summary_of(data, ctx, video=None):
                                  for i, t in enumerate(times)]))
         seen = set()
         for i, t in enumerate(times):
-            where = f"{ctx}: keyframe_times_s[{i}]"
             if t < 0:
-                raise CorpusValidationError(f"{where}: negative time {t}")
+                raise CorpusValidationError(f"{ctx}: keyframe_times_s[{i}]: negative time {t}")
             index = t // video.subshot_seconds
-            if index == math.inf:
-                raise CorpusValidationError(
-                    f"{where}: time {t} out of range for video with {len(video.subshots)} subshots")
+            if index == math.inf:  # the times after it are not read
+                past = f"keyframe_times_s[{i}]: time {t} out of range"
+                break
             seen.add(int(index))
         indices = tuple(sorted(seen))
     else:
@@ -600,6 +600,7 @@ def summary_of(data, ctx, video=None):
                  if video is not None and type(idx) is int and idx >= len(video.subshots)), indices)
     refused(ctx, selection_fault(video_id, read))
     check_video(ctx, video_id, video)  # then the video: the file's own faults come first
+    refused(ctx, past and f"{past} for video with {len(video.subshots)} subshots")
     refused(ctx, selection_fault(video_id, read, video))
     return SummarySelection(video_id=video_id, indices=indices)
 
@@ -635,7 +636,8 @@ def features_of(data, ctx, video=None):
             raise CorpusValidationError(f"{where}.index: expected {i}, got {index}")
         entries = [x for frame in frames if isinstance(frame, list) for x in frame]
         try:
-            arr = np.asarray(frames, dtype=np.float64)
+            arr = np.asarray([[as_float(x) for x in frame] if isinstance(frame, list)
+                              else as_float(frame) for frame in frames], dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             arr = None
         if arr is None or any(type(x) not in (int, float) for x in entries):

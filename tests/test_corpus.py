@@ -601,6 +601,23 @@ class TestRowErrors:
         )
 
 
+@pytest.mark.parametrize("times", [[1e308], [0.0, 1e308, -1.0], [100.0]])
+def test_a_keyframe_time_past_the_video_is_named_after_the_video_id(tmp_path, times):
+    video = VideoRecord("v", 0.5, (Subshot(0, 0.0, 0.5, "dog"), Subshot(1, 0.5, 1.0, "cat")))
+    path = tmp_path / "s.json"
+    past = (f"keyframe_times_s[{times.index(1e308)}]: time 1e+308" if 1e308 in times
+            else "indices[0]: index 200")
+    for video_id, message in (
+            ("w", f"video_id: {path} is for video 'w', the annotations for 'v'"),
+            ("v", f"{path}: {past} out of range for video with 2 subshots")):
+        data = {"video_id": video_id, "keyframe_times_s": times}
+        path.write_text(json.dumps(data))
+        for load in (corpus.load_summary, lambda p, v: oracles.summary_of(data, str(p), v)):
+            with pytest.raises(CorpusValidationError) as info:
+                load(path, video)
+            assert str(info.value) == message
+
+
 @st.composite
 def span_cases(draw):
     """A video whose subshots may overlap (sorted starts, unsorted ends) and a spans list."""
@@ -771,6 +788,43 @@ def test_same_size_rewrite_with_the_old_mtime_is_reloaded(tmp_path, kind):
     assert after == _cold_outcome(LOADERS[kind], path) != before
 
 
+class _UnhashableBytes(bytes):
+    def __hash__(self):
+        raise AssertionError("the load memo hashed a file's bytes")
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_no_load_hashes_the_file_bytes(tmp_path, kind):
+    path = tmp_path / "f.json"
+    path.write_text(GOOD[kind])
+    read = corpus.read_bytes
+    with mock.patch.object(corpus, "read_bytes", lambda p: _UnhashableBytes(read(p))):
+        outcomes = [_memo_outcome(LOADERS[kind], path) for _ in range(2)]  # a miss, then a hit
+    assert outcomes[0][0] == "ok" and outcomes == [_cold_outcome(LOADERS[kind], path)] * 2
+    assert corpus.load_memo_info() == {"hits": {kind: 1}, "misses": {kind: 1}, "files": 1,
+                                       "bytes": path.stat().st_size}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_a_rewrite_misses_only_at_its_own_path(tmp_path, kind):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    old = GOOD[kind]
+    new = old.replace('"v"', '"w"').replace("dog", "cat")  # ground truths hold no video id
+    for path in paths:
+        path.write_text(old)
+        _memo_outcome(LOADERS[kind], path)
+    stat = paths[0].stat()
+    paths[0].write_text(new)
+    os.utime(paths[0], ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    now = paths[0].stat()
+    assert (now.st_size, now.st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    for path in paths:
+        assert _memo_outcome(LOADERS[kind], path) == _cold_outcome(LOADERS[kind], path)
+    assert _memo_outcome(LOADERS[kind], paths[0]) != _memo_outcome(LOADERS[kind], paths[1])
+    assert corpus.load_memo_info() == {"hits": {kind: 3}, "misses": {kind: 3}, "files": 2,
+                                       "bytes": 2 * stat.st_size}
+
+
 def test_a_file_broken_in_place_fails_then_loads_once_fixed(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(_gts_text("v"))
@@ -784,7 +838,9 @@ def test_a_file_broken_in_place_fails_then_loads_once_fixed(tmp_path):
         "CorpusParseError", f"{path}: invalid JSON: Expecting value: line 1 column 33 (char 32)")
     path.write_text(_gts_text("v"))
     assert corpus.load_ground_truths(path) == good
-    assert corpus.load_memo_info()["hits"] == {"ground_truths": 1}
+    # each load is a miss that drops the path's entry: the fixed file is held, not the first
+    assert corpus.load_memo_info() == {"hits": {}, "misses": {"ground_truths": 4}, "files": 1,
+                                       "bytes": path.stat().st_size}
 
 
 @pytest.mark.parametrize("kind", ["ground_truths", "features"])
@@ -806,7 +862,7 @@ def test_a_hit_raises_what_a_cold_load_raises(tmp_path, video12, data_dir, kind)
     if kind == "features":
         assert _cold_outcome(load, path, short) == (
             "CorpusValidationError", f"subshots: {path} covers 12 subshots, the video has 5")
-    assert corpus.load_memo_info()["misses"] == {kind: 1}
+    assert corpus.load_memo_info()["misses"] == {kind: 2}  # a path's first load is its own miss
 
 
 OTHER_VIDEO = VideoRecord("w", 5.0, (Subshot(0, 0.0, 5.0, "s"), Subshot(1, 5.0, 10.0, "s")))
@@ -887,10 +943,12 @@ memo_steps = st.lists(st.one_of(
 def test_every_load_equals_a_cold_load(steps, budget):
     """A load gives what a cold load gives, and the memo holds what a model of it holds.
 
-    The model holds each (kind, bytes) that loaded without the video and
-    fits the budget, least recently used first, dropping the oldest while
-    the bytes held exceed the budget; the held bytes and files, and the
-    hits and misses, must equal the model's after every step.
+    The model holds, by (kind, path), the bytes of the last load that
+    loaded without the video and fits the budget, least recently used
+    first, dropping the oldest while the bytes held exceed the budget. A
+    load is a hit only when the file's bytes equal the bytes held for its
+    (kind, path); a miss drops that entry. The held bytes and files, and
+    the hits and misses, must equal the model's after every step.
     """
     corpus.clear_load_memo()
     held, hits, loads = OrderedDict(), 0, 0
@@ -906,16 +964,18 @@ def test_every_load_equals_a_cold_load(steps, budget):
                 load = LOADERS[op]
                 args = (paths[i],) if op == "annotations" else (paths[i], MEMO_VIDEOS[j])
                 assert _memo_outcome(load, *args) == _cold_outcome(load, *args)
-                key, loads = (op, paths[i].read_bytes()), loads + 1
-                if key in held:
+                key, raw, loads = (op, i), paths[i].read_bytes(), loads + 1
+                if held.get(key) == raw:
                     held.move_to_end(key)
                     hits += 1
-                elif len(key[1]) <= budget and _cold_outcome(load, paths[i])[0] == "ok":
-                    held[key] = None
-                    while sum(len(raw) for _, raw in held) > budget:
-                        held.popitem(last=False)
+                else:
+                    held.pop(key, None)
+                    if len(raw) <= budget and _cold_outcome(load, paths[i])[0] == "ok":
+                        held[key] = raw
+                        while sum(map(len, held.values())) > budget:
+                            held.popitem(last=False)
             info = corpus.load_memo_info()
-            assert info["bytes"] == sum(len(raw) for _, raw in held) <= budget
+            assert info["bytes"] == sum(map(len, held.values())) <= budget
             assert info["files"] == len(held)
             assert sum(info["hits"].values()) == hits
             assert sum(info["hits"].values()) + sum(info["misses"].values()) == loads

@@ -308,8 +308,27 @@ def test_features_non_finite_literal_is_named(tmp_path, literal):
     assert str(info.value) == f"{path}: subshots[0].frames[0]: {fault}"
 
 
-@pytest.mark.parametrize("entry", ['"0.5"', '{"a": 1}', "true", "null", "[0.5]", "1" + "0" * 400],
-                         ids=["string", "object", "bool", "null", "nested", "int_beyond_float"])
+@pytest.mark.parametrize("sign, fault", [("", "histogram sums to inf, expected 1"),
+                                         ("-", "negative histogram entry")],
+                         ids=["positive", "negative"])
+def test_features_int_beyond_float_range_reads_as_infinite(tmp_path, sign, fault):
+    """An int entry beyond float range is refused as the literal 1e999 is, on both paths."""
+    path = tmp_path / "f.json"
+    for literal in (sign + "1" + "0" * 400, sign + "1e999"):
+        for frames, error, message in (
+                ("[[1.0, 0.0, 0.0], [1, 0, %s]]", corpus.CorpusValidationError, f"[1]: {fault}"),
+                ("[%s]", corpus.CorpusParseError, ": must be a list of histograms")):
+            path.write_text('{"video_id": "v", "bins_per_channel": 1, "subshots": ['
+                            '{"index": 0, "frames": [[0.5, 0.5, 0.0]]}, '
+                            '{"index": 1, "frames": %s}]}' % (frames % literal))
+            for load in (corpus.load_features, checked_features):
+                with pytest.raises(error) as info:
+                    load(path)
+                assert str(info.value) == f"{path}: subshots[1].frames{message}"
+
+
+@pytest.mark.parametrize("entry", ['"0.5"', '{"a": 1}', "true", "null", "[0.5]"],
+                         ids=["string", "object", "bool", "null", "nested"])
 def test_features_entry_that_is_not_a_number_is_refused_on_both_paths(tmp_path, entry):
     path = tmp_path / "f.json"
     path.write_text('{"video_id": "v", "bins_per_channel": 1, "subshots": ['
